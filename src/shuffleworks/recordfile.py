@@ -10,7 +10,8 @@ Layout, little-endian throughout:
     17      4     record size R in bytes
     21      N*R   record bodies, nothing after
 
-The body length must match the header exactly.
+The body length must match the header exactly, and the arity k must be
+at least 2.
 """
 
 from __future__ import annotations
@@ -47,24 +48,31 @@ class RecordFile:
         return _HEADER.pack(MAGIC, VERSION, self.n_records, self.k, self.record_size)
 
     def to_bytes(self) -> bytes:
-        return self.header_bytes() + self.records.tobytes()
+        # join copies the body once; header + tobytes() would copy it twice
+        return b"".join([self.header_bytes(), self.records.view(np.uint8)])
 
 
-def parse_record_file(data: bytes) -> RecordFile:
-    if len(data) < HEADER_SIZE:
-        raise RecordFormatError("truncated header: %d bytes" % len(data))
-    magic, version, n, k, size = _HEADER.unpack_from(data)
+def _check_header(head: bytes, body_len: int) -> tuple[int, int, int]:
+    """Validate a container header against its body length; return (n, k, size)."""
+    if len(head) < HEADER_SIZE:
+        raise RecordFormatError("truncated header: %d bytes" % len(head))
+    magic, version, n, k, size = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise RecordFormatError("bad magic %r" % magic)
     if version != VERSION:
         raise RecordFormatError("unsupported version %d" % version)
     if size < 1:
         raise RecordFormatError("record size must be positive")
-    if len(data) - HEADER_SIZE != n * size:
-        raise RecordFormatError(
-            "body is %d bytes, header promises %d" % (len(data) - HEADER_SIZE, n * size)
-        )
-    records = np.frombuffer(data[HEADER_SIZE:], dtype=record_dtype(size)).copy()
+    if k < 2:
+        raise RecordFormatError("arity k must be at least 2, header has %d" % k)
+    if body_len != n * size:
+        raise RecordFormatError("body is %d bytes, header promises %d" % (body_len, n * size))
+    return n, k, size
+
+
+def parse_record_file(data: bytes) -> RecordFile:
+    n, k, size = _check_header(data, len(data) - HEADER_SIZE)
+    records = np.frombuffer(data, dtype=record_dtype(size), count=n, offset=HEADER_SIZE).copy()
     return RecordFile(n, k, size, records)
 
 
@@ -81,18 +89,6 @@ def open_records_inplace(path: str) -> tuple[RecordFile, np.memmap]:
         head = fh.read(HEADER_SIZE)
         fh.seek(0, 2)
         total = fh.tell()
-    if len(head) < HEADER_SIZE:
-        raise RecordFormatError("truncated header: %d bytes" % len(head))
-    magic, version, n, k, size = _HEADER.unpack_from(head)
-    if magic != MAGIC:
-        raise RecordFormatError("bad magic %r" % magic)
-    if version != VERSION:
-        raise RecordFormatError("unsupported version %d" % version)
-    if size < 1:
-        raise RecordFormatError("record size must be positive")
-    if total - HEADER_SIZE != n * size:
-        raise RecordFormatError(
-            "body is %d bytes, header promises %d" % (total - HEADER_SIZE, n * size)
-        )
+    n, k, size = _check_header(head, total - HEADER_SIZE)
     mm = np.memmap(path, dtype=record_dtype(size), mode="r+", offset=HEADER_SIZE, shape=(n,))
     return RecordFile(n, k, size, mm), mm

@@ -13,10 +13,15 @@ powers of k).  Lengths that are not powers of k are handled for k=2 by
 rotating power-of-two segment pairs into adjacency and shuffling each
 aligned block.
 
-Plain sequences go through the faithful scalar loop.  numpy arrays take
-a vectorised route that computes whole reversal tables and swaps via
-fancy indexing; it produces identical permutations and swap counts and
-exists purely for throughput on large record arrays.
+Plain sequences go through the faithful scalar loop.  numpy arrays
+(memmaps included) take a cache-blocked route after Carter and Gatlin's
+bit-reversal program (FOCS 1998): the t reversed digits split into
+(hi, mid, lo), and a round becomes swaps of small k**b x k**b tiles
+between mid and its reversal, each tile digit-reversed on both axes and
+transposed.  Tile pairs are gathered a fixed number of bytes at a time,
+so the scratch memory of a round does not grow with N.  The route
+produces the same permutation as the scalar loop and reports the same
+swap count, from its closed form.
 """
 
 from __future__ import annotations
@@ -180,14 +185,17 @@ def revswap_round(array, t: int, spec: ShuffleSpec, ruler: str | None = None) ->
     are produced for the scalar loop: "counter" simulates the base-k
     counter, "popcnt" uses trailing-bit arithmetic (k=2 only), and None
     defers to the SHUFFLEWORKS_POPCNT environment variable.  numpy arrays
-    are dispatched to the vectorised route, which has no ruler at all.
+    are dispatched to the tiled route, which has no ruler at all; it needs
+    a contiguous one-dimensional array, swaps whole tile pairs a bounded
+    chunk at a time, and returns the count (N/k**t)*(k**t - k**ceil(t/2))/2
+    of non-palindromic positions over two.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
     if len(array) != spec.N:
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
     if isinstance(array, np.ndarray):
-        return _revswap_round_ndarray(array, t, spec)
+        return _revswap_round_tiled(array, t, spec)
     return _revswap_round_seq(array, t, spec, 0, ruler)
 
 
@@ -221,36 +229,60 @@ def _revswap_round_seq(array, t: int, spec: ShuffleSpec, base: int, ruler: str |
     return swaps
 
 
-def _rev_table_np(k: int, t: int, kt: int) -> np.ndarray:
-    """rev[i] = reversal of i's t base-k digits, for all i < k**t."""
-    dtype = np.int32 if kt <= (1 << 31) - 1 else np.int64
-    r = np.zeros(1, dtype=dtype)
-    for _ in range(t):
+# Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
+# and fewer for records so large that a chunk holds fewer.
+_TILE_ELEMS = 1 << 12
+# Bytes gathered from one side of the tile pairs per step; the step's scratch
+# is a few times this, independent of the array length.
+_CHUNK_BYTES = 1 << 18
+
+
+def _rev_table(k: int, digits: int) -> np.ndarray:
+    """rev[i] = reversal of i's base-k digits, for all i < k**digits."""
+    r = np.zeros(1, dtype=np.intp)
+    for _ in range(digits):
         r = np.concatenate([k * r + d for d in range(k)])
     return r
 
 
-def _revswap_round_ndarray(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
+def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     if not 0 <= t <= spec.n:
         raise ValueError("digit count %d out of range" % t)
     if array.ndim != 1 or not array.flags.c_contiguous:
         raise ValueError("need a contiguous one-dimensional array")
     if t <= 1:
         return 0
-    kt = spec.powers[t]
-    rev = _rev_table_np(spec.k, t, kt)
-    lo = np.arange(kt, dtype=rev.dtype)
-    mask = rev > lo
-    ii = lo[mask]
-    jj = rev[mask]
-    del lo, mask
-    # Reversal of t digits never crosses a k**t block, so the same local
-    # swap pattern applies to every block at once.
-    blocks = array.reshape(spec.N // kt, kt)
-    tmp = blocks[:, ii].copy()
-    blocks[:, ii] = blocks[:, jj]
-    blocks[:, jj] = tmp
-    return (spec.N // kt) * int(ii.size)
+    k, kt = spec.k, spec.powers[t]
+    blocks = spec.N // kt
+    # Split the t reversed digits of a position into (hi, mid, lo) with b
+    # digits in hi and lo.  Reversal maps (hi, mid, lo) to
+    # (rev lo, rev mid, rev hi), so the k**b x k**b tile at mid trades places
+    # with the tile at rev mid, reversed on both axes and transposed.  That
+    # tile transform is one fixed permutation of the k**(2b) tile elements.
+    step = max(1, _CHUNK_BYTES // array.itemsize)
+    b = 1
+    while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step):
+        b += 1
+    kb = k ** b
+    revb = _rev_table(k, b)
+    tile_perm = (revb[None, :] * kb + revb[:, None]).ravel()
+    revm = _rev_table(k, t - 2 * b)
+    mids = np.flatnonzero(np.arange(revm.size) <= revm)
+    # axes (block, mid, hi, lo)
+    x = array.view(np.ndarray).reshape(blocks, kb, revm.size, kb).transpose(0, 2, 1, 3)
+    mids_per_step = min(mids.size, max(1, step // (kb * kb)))
+    blocks_per_step = max(1, step // (kb * kb * mids_per_step))
+    for h in range(0, blocks, blocks_per_step):
+        xs = x[h:h + blocks_per_step]
+        for c in range(0, mids.size, mids_per_step):
+            mine = mids[c:c + mids_per_step]
+            theirs = revm[mine]
+            here = xs[:, mine]
+            there = xs[:, theirs]
+            xs[:, theirs] = here.reshape(*here.shape[:2], -1).take(tile_perm, axis=2).reshape(here.shape)
+            xs[:, mine] = there.reshape(*there.shape[:2], -1).take(tile_perm, axis=2).reshape(there.shape)
+    # Every position moves except the palindromes of its t digits.
+    return blocks * (kt - k ** ((t + 1) // 2)) // 2
 
 
 def shuffle_power(array, spec: ShuffleSpec, ruler: str | None = None) -> tuple[int, int]:

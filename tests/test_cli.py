@@ -173,6 +173,19 @@ def test_shuffle_records_bad_magic(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("header_k", [0, 1])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_shuffle_records_rejects_small_header_arity(tmp_path, capsys, header_k, in_place):
+    path = tmp_path / "data.bin"
+    path.write_bytes(record_fixture(n=12, k=header_k, size=4))
+    argv = ["shuffle", "--records", str(path)]
+    argv += ["--in-place"] if in_place else ["-o", str(tmp_path / "out.bin")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "arity" in err
+
+
 def test_shuffle_records_in_place_needs_a_path(capsys, monkeypatch):
     code, _, _ = run_cli(
         ["shuffle", "--records", "--in-place"],

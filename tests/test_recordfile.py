@@ -80,6 +80,33 @@ def test_parse_rejects_zero_record_size():
         parse_record_file(head)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_both_readers_reject_arity_below_two(tmp_path, k):
+    blob = make_record_file(k, 4, bytes(16)).to_bytes()
+    with pytest.raises(RecordFormatError, match="arity"):
+        parse_record_file(blob)
+    path = tmp_path / "records.bin"
+    path.write_bytes(blob)
+    with pytest.raises(RecordFormatError, match="arity"):
+        open_records_inplace(str(path))
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 12])
+def test_to_bytes_is_header_then_raw_records(size):
+    payload = bytes(i % 253 for i in range(size * 10))
+    rf = make_record_file(2, size, payload)
+    assert rf.to_bytes() == rf.header_bytes() + payload
+    assert make_record_file(2, size, b"").to_bytes() == make_record_file(2, size, b"").header_bytes()
+
+
+def test_parsed_records_are_a_writable_copy():
+    blob = make_record_file(2, 8, bytes(range(64))).to_bytes()
+    rf = parse_record_file(blob)
+    assert rf.records.flags.writeable and rf.records.flags.owndata
+    rf.records[0] = 0xFFFF
+    assert blob[HEADER_SIZE:HEADER_SIZE + 8] == bytes(range(8))
+
+
 def test_open_records_inplace(tmp_path):
     path = tmp_path / "records.bin"
     payload = bytes(i % 256 for i in range(16 * 4))
