@@ -14,11 +14,10 @@ import random
 import sys
 
 from . import recordfile
-from .involution_factor import factor_cyclic, factor_permutation
+from .involution_factor import factor_cyclic, factor_permutation, relabel_factors
 from .network import build_network, emit_dot, emit_text
-from .oracle import oracle_shuffle
+from .oracle import oracle_apply, oracle_shuffle
 from .perm_core import (
-    Involution,
     Permutation,
     apply_pair_in_place,
     cycle_decompose,
@@ -32,7 +31,7 @@ from .shuffle_bitrev import (
     shuffle_general_k2,
     shuffle_power,
 )
-from .shuffle_modinv import ModContext, OpCounter, j_map, op_count_profile, shuffle_modinv
+from .shuffle_modinv import OpCounter, j_map, op_count_profile, shuffle_modinv
 
 
 class ParseFailure(ValueError):
@@ -190,26 +189,16 @@ def cmd_factor(args) -> int:
         decomp = cycle_decompose(p).cycles
         if len(decomp) != 1:
             raise ParseFailure("--enumerate needs a single-cycle permutation")
-        cycle = decomp[0]
-        n = p.size
-        for axis in range(n):
-            pair = factor_cyclic(n, axis)
-            s = _relabel(pair.s, cycle, n)
-            t = _relabel(pair.t, cycle, n)
-            print("S: " + cycle_notation(s))
-            print("T: " + cycle_notation(t))
-        return 0
-    pair = factor_permutation(p)
-    print("S: " + cycle_notation(pair.s))
-    print("T: " + cycle_notation(pair.t))
+        pairs = [
+            relabel_factors(p.size, [(decomp[0], factor_cyclic(p.size, axis))])
+            for axis in range(p.size)
+        ]
+    else:
+        pairs = [factor_permutation(p)]
+    for pair in pairs:
+        print("S: " + cycle_notation(pair.s))
+        print("T: " + cycle_notation(pair.t))
     return 0
-
-
-def _relabel(inv, cycle, n):
-    m = list(range(n))
-    for a, b in inv.transpositions:
-        m[cycle[a]], m[cycle[b]] = cycle[b], cycle[a]
-    return Involution(m, check=False)
 
 
 def cmd_network(args) -> int:
@@ -285,6 +274,7 @@ def cmd_selftest(args) -> int:
         for k in (2, 3, 4, 5):
             if N % k:
                 continue
+            spec = ShuffleSpec.for_length(N, k)
             expected = oracle_shuffle(list(range(N)), k)
             got = list(range(N))
             shuffle_modinv(got, k)
@@ -292,19 +282,18 @@ def cmd_selftest(args) -> int:
                 got[0], got[-1] = got[-1], got[0]  # deliberate corruption hook
                 injected = False
             check(got == expected, "modinv N=%d k=%d" % (N, k))
-            if exact_log(N, k) is not None:
+            if spec.n is not None:
                 got = list(range(N))
-                shuffle_power(got, ShuffleSpec.for_length(N, k))
+                shuffle_power(got, spec)
                 check(got == expected, "bitrev N=%d k=%d" % (N, k))
             if k == 2:
                 got = list(range(N))
                 shuffle_general_k2(got)
                 check(got == expected, "general N=%d k=%d" % (N, k))
-            ctx = ModContext.for_shuffle(N, k)
             ok = all(
-                j_map(r, j_map(r, x, ctx), ctx) == x
+                j_map(r, j_map(r, x, spec), spec) == x
                 for r in (1, k)
-                for x in range(ctx.m)
+                for x in range(spec.m)
             )
             check(ok, "involution law N=%d k=%d" % (N, k))
         perm = list(range(N))
@@ -313,10 +302,7 @@ def cmd_selftest(args) -> int:
         pair = factor_permutation(p)
         arr = list(range(N))
         apply_pair_in_place(arr, pair.s, pair.t)
-        reference = [0] * N
-        for i, v in enumerate(p.map):
-            reference[v] = i
-        check(arr == reference, "factor round trip N=%d" % N)
+        check(arr == oracle_apply(p, list(range(N))), "factor round trip N=%d" % N)
     for what in failures:
         print("FAIL %s" % what, file=sys.stderr)
     print("selftest: %d checks, %d failures" % (checks, len(failures)))

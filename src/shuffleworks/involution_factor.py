@@ -69,22 +69,29 @@ def enumerate_circular_factorizations(n: int) -> list[InvolutionPair]:
     return [factor_cyclic(n, k) for k in range(n)]
 
 
+def relabel_factors(n: int, factored) -> InvolutionPair:
+    """Map factorizations of cyclic shifts onto disjoint cycles of n points.
+
+    factored yields (cycle, pair) with pair a factorization of the shift
+    on 0..L-1, L = len(cycle); position a of the shift becomes cycle[a].
+    The unions over cycles stay involutions because cycles are disjoint.
+    """
+    s_map = list(range(n))
+    t_map = list(range(n))
+    for cycle, pair in factored:
+        for inv, m in ((pair.s, s_map), (pair.t, t_map)):
+            for a, b in inv.transpositions:
+                m[cycle[a]], m[cycle[b]] = cycle[b], cycle[a]
+    return InvolutionPair.of(Involution(s_map, check=False), Involution(t_map, check=False))
+
+
 def factor_permutation(p: Permutation) -> InvolutionPair:
     """Factor an arbitrary permutation into two involutions.
 
-    Each cycle is relabelled to 0..L-1 starting from its smallest element,
-    factored as the cyclic shift with pairing axis 0, and mapped back.
-    The unions over cycles stay involutions because cycles are disjoint.
+    Each cycle, listed from its smallest element, is factored as the cyclic
+    shift with pairing axis 0 and relabelled onto its own points.
     """
-    s_map = list(range(p.size))
-    t_map = list(range(p.size))
-    for cycle in cycle_decompose(p):
-        pair = factor_cyclic(len(cycle), 0)
-        for a, b in pair.s.transpositions:
-            s_map[cycle[a]], s_map[cycle[b]] = cycle[b], cycle[a]
-        for a, b in pair.t.transpositions:
-            t_map[cycle[a]], t_map[cycle[b]] = cycle[b], cycle[a]
-    return InvolutionPair.of(Involution(s_map, check=False), Involution(t_map, check=False))
+    return relabel_factors(p.size, ((c, factor_cyclic(len(c), 0)) for c in cycle_decompose(p)))
 
 
 def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:

@@ -3,7 +3,9 @@
 A network is a list of rounds; each round is a list of (i, j) swaps with
 i < j and no position appearing twice, so every round can execute as
 fully independent exchanges.  The shuffle constructions emit two-round
-networks; factoring an arbitrary permutation does too.
+networks whose rounds are the pairs of their one pair source,
+revswap_pairs or modinv_pairs; factoring an arbitrary permutation gives
+two rounds too.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .involution_factor import factor_permutation
-from .perm_core import Permutation
-from .shuffle_bitrev import ShuffleSpec, rev_digits
-from .shuffle_modinv import ModContext, _j_value
+from .perm_core import Permutation, swap_pairs
+from .shuffle_bitrev import ShuffleSpec, revswap_pairs
+from .shuffle_modinv import modinv_pairs
 
 TEXT_FORMAT_LINE = "# shuffleworks-net v1"
 
@@ -58,57 +60,32 @@ def build_network(method: str, target) -> SwapNetwork:
     method "bitrev" and "modinv" take a ShuffleSpec; "factorization" takes
     a Permutation.  Round 0 is applied first.
     """
-    if method == "bitrev":
-        spec = _expect_spec(target)
-        if spec.n is None or spec.n < 1:
-            raise ValueError("bitrev network needs N = k**n")
-        rounds = tuple(
-            tuple(
-                (i, j)
-                for i in range(spec.N)
-                if (j := rev_digits(i, t, spec)) > i
-            )
-            for t in (spec.n - 1, spec.n)
-        )
-        label = "bitrev"
-    elif method == "modinv":
-        spec = _expect_spec(target)
-        ctx = ModContext.for_shuffle(spec.N, spec.k)
-        rounds = tuple(
-            tuple(
-                (x, j)
-                for x in range(1, ctx.m)
-                if (j := _j_value(r, x, ctx.m, None)) > x
-            )
-            for r in (1, spec.k)
-        )
-        label = "modinv"
-    elif method == "factorization":
+    if method == "factorization":
         if not isinstance(target, Permutation):
             raise ValueError("factorization network needs a Permutation")
         pair = factor_permutation(target)
         rounds = (pair.t.transpositions, pair.s.transpositions)
-        label = "factorization"
-        return _validate(SwapNetwork(target.size, rounds, label))
-    else:
+        return _validate(SwapNetwork(target.size, rounds, method))
+    if method not in ("bitrev", "modinv"):
         raise ValueError("unknown network method %r" % method)
-    return _validate(SwapNetwork(spec.N, rounds, label))
-
-
-def _expect_spec(target) -> ShuffleSpec:
     if not isinstance(target, ShuffleSpec):
         raise ValueError("this network method needs a ShuffleSpec")
-    return target
+    if method == "bitrev":
+        if target.n is None or target.n < 1:
+            raise ValueError("bitrev network needs N = k**n")
+        sources = (revswap_pairs(t, target) for t in (target.n - 1, target.n))
+    else:
+        sources = (modinv_pairs(r, target) for r in (1, target.k))
+    rounds = tuple(tuple(pairs) for pairs in sources)
+    return _validate(SwapNetwork(target.N, rounds, method))
 
 
 def apply_network(array, net: SwapNetwork, reverse: bool = False) -> None:
     """Execute the network's swaps in round order (or reversed, which undoes it)."""
     if len(array) != net.n_positions:
         raise ValueError("array length %d != network size %d" % (len(array), net.n_positions))
-    rounds = reversed(net.rounds) if reverse else net.rounds
-    for round_ in rounds:
-        for i, j in round_:
-            array[i], array[j] = array[j], array[i]
+    for round_ in reversed(net.rounds) if reverse else net.rounds:
+        swap_pairs(array, round_)
 
 
 def network_permutation(net: SwapNetwork) -> Permutation:

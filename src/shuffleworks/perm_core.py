@@ -157,12 +157,24 @@ def is_involution(p: Permutation) -> bool:
     return all(m[v] == i for i, v in enumerate(m))
 
 
+def swap_pairs(array, pairs: Iterable[tuple[int, int]]) -> int:
+    """Exchange array[i] and array[j] for each (i, j) in pairs; return the count.
+
+    The one scalar executor: pairs may be a generator, which is consumed
+    as it goes, so no pair list is ever held.
+    """
+    swaps = 0
+    for i, j in pairs:
+        array[i], array[j] = array[j], array[i]
+        swaps += 1
+    return swaps
+
+
 def apply_involution_in_place(array, inv: Involution) -> None:
     """Realise inv on array by swapping each transposed pair once."""
     if len(array) != inv.size:
         raise ValueError("array length %d != involution size %d" % (len(array), inv.size))
-    for i, j in inv.transpositions:
-        array[i], array[j] = array[j], array[i]
+    swap_pairs(array, inv.transpositions)
 
 
 def apply_pair_in_place(array, s: Involution, t: Involution) -> None:

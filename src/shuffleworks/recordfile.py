@@ -79,6 +79,8 @@ def parse_record_file(data: bytes) -> RecordFile:
 def make_record_file(k: int, record_size: int, payload: bytes) -> RecordFile:
     if record_size < 1 or len(payload) % record_size:
         raise RecordFormatError("payload does not divide into %d-byte records" % record_size)
+    if k < 2:
+        raise RecordFormatError("arity k must be at least 2, got %d" % k)
     records = np.frombuffer(payload, dtype=record_dtype(record_size)).copy()
     return RecordFile(len(records), k, record_size, records)
 

@@ -6,19 +6,20 @@ digits, then with the reversal of all n digits.  Chaining the two
 reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
-Positions are visited in counter order and each partner index is updated
-in O(1) from the carry length of the increment, so a round costs O(N)
-time and O(log N) words of state (the counter digits plus the table of
-powers of k).  Lengths that are not powers of k are handled for k=2 by
-rotating power-of-two segment pairs into adjacency and shuffling each
-aligned block.
+Each round has one pair source, revswap_pairs.  It visits positions in
+counter order and updates each partner index in O(1) from the carry
+length of the increment, so a round costs O(N) time and O(log N) words of
+state (the counter digits plus the table of powers of k).  Plain
+sequences run its pairs through perm_core.swap_pairs, and build_network
+stores them as the rounds of the swap network.  Lengths that are not
+powers of k are handled for k=2 by rotating power-of-two segment pairs
+into adjacency and shuffling each aligned block.
 
-Plain sequences go through the faithful scalar loop.  numpy arrays
-(memmaps included) take a cache-blocked route after Carter and Gatlin's
-bit-reversal program (FOCS 1998): the t reversed digits split into
-(hi, mid, lo), and a round becomes swaps of small k**b x k**b tiles
-between mid and its reversal, each tile digit-reversed on both axes and
-transposed.  Tile pairs are gathered a fixed number of bytes at a time,
+numpy arrays (memmaps included) take a cache-blocked route after Carter
+and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
+split into (hi, mid, lo), and a round becomes swaps of small k**b x k**b
+tiles between mid and its reversal, each tile digit-reversed on both axes
+and transposed.  Tile pairs are gathered a fixed number of bytes at a time,
 so the scratch memory of a round does not grow with N.  The route
 produces the same permutation as the scalar loop and reports the same
 swap count, from its closed form.
@@ -26,11 +27,13 @@ swap count, from its closed form.
 
 from __future__ import annotations
 
-import os
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .perm_core import swap_pairs
 
 # Guards the int64-based vectorised index path; nothing real gets close.
 _INDEX_LIMIT = 1 << 62
@@ -63,7 +66,8 @@ class ShuffleSpec:
     """Validated parameters of a k-way in-shuffle on N = k*M positions.
 
     n and powers are filled in only when N is an exact power of k; the
-    digit-reversal rounds require them.
+    digit-reversal rounds require them.  The modular-inverse rounds work
+    modulo m = N - 1.
     """
 
     N: int
@@ -84,6 +88,10 @@ class ShuffleSpec:
         powers = power_table(k, n) if n is not None else ()
         return cls(N, k, N // k, n, powers)
 
+    @property
+    def m(self) -> int:
+        return self.N - 1
+
     @classmethod
     def for_power(cls, k: int, n: int) -> "ShuffleSpec":
         if n < 1:
@@ -91,41 +99,6 @@ class ShuffleSpec:
         spec = cls.for_length(k ** n, k)
         assert spec.n == n
         return spec
-
-
-class KaryCounter:
-    """An n-digit base-k counter that reports the carry length of each step."""
-
-    def __init__(self, k: int, n: int):
-        if k < 2 or n < 0:
-            raise ValueError("need k >= 2 and n >= 0")
-        self.k = k
-        self.n = n
-        self.digits = [0] * n  # digits[t] is the coefficient of k**t
-        self.value = 0
-
-    def increment(self) -> int:
-        """Step the counter; return the index of the leftmost digit changed.
-
-        The return value equals the number of trailing k-1 digits the old
-        value had.  Raises OverflowError past k**n - 1.
-        """
-        d = self.digits
-        top = self.k - 1
-        p = 0
-        while p < self.n and d[p] == top:
-            d[p] = 0
-            p += 1
-        if p == self.n:
-            raise OverflowError("counter wrapped past k**n - 1")
-        d[p] += 1
-        self.value += 1
-        return p
-
-
-def ruler_increment(counter: KaryCounter) -> int:
-    """Advance the counter and return the carry length of the increment."""
-    return counter.increment()
 
 
 def rev_digits(i: int, t: int, spec: ShuffleSpec) -> int:
@@ -145,46 +118,65 @@ def rev_digits(i: int, t: int, spec: ShuffleSpec) -> int:
     return head * spec.powers[t] + rev
 
 
-def rev_next(prev: int, p: int, t: int, spec: ShuffleSpec) -> int:
-    """Reversal of i+1's low t digits, given prev = rev_digits(i, t, spec).
+def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = None):
+    """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round.
 
-    p is the carry length of the increment from i to i+1.  The incremented
-    digit moves the top reversed digit down one slot, which shifts the
-    reversal by -k**t + k**(t-p) + k**(t-p-1).  Only valid while the carry
-    stays inside the reversed digits (p < t); at p >= t the low t digits
-    of i+1 are all zero and the caller resets the partner to i+1 itself.
+    rev reverses the t least significant base-k digits of the n-digit
+    positions.  Positions go up one at a time, and each partner follows
+    from the previous one in O(1) given how many digits the increment
+    changed.  ruler says how that number is found: "popcnt" reads it off
+    the lowest set bit (k=2 only), "counter" steps a base-k digit counter,
+    and None picks popcnt for k=2 and the counter otherwise.  Arguments
+    are checked when iteration starts.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
     if not 0 <= t <= spec.n:
         raise ValueError("digit count %d out of range" % t)
-    if p >= t:
-        raise ValueError("carry length %d reaches past the %d reversed digits" % (p, t))
-    pw = spec.powers
-    return prev - pw[t] + pw[t - p] + pw[t - p - 1]
-
-
-def _resolve_ruler(k: int, ruler: str | None) -> str:
     if ruler is None:
-        mode = os.environ.get("SHUFFLEWORKS_POPCNT", "auto").lower()
-        if mode not in ("auto", "on", "off"):
-            raise ValueError("SHUFFLEWORKS_POPCNT must be auto, on, or off")
-        return "popcnt" if (k == 2 and mode != "off") else "counter"
+        ruler = "popcnt" if spec.k == 2 else "counter"
     if ruler not in ("counter", "popcnt"):
         raise ValueError("ruler must be 'counter' or 'popcnt'")
-    if ruler == "popcnt" and k != 2:
+    if ruler == "popcnt" and spec.k != 2:
         raise ValueError("the popcnt ruler only applies to k=2")
-    return ruler
+    if t <= 1:
+        return  # reversing one digit or none moves nothing
+    N, pw = spec.N, spec.powers
+    if ruler == "popcnt":
+        # the increment to i changes as many bits as i's lowest set bit spans
+        changed = map(int.bit_length, map(operator.and_, range(1, N), range(-1, -N, -1)))
+    else:
+        changed = _digit_counter(spec.k, spec.n)
+    # An increment that changes c <= t digits zeroes c-1 trailing digits k-1
+    # and bumps the next one, which shifts the reversal by step[c].  With
+    # c > t the low t digits of i are all zero and i is its own partner.
+    step = [0] + [pw[t - c + 1] + pw[t - c] - pw[t] for c in range(1, t + 1)]
+    j = 0
+    for i, c in zip(range(1, N), changed):
+        j = i if c > t else j + step[c]
+        if i < j:
+            yield base + i, base + j
+
+
+def _digit_counter(k: int, n: int):
+    """Yield the number of digits each increment of an n-digit base-k counter changes."""
+    digits = [0] * n  # digits[p] is the coefficient of k**p
+    top = k - 1
+    while True:
+        p = 0
+        while digits[p] == top:
+            digits[p] = 0
+            p += 1
+        digits[p] += 1
+        yield p + 1
 
 
 def revswap_round(array, t: int, spec: ShuffleSpec, ruler: str | None = None) -> int:
     """Swap every position with its low-t digit reversal; return the swap count.
 
     Each pair is touched once (only i < partner swaps), so the round is a
-    single set of independent exchanges.  ruler selects how carry lengths
-    are produced for the scalar loop: "counter" simulates the base-k
-    counter, "popcnt" uses trailing-bit arithmetic (k=2 only), and None
-    defers to the SHUFFLEWORKS_POPCNT environment variable.  numpy arrays
+    single set of independent exchanges.  Sequences run the pairs of
+    revswap_pairs, with the given ruler, through swap_pairs.  numpy arrays
     are dispatched to the tiled route, which has no ruler at all; it needs
     a contiguous one-dimensional array, swaps whole tile pairs a bounded
     chunk at a time, and returns the count (N/k**t)*(k**t - k**ceil(t/2))/2
@@ -196,37 +188,7 @@ def revswap_round(array, t: int, spec: ShuffleSpec, ruler: str | None = None) ->
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
     if isinstance(array, np.ndarray):
         return _revswap_round_tiled(array, t, spec)
-    return _revswap_round_seq(array, t, spec, 0, ruler)
-
-
-def _revswap_round_seq(array, t: int, spec: ShuffleSpec, base: int, ruler: str | None) -> int:
-    if not 0 <= t <= spec.n:
-        raise ValueError("digit count %d out of range" % t)
-    if t <= 1:
-        return 0  # reversing one digit or none moves nothing
-    N = spec.N
-    mode = _resolve_ruler(spec.k, ruler)
-    swaps = 0
-    j = 0
-    if mode == "popcnt":
-        for i in range(1, N):
-            # trailing ones of i-1 == trailing zeros of i
-            p = (i & -i).bit_length() - 1
-            j = i if p >= t else rev_next(j, p, t, spec)
-            if i < j:
-                bi, bj = base + i, base + j
-                array[bi], array[bj] = array[bj], array[bi]
-                swaps += 1
-    else:
-        counter = KaryCounter(spec.k, spec.n)
-        for i in range(1, N):
-            p = ruler_increment(counter)
-            j = i if p >= t else rev_next(j, p, t, spec)
-            if i < j:
-                bi, bj = base + i, base + j
-                array[bi], array[bj] = array[bj], array[bi]
-                swaps += 1
-    return swaps
+    return swap_pairs(array, revswap_pairs(t, spec, ruler=ruler))
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
@@ -365,19 +327,12 @@ def rotation_cost(M: int) -> int:
     return total
 
 
-def _reverse_range(array, lo: int, hi: int) -> None:
-    hi -= 1
-    while lo < hi:
-        array[lo], array[hi] = array[hi], array[lo]
-        lo += 1
-        hi -= 1
-
-
 def rotate_left(array, start: int, length: int, shift: int) -> int:
     """Rotate array[start:start+length] left by shift using three reversals.
 
     Returns the number of elements displaced (length, or 0 for the trivial
-    shifts 0 and length).
+    shifts 0 and length).  Each reversal swaps mirrored chunks of at most
+    _CHUNK_BYTES, so the scratch does not grow with the window.
     """
     if length < 0 or start < 0 or start + length > len(array):
         raise ValueError("window out of range")
@@ -385,15 +340,17 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
         raise ValueError("shift %d outside 0..%d" % (shift, length))
     if shift in (0, length) or length < 2:
         return 0
-    if isinstance(array, np.ndarray):
-        seg = array[start:start + length]
-        seg[:shift] = seg[:shift][::-1].copy()
-        seg[shift:] = seg[shift:][::-1].copy()
-        seg[:] = seg[::-1].copy()
-    else:
-        _reverse_range(array, start, start + shift)
-        _reverse_range(array, start + shift, start + length)
-        _reverse_range(array, start, start + length)
+    # list slots are 8-byte pointers
+    chunk = max(1, _CHUNK_BYTES // (array.itemsize if isinstance(array, np.ndarray) else 8))
+    mid, end = start + shift, start + length
+    for lo, hi in ((start, mid), (mid, end), (start, end)):
+        while hi - lo > 1:
+            c = min(chunk, (hi - lo) // 2)
+            left = array[lo:lo + c][::-1].copy()
+            array[lo:lo + c] = array[hi - c:hi][::-1]
+            array[hi - c:hi] = left
+            lo += c
+            hi -= c
     return length
 
 
@@ -422,11 +379,9 @@ def shuffle_general_k2(array, ruler: str | None = None) -> GeneralShuffleStats:
     for m in plan.segment_sizes:
         spec = ShuffleSpec.for_length(2 * m, 2)
         if isinstance(array, np.ndarray):
-            block = array[base:base + 2 * m]
-            c1, c2 = shuffle_power(block, spec, ruler)
+            swaps += sum(shuffle_power(array[base:base + 2 * m], spec, ruler))
         else:
-            c1 = _revswap_round_seq(array, spec.n - 1, spec, base, ruler)
-            c2 = _revswap_round_seq(array, spec.n, spec, base, ruler)
-        swaps += c1 + c2
+            for t in (spec.n - 1, spec.n):
+                swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))
         base += 2 * m
     return GeneralShuffleStats(moved, swaps)

@@ -10,15 +10,20 @@ gives J_k(J_1(x)) = k*x mod m, the in-shuffle, so two rounds of swaps
 (first along J_1, then along J_k) shuffle any multiple-of-k length with
 no digit structure required.
 
-All index arithmetic runs through one extended-Euclid routine so that an
-OpCounter can record exactly how much number-theoretic work a shuffle
-costs.
+Each round has one pair source, modinv_pairs.  shuffle_modinv runs its
+pairs through perm_core.swap_pairs, swap_count_modinv counts them, and
+build_network stores them as the rounds of the swap network.  All index
+arithmetic runs through one extended-Euclid routine so that an OpCounter
+can record exactly how much number-theoretic work a shuffle costs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .perm_core import swap_pairs
+from .shuffle_bitrev import ShuffleSpec
 
 
 @dataclass
@@ -28,24 +33,6 @@ class OpCounter:
     euclid_iterations: int = 0
     gcd_calls: int = 0
     swaps: int = 0
-
-
-@dataclass(frozen=True)
-class ModContext:
-    """Modulus bundle for a k-way shuffle of N = k*M elements."""
-
-    k: int
-    M: int
-    N: int
-    m: int
-
-    @classmethod
-    def for_shuffle(cls, N: int, k: int) -> "ModContext":
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if N < k or N % k:
-            raise ValueError("N=%d is not a positive multiple of k=%d" % (N, k))
-        return cls(k, N // k, N, N - 1)
 
 
 def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
@@ -97,21 +84,35 @@ def _j_value(r: int, x: int, m: int, counter: OpCounter | None) -> int:
     return g * ((r * u2) % mg)
 
 
-def j_map(r: int, x: int, ctx: ModContext, counter: OpCounter | None = None) -> int:
+def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:
     """The involution J_r on Z_m: x maps to gcd(x,m) * ((r * (x/g)^-1) mod (m/g)).
 
     Fixes 0; preserves gcd(., m); is its own inverse whenever gcd(r, m) = 1.
     """
-    if math.gcd(r, ctx.m) != 1:
-        raise ValueError("r=%d shares a factor with m=%d" % (r, ctx.m))
-    if not 0 <= x < ctx.m:
-        raise ValueError("x=%d outside 0..%d" % (x, ctx.m - 1))
-    return _j_value(r, x, ctx.m, counter)
+    if math.gcd(r, spec.m) != 1:
+        raise ValueError("r=%d shares a factor with m=%d" % (r, spec.m))
+    if not 0 <= x < spec.m:
+        raise ValueError("x=%d outside 0..%d" % (x, spec.m - 1))
+    return _j_value(r, x, spec.m, counter)
 
 
-def compose_j(r: int, s: int, x: int, ctx: ModContext, counter: OpCounter | None = None) -> int:
+def compose_j(r: int, s: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:
     """J_r(J_s(x)); for (r, s) = (k, 1) this is the in-shuffle map k*x mod m."""
-    return j_map(r, j_map(s, x, ctx, counter), ctx, counter)
+    return j_map(r, j_map(s, x, spec, counter), spec, counter)
+
+
+def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
+    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions.
+
+    Positions 0 and N-1 are never paired.  r must be coprime to m = N - 1,
+    as 1 and k always are.  The Euclid work of every J_r value computed
+    goes to counter.
+    """
+    m = spec.m
+    for x in range(1, m):
+        j = _j_value(r, x, m, counter)
+        if x < j:
+            yield x, j
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
@@ -120,30 +121,19 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     Two rounds of independent swaps: positions pair along J_1, then along
     J_k.  Positions 0 and N-1 are never touched.
     """
-    N = len(array)
-    if N == 0:
+    if len(array) == 0:
         return
-    ctx = ModContext.for_shuffle(N, k)
-    m = ctx.m
+    spec = ShuffleSpec.for_length(len(array), k)
     for r in (1, k):
-        # gcd(k, k*M - 1) = 1, so both rounds use valid involutions.
-        for x in range(1, m):
-            j = _j_value(r, x, m, counter)
-            if x < j:
-                array[x], array[j] = array[j], array[x]
-                if counter is not None:
-                    counter.swaps += 1
+        swaps = swap_pairs(array, modinv_pairs(r, spec, counter))
+        if counter is not None:
+            counter.swaps += swaps
 
 
 def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:
     """Swaps the two rounds of shuffle_modinv would perform, no data moved."""
-    ctx = ModContext.for_shuffle(N, k)
-    m = ctx.m
-    total = 0
-    for r in (1, k):
-        for x in range(1, m):
-            if x < _j_value(r, x, m, counter):
-                total += 1
+    spec = ShuffleSpec.for_length(N, k)
+    total = sum(1 for r in (1, k) for _ in modinv_pairs(r, spec, counter))
     if counter is not None:
         counter.swaps += total
     return total

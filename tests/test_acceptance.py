@@ -32,7 +32,6 @@ from shuffleworks.shuffle_bitrev import (
     swap_counts,
 )
 from shuffleworks.shuffle_modinv import (
-    ModContext,
     j_map,
     op_count_profile,
     shuffle_modinv,
@@ -208,12 +207,12 @@ J3_M26 = {
 
 def test_criterion_06_involution_golden_values(check):
     def body(problems):
-        ctx = ModContext.for_shuffle(27, 3)
+        spec = ShuffleSpec.for_length(27, 3)
         for x in range(1, 26):
-            got = j_map(1, x, ctx)
+            got = j_map(1, x, spec)
             if got != J1_M26[x]:
                 problems.append("first round maps %d to %d, want %d" % (x, got, J1_M26[x]))
-            got = j_map(3, x, ctx)
+            got = j_map(3, x, spec)
             if got != J3_M26[x]:
                 problems.append("second round maps %d to %d, want %d" % (x, got, J3_M26[x]))
 
@@ -249,10 +248,10 @@ def test_criterion_08_involution_and_gcd_laws(check):
     def body(problems):
         for k in (2, 3, 4, 5, 7):
             for N in range(k, 2001, k):
-                ctx = ModContext.for_shuffle(N, k)
-                m = ctx.m
-                j1 = [j_map(1, x, ctx) for x in range(m)]
-                jk = [j_map(k, x, ctx) for x in range(m)]
+                spec = ShuffleSpec.for_length(N, k)
+                m = spec.m
+                j1 = [j_map(1, x, spec) for x in range(m)]
+                jk = [j_map(k, x, spec) for x in range(m)]
                 for x in range(m):
                     if j1[j1[x]] != x or jk[jk[x]] != x:
                         problems.append("not self-inverse at k=%d N=%d x=%d" % (k, N, x))

@@ -1,0 +1,23 @@
+"""The benchmark's own self-test, run as part of the suite.
+
+perfbench/ wraps public names of cli and shuffle_bitrev (shuffle_power,
+shuffle_general_k2, shuffle_modinv, build_network, emit_text,
+revswap_round, rotate_left) and checks its counts against swap_counts,
+rotation_cost and swap_count_modinv.  A rename or a changed return value
+in the package would break the benchmark without failing any other test.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest: 0 failures" in proc.stdout

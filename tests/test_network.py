@@ -17,7 +17,8 @@ from shuffleworks.network import (
 )
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
 from shuffleworks.perm_core import Permutation, identity
-from shuffleworks.shuffle_bitrev import ShuffleSpec
+from shuffleworks.shuffle_bitrev import ShuffleSpec, rev_digits, revswap_pairs
+from shuffleworks.shuffle_modinv import j_map, modinv_pairs
 
 
 def test_check_disjoint():
@@ -43,6 +44,24 @@ def test_modinv_network_counts():
     net = build_network("modinv", ShuffleSpec.for_length(27, 3))
     assert net.total_swaps == 20
     assert net.label == "modinv"
+
+
+def test_network_rounds_are_the_pair_sources():
+    # each round is its construction's pair source, and both agree with
+    # the pairs recomputed position by position
+    for k, n in ((2, 1), (2, 6), (3, 4), (4, 3), (5, 2)):
+        spec = ShuffleSpec.for_power(k, n)
+        rounds = build_network("bitrev", spec).rounds
+        digits = (n - 1, n)
+        assert rounds == tuple(tuple(revswap_pairs(t, spec)) for t in digits)
+        assert rounds == tuple(
+            tuple((i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i) for t in digits)
+    for k, N in ((2, 30), (3, 27), (4, 40), (5, 45)):
+        spec = ShuffleSpec.for_length(N, k)
+        rounds = build_network("modinv", spec).rounds
+        assert rounds == tuple(tuple(modinv_pairs(r, spec)) for r in (1, k))
+        assert rounds == tuple(
+            tuple((x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x) for r in (1, k))
 
 
 def test_networks_realise_the_inshuffle():

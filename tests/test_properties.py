@@ -22,15 +22,14 @@ from shuffleworks.perm_core import (
     parse_cycle_notation,
 )
 from shuffleworks.shuffle_bitrev import (
-    KaryCounter,
     ShuffleSpec,
     rev_digits,
-    rev_next,
+    revswap_pairs,
     rotation_cost,
     rotation_plan,
     shuffle_general_k2,
 )
-from shuffleworks.shuffle_modinv import ModContext, j_map, shuffle_modinv
+from shuffleworks.shuffle_modinv import j_map, shuffle_modinv
 
 permutations = st.integers(0, 40).flatmap(
     lambda n: st.permutations(list(range(n))))
@@ -80,12 +79,9 @@ def test_chained_reversals_give_the_shuffle_map(spec, data):
 @given(power_specs.filter(lambda s: s.n >= 2), st.data())
 def test_incremental_reversal_matches_recomputation(spec, data):
     t = data.draw(st.integers(2, spec.n))
-    counter = KaryCounter(spec.k, spec.n)
-    j = 0
-    for i in range(1, spec.N):
-        p = counter.increment()
-        j = i if p >= t else rev_next(j, p, t, spec)
-        assert j == rev_digits(i, t, spec)
+    ruler = data.draw(st.sampled_from(["counter", "popcnt"] if spec.k == 2 else ["counter"]))
+    want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
+    assert list(revswap_pairs(t, spec, ruler=ruler)) == want
 
 
 @given(st.integers(1, 100000))
@@ -115,12 +111,12 @@ def test_modinv_shuffle_equals_oracle(k, M):
 @settings(max_examples=40)
 @given(st.integers(2, 7), st.integers(1, 120), st.data())
 def test_j_map_laws(k, M, data):
-    ctx = ModContext.for_shuffle(k * M, k)
-    x = data.draw(st.integers(0, ctx.m - 1))
-    y = j_map(1, x, ctx)
-    assert j_map(1, y, ctx) == x
-    assert math.gcd(y, ctx.m) == math.gcd(x, ctx.m)
-    assert j_map(k, y, ctx) == k * x % ctx.m
+    spec = ShuffleSpec.for_length(k * M, k)
+    x = data.draw(st.integers(0, spec.m - 1))
+    y = j_map(1, x, spec)
+    assert j_map(1, y, spec) == x
+    assert math.gcd(y, spec.m) == math.gcd(x, spec.m)
+    assert j_map(k, y, spec) == k * x % spec.m
 
 
 @given(permutations)

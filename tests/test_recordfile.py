@@ -53,6 +53,12 @@ def test_records_view_is_writable():
     assert rf.to_bytes()[HEADER_SIZE:] == want
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_make_record_file_rejects_arity_below_two(k):
+    with pytest.raises(RecordFormatError, match="arity"):
+        make_record_file(k, 4, bytes(16))
+
+
 def test_make_record_file_rejects_ragged_payload():
     with pytest.raises(RecordFormatError):
         make_record_file(2, 3, b"1234")
@@ -82,7 +88,7 @@ def test_parse_rejects_zero_record_size():
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_both_readers_reject_arity_below_two(tmp_path, k):
-    blob = make_record_file(k, 4, bytes(16)).to_bytes()
+    blob = struct.pack("<4sBQII", MAGIC, VERSION, 4, k, 4) + bytes(16)
     with pytest.raises(RecordFormatError, match="arity"):
         parse_record_file(blob)
     path = tmp_path / "records.bin"

@@ -1,9 +1,10 @@
-"""Digit-reversal rounds on every container, checked against the oracle.
+"""Both constructions on every container, checked against the oracle.
 
-numpy arrays and memmaps take the tiled route of revswap_round, lists the
-scalar loop; all must realise the same permutation and report the same
-swap counts.  The tile-edge cases pin the shapes where the tile side, the
-middle digits or the chunking change.
+For digit reversal, numpy arrays and memmaps take the tiled route of
+revswap_round, lists the scalar pair loop; all must realise the same
+permutation and report the same swap counts.  The tile-edge cases pin the
+shapes where the tile side, the middle digits or the chunking change.
+The modular-inverse rounds run one scalar executor on every container.
 """
 
 import tracemalloc
@@ -18,10 +19,12 @@ from shuffleworks.shuffle_bitrev import (
     _TILE_ELEMS,
     ShuffleSpec,
     revswap_round,
+    rotate_left,
     shuffle_general_k2,
     shuffle_power,
     swap_counts,
 )
+from shuffleworks.shuffle_modinv import OpCounter, shuffle_modinv, swap_count_modinv
 
 # One power of each k whose two rounds split into tiles with and without
 # middle digits.
@@ -76,6 +79,43 @@ def test_general_k2_blocks_match_oracle(kind, size, tmp_path):
     want = oracle_shuffle(as_list(array), 2)
     shuffle_general_k2(array)
     assert as_list(array) == want
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("k", sorted(POWERS))
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_shuffle_modinv_matches_oracle(kind, k, size, tmp_path):
+    N = k * 61  # not a power of k, and m = N - 1 is composite for every k here
+    array = container(kind, N, k, size, tmp_path)
+    want = oracle_shuffle(as_list(array), k)
+    counter = OpCounter()
+    shuffle_modinv(array, k, counter)
+    assert as_list(array) == want
+    assert counter.swaps == swap_count_modinv(N, k)
+
+
+@pytest.mark.parametrize("kind", ["list", "ndarray", "void"])
+def test_rotation_scratch_does_not_grow_with_the_window(kind):
+    for N in (2 ** 18, 2 ** 19 + 6):
+        data = payload(N, 12) if kind == "void" else None
+        if kind == "list":
+            array = list(range(N))
+        elif kind == "ndarray":
+            array = np.arange(N, dtype=np.uint64)
+        else:
+            array = np.frombuffer(data, dtype=np.dtype((np.void, 12))).copy()
+        start, length, shift = 3, N - 5, N // 3
+        want = as_list(array)
+        want[start:start + length] = want[start + shift:start + length] + want[start:start + shift]
+        tracemalloc.start()
+        try:
+            assert rotate_left(array, start, length, shift) == length
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert as_list(array) == want, (kind, N)
+        # three mirrored chunks in flight at most, whatever the window
+        assert peak < 4 * _CHUNK_BYTES, (kind, N, peak)
 
 
 def reversal_reference(N, k, t):

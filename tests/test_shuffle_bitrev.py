@@ -6,18 +6,16 @@ import pytest
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.shuffle_bitrev import (
     GeneralShuffleStats,
-    KaryCounter,
     RotationPlan,
     ShuffleSpec,
     exact_log,
     power_table,
     rev_digits,
-    rev_next,
+    revswap_pairs,
     revswap_round,
     rotate_left,
     rotation_cost,
     rotation_plan,
-    ruler_increment,
     shuffle_general_k2,
     shuffle_power,
     swap_counts,
@@ -64,29 +62,6 @@ def test_spec_for_power():
         ShuffleSpec.for_power(2, 0)
 
 
-def test_counter_reports_carry_lengths():
-    # carry length == number of trailing (k-1) digits of the old value
-    c = KaryCounter(2, 4)
-    got = [c.increment() for _ in range(15)]
-    assert got == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0]
-    with pytest.raises(OverflowError):
-        c.increment()
-
-
-def test_counter_base_three():
-    c = KaryCounter(3, 2)
-    got = [ruler_increment(c) for _ in range(8)]
-    assert got == [0, 0, 1, 0, 0, 1, 0, 0]
-    assert c.digits == [2, 2]
-    with pytest.raises(OverflowError):
-        c.increment()
-
-
-def test_counter_validation():
-    with pytest.raises(ValueError):
-        KaryCounter(1, 3)
-
-
 def binary_spec(n):
     return ShuffleSpec.for_power(2, n)
 
@@ -121,25 +96,21 @@ def test_rev_digits_range_checks():
         rev_digits(0, 2, ShuffleSpec.for_length(12, 2))
 
 
-def test_rev_next_tracks_rev_digits():
-    # walking i upward, the incremental update matches recomputation
-    for k, n in ((2, 7), (3, 4), (4, 3), (5, 3)):
-        spec = ShuffleSpec.for_power(k, n)
-        for t in range(2, n + 1):
-            counter = KaryCounter(k, n)
-            j = 0
-            for i in range(1, spec.N):
-                p = counter.increment()
-                j = i if p >= t else rev_next(j, p, t, spec)
-                assert j == rev_digits(i, t, spec), (k, n, t, i)
-
-
-def test_rev_next_rejects_carry_past_the_window():
-    spec = binary_spec(4)
-    with pytest.raises(ValueError):
-        rev_next(0, 3, 3, spec)
-    with pytest.raises(ValueError):
-        rev_next(0, 2, 5, spec)
+def test_revswap_pairs_match_rev_digits():
+    # the incremental partner update matches recomputation from scratch,
+    # under every ruler, for every digit count and block offset
+    for k in (2, 3, 4, 5):
+        rulers = (None, "counter", "popcnt") if k == 2 else (None, "counter")
+        n = 1
+        while k ** n <= 2 ** 10:
+            spec = ShuffleSpec.for_power(k, n)
+            for t in range(n + 1):
+                want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
+                for ruler in rulers:
+                    assert list(revswap_pairs(t, spec, ruler=ruler)) == want, (k, n, t, ruler)
+                shifted = [(i + 5, j + 5) for i, j in want]
+                assert list(revswap_pairs(t, spec, base=5)) == shifted, (k, n, t)
+            n += 1
 
 
 def test_revswap_round_small_counts():
@@ -219,19 +190,6 @@ def test_popcnt_ruler_is_binary_only():
         revswap_round(list(range(9)), 2, ShuffleSpec.for_power(3, 2), ruler="popcnt")
     with pytest.raises(ValueError):
         revswap_round(list(range(4)), 2, binary_spec(2), ruler="bogus")
-
-
-def test_env_var_selects_the_ruler(monkeypatch):
-    spec = binary_spec(6)
-    want = oracle_shuffle(list(range(64)), 2)
-    for value in ("auto", "on", "off", "ON", "Off"):
-        monkeypatch.setenv("SHUFFLEWORKS_POPCNT", value)
-        arr = list(range(64))
-        shuffle_power(arr, spec)
-        assert arr == want, value
-    monkeypatch.setenv("SHUFFLEWORKS_POPCNT", "sometimes")
-    with pytest.raises(ValueError):
-        shuffle_power(list(range(64)), spec)
 
 
 def test_ndarray_route_matches_scalar_route():

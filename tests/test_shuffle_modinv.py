@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from shuffleworks.network import build_network
 from shuffleworks.oracle import oracle_shuffle
+from shuffleworks.shuffle_bitrev import ShuffleSpec
 from shuffleworks.shuffle_modinv import (
-    ModContext,
     OpCounter,
     compose_j,
     ext_gcd,
@@ -87,56 +88,56 @@ def test_mod_inverse_errors():
 
 
 def test_context_validation():
-    ctx = ModContext.for_shuffle(27, 3)
-    assert (ctx.k, ctx.M, ctx.N, ctx.m) == (3, 9, 27, 26)
+    spec = ShuffleSpec.for_length(27, 3)
+    assert (spec.k, spec.M, spec.N, spec.m) == (3, 9, 27, 26)
     with pytest.raises(ValueError):
-        ModContext.for_shuffle(10, 3)
+        ShuffleSpec.for_length(10, 3)
     with pytest.raises(ValueError):
-        ModContext.for_shuffle(0, 2)
+        ShuffleSpec.for_length(-3, 3)
     with pytest.raises(ValueError):
-        ModContext.for_shuffle(4, 1)
+        ShuffleSpec.for_length(4, 1)
 
 
 def test_j_map_golden_values():
-    ctx = ModContext.for_shuffle(27, 3)
-    assert j_map(1, 0, ctx) == 0
-    assert j_map(3, 0, ctx) == 0
+    spec = ShuffleSpec.for_length(27, 3)
+    assert j_map(1, 0, spec) == 0
+    assert j_map(3, 0, spec) == 0
     for x, want in J1_M26.items():
-        assert j_map(1, x, ctx) == want, x
+        assert j_map(1, x, spec) == want, x
     for x, want in J3_M26.items():
-        assert j_map(3, x, ctx) == want, x
+        assert j_map(3, x, spec) == want, x
 
 
 def test_j_map_argument_checks():
-    ctx = ModContext.for_shuffle(27, 3)
+    spec = ShuffleSpec.for_length(27, 3)
     with pytest.raises(ValueError):
-        j_map(13, 5, ctx)  # 13 divides 26
+        j_map(13, 5, spec)  # 13 divides 26
     with pytest.raises(ValueError):
-        j_map(1, 26, ctx)
+        j_map(1, 26, spec)
     with pytest.raises(ValueError):
-        j_map(1, -1, ctx)
+        j_map(1, -1, spec)
 
 
 def test_j_map_is_an_involution_that_preserves_gcd():
     for k, N in ((2, 12), (3, 27), (4, 36), (5, 40), (7, 63)):
-        ctx = ModContext.for_shuffle(N, k)
+        spec = ShuffleSpec.for_length(N, k)
         for r in (1, k):
-            for x in range(ctx.m):
-                y = j_map(r, x, ctx)
-                assert j_map(r, y, ctx) == x
-                assert math.gcd(y, ctx.m) == math.gcd(x, ctx.m)
+            for x in range(spec.m):
+                y = j_map(r, x, spec)
+                assert j_map(r, y, spec) == x
+                assert math.gcd(y, spec.m) == math.gcd(x, spec.m)
 
 
 def test_chained_involutions_give_the_shuffle_map():
     for k, N in ((2, 16), (3, 27), (5, 30)):
-        ctx = ModContext.for_shuffle(N, k)
-        for x in range(ctx.m):
-            assert compose_j(k, 1, x, ctx) == k * x % ctx.m
+        spec = ShuffleSpec.for_length(N, k)
+        for x in range(spec.m):
+            assert compose_j(k, 1, x, spec) == k * x % spec.m
 
 
 def test_compose_j_example():
-    ctx = ModContext.for_shuffle(27, 3)
-    assert compose_j(3, 1, 4, ctx) == 12
+    spec = ShuffleSpec.for_length(27, 3)
+    assert compose_j(3, 1, 4, spec) == 12
 
 
 def test_shuffle_matches_oracle():
@@ -169,12 +170,16 @@ def test_shuffle_counts_swaps():
 
 
 def test_swap_count_without_data_movement():
+    # shuffle, count and network all read the same pairs and do the same Euclid work
     assert swap_count_modinv(27, 3) == 20
-    for k, N in ((2, 24), (3, 36), (5, 55)):
+    for k, N in ((2, 24), (3, 36), (5, 55), (2, 30), (3, 81), (4, 64), (4, 100), (5, 125)):
         counter = OpCounter()
         arr = list(range(N))
         shuffle_modinv(arr, k, counter)
-        assert swap_count_modinv(N, k) == counter.swaps
+        counted = OpCounter()
+        assert swap_count_modinv(N, k, counted) == counter.swaps, (k, N)
+        assert counted == counter, (k, N)
+        assert build_network("modinv", ShuffleSpec.for_length(N, k)).total_swaps == counter.swaps
 
 
 def test_single_group_sizes_are_fixed():
