@@ -2,14 +2,15 @@
 
 Subcommands: shuffle, factor, network, profile, selftest.  Data goes to
 stdout, diagnostics to stderr.  Exit codes are part of the interface:
-0 success, 1 selftest failure, 2 unparsable input, 3 arity mismatch
-(length vs k, or a method that cannot handle the length), 4 index
-arithmetic overflow.
+0 success, 1 selftest failure, 2 unparsable input (k below 2, or a file
+that cannot be read or written), 3 arity mismatch (length vs k, or a
+method that cannot handle the length), 4 index arithmetic overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -18,20 +19,19 @@ from .involution_factor import factor_cyclic, factor_permutation, relabel_factor
 from .network import build_network, emit_dot, emit_text
 from .oracle import oracle_apply, oracle_shuffle
 from .perm_core import (
+    OpCounter,
     Permutation,
     apply_pair_in_place,
     cycle_decompose,
     cycle_notation,
 )
-from .recordfile import RecordFormatError
 from .shuffle_bitrev import (
     ShuffleSpec,
     exact_log,
-    rotation_plan,
     shuffle_general_k2,
     shuffle_power,
 )
-from .shuffle_modinv import OpCounter, j_map, op_count_profile, shuffle_modinv
+from .shuffle_modinv import j_map, op_count_profile, shuffle_modinv
 
 
 class ParseFailure(ValueError):
@@ -40,16 +40,6 @@ class ParseFailure(ValueError):
 
 class ArityFailure(ValueError):
     """Input whose shape does not fit the requested operation (exit 3)."""
-
-
-class ShuffleStats:
-    def __init__(self, swaps: int, rounds: int, euclid_iters: int):
-        self.swaps = swaps
-        self.rounds = rounds
-        self.euclid_iters = euclid_iters
-
-    def line(self) -> str:
-        return "swaps=%d rounds=%d euclid_iters=%d" % (self.swaps, self.rounds, self.euclid_iters)
 
 
 def _resolve_method(method: str, N: int, k: int) -> str:
@@ -72,34 +62,46 @@ def _resolve_method(method: str, N: int, k: int) -> str:
     raise ParseFailure("unknown method %r" % method)
 
 
-def _shuffle_any(array, k: int, how: str) -> ShuffleStats:
+def _shuffle_any(array, k: int, how: str) -> OpCounter:
     """Shuffle array in place with the resolved method; report work done."""
     if how == "power":
-        spec = ShuffleSpec.for_length(len(array), k)
-        c1, c2 = shuffle_power(array, spec)
-        return ShuffleStats(c1 + c2, 2, 0)
+        return OpCounter(swaps=sum(shuffle_power(array, ShuffleSpec.for_length(len(array), k))), rounds=2)
     if how == "general":
-        stats = shuffle_general_k2(array)
-        rotations = len(rotation_plan(len(array) // 2).rotations) if len(array) else 0
-        return ShuffleStats(stats.swaps, 2 + rotations, 0)
+        return shuffle_general_k2(array)
+    counter = OpCounter()
     if how == "modinv":
-        counter = OpCounter()
         shuffle_modinv(array, k, counter)
-        return ShuffleStats(counter.swaps, 2, counter.euclid_iterations)
-    if how == "oracle":
-        out = oracle_shuffle(array, k)
-        array[:] = out
-        return ShuffleStats(0, 0, 0)
-    raise AssertionError(how)
+    else:
+        array[:] = oracle_shuffle(array, k)
+    return counter
 
 
 def cmd_shuffle(args) -> int:
-    k = args.k
-    if k is not None and k < 2:
-        raise ParseFailure("k must be at least 2")
-    if args.records:
-        return _shuffle_records(args, k)
-    return _shuffle_lines(args, k or 2)
+    # Each mode sets up the array to shuffle and what to do with it afterwards.
+    if args.records and args.in_place:
+        if args.input in (None, "-"):
+            raise ParseFailure("--in-place needs a file path, not stdin")
+        rf, array = recordfile.open_records_inplace(args.input)
+        finish = array.flush
+    elif args.records:
+        data = _read_binary(args.input)
+        rf = recordfile.parse_record_file(data)
+        array = rf.records  # a view of data, which is written back out whole
+        finish = lambda: _write(args.output, data)
+    else:
+        array = _read_text(args.input).split()
+        dest = args.input if args.in_place and args.input not in (None, "-") else args.output
+        finish = lambda: _write(dest, " ".join(array) + "\n" if array else "")
+    k = args.k or (rf.k if args.records else 2)
+    if len(array) % k:
+        what = "records" if args.records else "tokens"
+        raise ArityFailure("%d %s is not a multiple of k=%d" % (len(array), what, k))
+    counter = _shuffle_any(array, k, _resolve_method(args.method, len(array), k))
+    finish()
+    if args.stats:
+        print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
+              file=sys.stderr)
+    return 0
 
 
 def _read_text(path: str | None) -> str:
@@ -109,66 +111,28 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
-def _read_binary(path: str | None) -> bytes:
+def _read_binary(path: str | None) -> bytearray:
+    """The whole input in one writable buffer."""
     if path in (None, "-"):
-        return sys.stdin.buffer.read()
+        return bytearray(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
-        return fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        if not size:  # pipes state no size
+            return bytearray(fh.read())
+        data = bytearray(size)
+        if fh.readinto(data) != size:
+            raise ParseFailure("%s: short read" % path)
+    return data
 
 
-def _shuffle_lines(args, k: int) -> int:
-    tokens = _read_text(args.input).split()
-    if len(tokens) % k:
-        raise ArityFailure("%d tokens is not a multiple of k=%d" % (len(tokens), k))
-    how = _resolve_method(args.method, len(tokens), k)
-    stats = _shuffle_any(tokens, k, how)
-    text = " ".join(tokens) + "\n" if tokens else ""
-    if args.in_place and args.input not in (None, "-"):
-        with open(args.input, "w") as fh:
-            fh.write(text)
-    else:
-        _write_text(args.output, text)
-    if args.stats:
-        print(stats.line(), file=sys.stderr)
-    return 0
-
-
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, data: str | bytearray) -> None:
+    """Write text or bytes to path, or to stdout for None and "-"."""
+    binary = not isinstance(data, str)
     if path in (None, "-"):
-        sys.stdout.write(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _shuffle_records(args, k: int | None) -> int:
-    if args.in_place:
-        if args.input in (None, "-"):
-            raise ParseFailure("--in-place needs a file path, not stdin")
-        rf, mm = recordfile.open_records_inplace(args.input)
-        k = k or rf.k
-        if rf.n_records % k:
-            raise ArityFailure("%d records is not a multiple of k=%d" % (rf.n_records, k))
-        how = _resolve_method(args.method, rf.n_records, k)
-        stats = _shuffle_any(mm, k, how)
-        mm.flush()
-        del mm
-    else:
-        rf = recordfile.parse_record_file(_read_binary(args.input))
-        k = k or rf.k
-        if rf.n_records % k:
-            raise ArityFailure("%d records is not a multiple of k=%d" % (rf.n_records, k))
-        how = _resolve_method(args.method, rf.n_records, k)
-        stats = _shuffle_any(rf.records, k, how)
-        out = rf.to_bytes()
-        if args.output in (None, "-"):
-            sys.stdout.buffer.write(out)
-        else:
-            with open(args.output, "wb") as fh:
-                fh.write(out)
-    if args.stats:
-        print(stats.line(), file=sys.stderr)
-    return 0
+        with open(path, "wb" if binary else "w") as fh:
+            fh.write(data)
 
 
 def _parse_permutation(text: str) -> Permutation:
@@ -372,24 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "k", None) is not None and args.k < 2:
+            raise ParseFailure("k must be at least 2")
         return args.func(args)
-    except ParseFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except RecordFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ArityFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except OverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # anything the library rejects is ultimately bad input
+    except (ValueError, OSError) as exc:
+        # anything the library rejects, and any file that cannot be read or
+        # written, is bad input
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

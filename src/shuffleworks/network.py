@@ -44,28 +44,20 @@ def check_disjoint(swaps) -> bool:
     return True
 
 
-def _validate(net: SwapNetwork) -> SwapNetwork:
-    for r, round_ in enumerate(net.rounds):
-        for i, j in round_:
-            if not (0 <= i < j < net.n_positions):
-                raise ValueError("swap (%d %d) out of range in round %d" % (i, j, r))
-        if not check_disjoint(round_):
-            raise ValueError("round %d has overlapping swaps" % r)
-    return net
-
-
 def build_network(method: str, target) -> SwapNetwork:
     """Construct the swap network of a shuffle or of a factored permutation.
 
     method "bitrev" and "modinv" take a ShuffleSpec; "factorization" takes
-    a Permutation.  Round 0 is applied first.
+    a Permutation.  Round 0 is applied first.  The rounds are the
+    transpositions of involutions, so they are disjoint and in range by
+    construction; only parse_text, which reads outside input, checks them.
     """
     if method == "factorization":
         if not isinstance(target, Permutation):
             raise ValueError("factorization network needs a Permutation")
         pair = factor_permutation(target)
         rounds = (pair.t.transpositions, pair.s.transpositions)
-        return _validate(SwapNetwork(target.size, rounds, method))
+        return SwapNetwork(target.size, rounds, method)
     if method not in ("bitrev", "modinv"):
         raise ValueError("unknown network method %r" % method)
     if not isinstance(target, ShuffleSpec):
@@ -77,7 +69,7 @@ def build_network(method: str, target) -> SwapNetwork:
     else:
         sources = (modinv_pairs(r, target) for r in (1, target.k))
     rounds = tuple(tuple(pairs) for pairs in sources)
-    return _validate(SwapNetwork(target.N, rounds, method))
+    return SwapNetwork(target.N, rounds, method)
 
 
 def apply_network(array, net: SwapNetwork, reverse: bool = False) -> None:
@@ -142,10 +134,14 @@ def parse_text(text: str) -> SwapNetwork:
                 continue
             if not token.startswith("("):
                 raise ValueError("malformed swap %r" % token)
-            i, j = token[1:].split()
-            swaps.append((int(i), int(j)))
+            i, j = map(int, token[1:].split())
+            if not 0 <= i < j < n_positions:
+                raise ValueError("swap (%d %d) out of range in round %d" % (i, j, len(rounds)))
+            swaps.append((i, j))
+        if not check_disjoint(swaps):
+            raise ValueError("round %d has overlapping swaps" % len(rounds))
         rounds.append(tuple(swaps))
-    net = _validate(SwapNetwork(n_positions, tuple(rounds), label))
+    net = SwapNetwork(n_positions, tuple(rounds), label)
     if net.total_swaps != declared:
         raise ValueError("header declares %d swaps, body has %d" % (declared, net.total_swaps))
     return net

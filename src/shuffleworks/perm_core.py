@@ -157,6 +157,22 @@ def is_involution(p: Permutation) -> bool:
     return all(m[v] == i for i, v in enumerate(m))
 
 
+@dataclass
+class OpCounter:
+    """The one report of a shuffle's work; each routine fills the fields it does.
+
+    rounds counts the two swap rounds plus any rotations run before them;
+    moved counts the elements those rotations displace.  Euclid work comes
+    from the modular-inverse rounds only.
+    """
+
+    euclid_iterations: int = 0
+    gcd_calls: int = 0
+    swaps: int = 0
+    moved: int = 0
+    rounds: int = 0
+
+
 def swap_pairs(array, pairs: Iterable[tuple[int, int]]) -> int:
     """Exchange array[i] and array[j] for each (i, j) in pairs; return the count.
 

@@ -70,10 +70,15 @@ def _check_header(head: bytes, body_len: int) -> tuple[int, int, int]:
     return n, k, size
 
 
-def parse_record_file(data: bytes) -> RecordFile:
+def parse_record_file(data: bytes | bytearray) -> RecordFile:
+    """Parse a container held in memory.
+
+    The records of writable data (a bytearray) are a view of it, so
+    shuffling them rewrites data itself; read-only data is copied once.
+    """
     n, k, size = _check_header(data, len(data) - HEADER_SIZE)
-    records = np.frombuffer(data, dtype=record_dtype(size), count=n, offset=HEADER_SIZE).copy()
-    return RecordFile(n, k, size, records)
+    records = np.frombuffer(data, dtype=record_dtype(size), count=n, offset=HEADER_SIZE)
+    return RecordFile(n, k, size, records if records.flags.writeable else records.copy())
 
 
 def make_record_file(k: int, record_size: int, payload: bytes) -> RecordFile:

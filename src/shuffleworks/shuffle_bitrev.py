@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .perm_core import swap_pairs
+from .perm_core import OpCounter, swap_pairs
 
 # Guards the int64-based vectorised index path; nothing real gets close.
 _INDEX_LIMIT = 1 << 62
@@ -214,8 +213,8 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
         raise ValueError("need a contiguous one-dimensional array")
     if t <= 1:
         return 0
-    k, kt = spec.k, spec.powers[t]
-    blocks = spec.N // kt
+    k = spec.k
+    blocks = spec.N // spec.powers[t]
     # Split the t reversed digits of a position into (hi, mid, lo) with b
     # digits in hi and lo.  Reversal maps (hi, mid, lo) to
     # (rev lo, rev mid, rev hi), so the k**b x k**b tile at mid trades places
@@ -243,8 +242,7 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
             there = xs[:, theirs]
             xs[:, theirs] = here.reshape(*here.shape[:2], -1).take(tile_perm, axis=2).reshape(here.shape)
             xs[:, mine] = there.reshape(*there.shape[:2], -1).take(tile_perm, axis=2).reshape(there.shape)
-    # Every position moves except the palindromes of its t digits.
-    return blocks * (kt - k ** ((t + 1) // 2)) // 2
+    return _round_swaps(spec, t)
 
 
 def shuffle_power(array, spec: ShuffleSpec, ruler: str | None = None) -> tuple[int, int]:
@@ -269,14 +267,17 @@ def swap_counts(spec: ShuffleSpec) -> tuple[int, int]:
     """
     if spec.n is None or spec.n < 1:
         raise ValueError("need N = k**n with n >= 1")
-    k, n = spec.k, spec.n
-    if n % 2 == 0:
-        first = k * (k ** (n - 1) - k ** (n // 2)) // 2
-        second = (k ** n - k ** (n // 2)) // 2
-    else:
-        first = k * (k ** (n - 1) - k ** ((n - 1) // 2)) // 2
-        second = (k ** n - k ** ((n + 1) // 2)) // 2
-    return first, second
+    return _round_swaps(spec, spec.n - 1), _round_swaps(spec, spec.n)
+
+
+def _round_swaps(spec: ShuffleSpec, t: int) -> int:
+    """Swaps of the round reversing t digits: (N/k**t)(k**t - k**ceil(t/2))/2.
+
+    Every position moves except the k**ceil(t/2) palindromes of its t
+    digits in each block of k**t, and each swap moves two.
+    """
+    kt = spec.powers[t]
+    return spec.N // kt * (kt - spec.k ** ((t + 1) // 2)) // 2
 
 
 @dataclass(frozen=True)
@@ -354,34 +355,31 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
     return length
 
 
-class GeneralShuffleStats(NamedTuple):
-    moved: int  # elements displaced by rotations
-    swaps: int  # swaps performed by the power-of-two sub-shuffles
-
-
-def shuffle_general_k2(array, ruler: str | None = None) -> GeneralShuffleStats:
+def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     """In-place two-way in-shuffle for any even length.
 
     Runs the full rotation plan first, then shuffles each aligned
-    power-of-two block with the two reversal rounds.
+    power-of-two block with the two reversal rounds.  The report counts
+    the elements the rotations displace as moved, the block swaps, and
+    one round per rotation on top of the two swap rounds.
     """
     N = len(array)
     if N % 2:
         raise ValueError("the two-way in-shuffle needs an even length")
+    report = OpCounter(rounds=2)
     if N == 0:
-        return GeneralShuffleStats(0, 0)
+        return report
     plan = rotation_plan(N // 2)
-    moved = 0
     for start, length, shift in plan.rotations:
-        moved += rotate_left(array, start, length, shift)
-    swaps = 0
+        report.moved += rotate_left(array, start, length, shift)
+        report.rounds += 1
     base = 0
     for m in plan.segment_sizes:
         spec = ShuffleSpec.for_length(2 * m, 2)
         if isinstance(array, np.ndarray):
-            swaps += sum(shuffle_power(array[base:base + 2 * m], spec, ruler))
+            report.swaps += sum(shuffle_power(array[base:base + 2 * m], spec, ruler))
         else:
             for t in (spec.n - 1, spec.n):
-                swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))
+                report.swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))
         base += 2 * m
-    return GeneralShuffleStats(moved, swaps)
+    return report

@@ -13,26 +13,18 @@ no digit structure required.
 Each round has one pair source, modinv_pairs.  shuffle_modinv runs its
 pairs through perm_core.swap_pairs, swap_count_modinv counts them, and
 build_network stores them as the rounds of the swap network.  All index
-arithmetic runs through one extended-Euclid routine so that an OpCounter
-can record exactly how much number-theoretic work a shuffle costs.
+arithmetic runs through one extended-Euclid routine so that an OpCounter,
+the report every shuffle in the package fills (defined in perm_core and
+re-exported here), records exactly how much number-theoretic work a
+shuffle costs.  shuffle_modinv and swap_count_modinv fill it identically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .perm_core import swap_pairs
+from .perm_core import OpCounter, swap_pairs
 from .shuffle_bitrev import ShuffleSpec
-
-
-@dataclass
-class OpCounter:
-    """Mutable tally of the arithmetic a shuffle performs."""
-
-    euclid_iterations: int = 0
-    gcd_calls: int = 0
-    swaps: int = 0
 
 
 def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
@@ -121,21 +113,23 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     Two rounds of independent swaps: positions pair along J_1, then along
     J_k.  Positions 0 and N-1 are never touched.
     """
-    if len(array) == 0:
-        return
     spec = ShuffleSpec.for_length(len(array), k)
-    for r in (1, k):
-        swaps = swap_pairs(array, modinv_pairs(r, spec, counter))
-        if counter is not None:
-            counter.swaps += swaps
+    swaps = sum(swap_pairs(array, modinv_pairs(r, spec, counter)) for r in (1, k))
+    if counter is not None:
+        counter.swaps += swaps
+        counter.rounds += 2
 
 
 def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:
-    """Swaps the two rounds of shuffle_modinv would perform, no data moved."""
+    """Swaps the two rounds of shuffle_modinv would perform, no data moved.
+
+    counter receives the same tally shuffle_modinv would give it.
+    """
     spec = ShuffleSpec.for_length(N, k)
     total = sum(1 for r in (1, k) for _ in modinv_pairs(r, spec, counter))
     if counter is not None:
         counter.swaps += total
+        counter.rounds += 2
     return total
 
 

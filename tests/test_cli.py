@@ -1,6 +1,8 @@
 """Command-line behaviour: subcommands, formats, exit codes."""
 
+import hashlib
 import io
+import os
 import struct
 
 import numpy as np
@@ -135,6 +137,19 @@ def test_shuffle_records_file_to_file(tmp_path, capsys):
     assert rf.records.tolist() == oracle_shuffle(list(range(12)), 2)
 
 
+def test_shuffle_records_short_read_exits_2(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.bin"
+    src.write_bytes(record_fixture())
+    real_fstat = os.fstat
+    # the file reads back shorter than its stated size, as if cut while read
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        (0,) * 6 + (real_fstat(fd).st_size + 8,) + (0,) * 3))
+    code, out, err = run_cli(["shuffle", "--records", str(src), "-o", str(tmp_path / "out.bin")], capsys)
+    assert (code, out) == (2, "")
+    assert "short read" in err
+    assert not (tmp_path / "out.bin").exists()
+
+
 def test_shuffle_records_in_place(tmp_path, capsys):
     path = tmp_path / "data.bin"
     path.write_bytes(record_fixture(n=30, k=2, size=8))
@@ -199,6 +214,37 @@ def test_shuffle_missing_file(capsys):
     code, _, err = run_cli(["shuffle", "/nonexistent/tokens.txt"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "{dir}"],
+    ["shuffle", "--records", "{dir}"],
+    ["shuffle", "--records", "--in-place", "{dir}"],
+    ["shuffle", "{tokens}", "-o", "{dir}"],
+    ["shuffle", "--records", "{records}", "-o", "{dir}"],
+])
+def test_shuffle_directory_paths_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "tokens.txt").write_text(FIGURE_TOKENS)
+    (tmp_path / "in.bin").write_bytes(record_fixture())
+    paths = {"dir": str(tmp_path), "tokens": str(tmp_path / "tokens.txt"), "records": str(tmp_path / "in.bin")}
+    code, _, err = run_cli([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "--k", "0"],
+    ["shuffle", "--records", "--k", "1"],
+    ["network", "--k", "0", "--exp", "3"],
+    ["network", "--k", "1", "--exp", "3"],
+    ["network", "--k", "-2", "--n", "8"],
+    ["profile", "--k", "1", "--m-range", "1..3"],
+])
+def test_arity_below_two_exits_2(capsys, monkeypatch, argv):
+    code, out, err = run_cli(argv, capsys, stdin="a b", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "error: k must be at least 2\n"
 
 
 def test_factor_round_trip(capsys):
@@ -393,3 +439,188 @@ def test_records_output_to_stdout_buffer(tmp_path, capsys, monkeypatch):
     assert code == 0
     rf = parse_record_file(sink.getvalue())
     assert rf.records.tolist() == oracle_shuffle([0, 1, 2, 3], 2)
+
+
+# Every --method x k x container mode at N = 0, k**3 and 11k, recorded from
+# the CLI before its report types were merged into OpCounter: exit code,
+# stderr (the --stats line or the error) and the first 16 hex digits of the
+# SHA-256 of the output file.
+
+def _golden_run(method, k, mode, N, tmp_path, capsys):
+    src, dst = tmp_path / "in", tmp_path / "out"
+    if mode == "lines":
+        src.write_text(" ".join("w%d" % i for i in range(N)))
+    else:
+        src.write_bytes(make_record_file(k, 3, bytes((i * 37 + j) % 256 for i in range(N) for j in range(3))).to_bytes())
+    argv = ["shuffle", "--method", method, "--stats", str(src)]
+    if mode == "lines":
+        argv += ["--k", str(k), "-o", str(dst)]
+    elif mode == "copy":
+        argv += ["--records", "-o", str(dst)]
+    else:
+        argv += ["--records", "--in-place"]
+        dst = src
+    code, out, err = run_cli(argv, capsys)
+    assert out == ""
+    digest = hashlib.sha256(dst.read_bytes()).hexdigest()[:16] if dst.exists() else "-"
+    return "%s %d %s %d %d %s %s" % (method, k, mode, N, code, digest, err.strip())
+
+
+def test_stats_golden_matrix(tmp_path, capsys):
+    rows = []
+    for method in ("auto", "bitrev", "modinv", "oracle"):
+        for k in (2, 3, 4, 5):
+            for mode in ("lines", "copy", "inplace"):
+                for N in (0, k ** 3, 11 * k):
+                    rows.append(_golden_run(method, k, mode, N, tmp_path, capsys))
+                    for f in tmp_path.iterdir():
+                        f.unlink()
+    assert "\n".join(rows) == GOLDEN.strip()
+
+
+GOLDEN = """
+auto 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+auto 2 lines 8 0 e8440a4b99c8ab0b swaps=4 rounds=2 euclid_iters=0
+auto 2 lines 22 0 61d9c63910d78175 swaps=11 rounds=4 euclid_iters=0
+auto 2 copy 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+auto 2 copy 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
+auto 2 copy 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
+auto 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+auto 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
+auto 2 inplace 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
+auto 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+auto 3 lines 27 0 12fcd0b0bb0b67ae swaps=18 rounds=2 euclid_iters=0
+auto 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=340
+auto 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
+auto 3 copy 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
+auto 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+auto 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
+auto 3 inplace 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
+auto 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+auto 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+auto 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=0
+auto 4 lines 44 0 3fc7aaa991e00501 swaps=40 rounds=2 euclid_iters=394
+auto 4 copy 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
+auto 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
+auto 4 copy 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
+auto 4 inplace 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
+auto 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
+auto 4 inplace 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
+auto 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+auto 5 lines 125 0 706b067e8cda86f7 swaps=100 rounds=2 euclid_iters=0
+auto 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=710
+auto 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
+auto 5 copy 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
+auto 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+auto 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
+auto 5 inplace 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
+auto 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+bitrev 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+bitrev 2 lines 8 0 e8440a4b99c8ab0b swaps=4 rounds=2 euclid_iters=0
+bitrev 2 lines 22 0 61d9c63910d78175 swaps=11 rounds=4 euclid_iters=0
+bitrev 2 copy 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+bitrev 2 copy 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
+bitrev 2 copy 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
+bitrev 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+bitrev 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
+bitrev 2 inplace 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
+bitrev 3 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 lines 27 0 12fcd0b0bb0b67ae swaps=18 rounds=2 euclid_iters=0
+bitrev 3 lines 33 3 - error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
+bitrev 3 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 copy 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
+bitrev 3 copy 33 3 - error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
+bitrev 3 inplace 0 3 78ad0561023a3557 error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 inplace 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
+bitrev 3 inplace 33 3 b98918f96f4ee969 error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
+bitrev 4 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=0
+bitrev 4 lines 44 3 - error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
+bitrev 4 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
+bitrev 4 copy 44 3 - error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
+bitrev 4 inplace 0 3 68a17c9ae0f1463e error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
+bitrev 4 inplace 44 3 ea8d11dd49d72ae9 error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
+bitrev 5 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 lines 125 0 706b067e8cda86f7 swaps=100 rounds=2 euclid_iters=0
+bitrev 5 lines 55 3 - error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
+bitrev 5 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 copy 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
+bitrev 5 copy 55 3 - error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
+bitrev 5 inplace 0 3 e05c9cffabbed03f error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 inplace 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
+bitrev 5 inplace 55 3 5ee2ce41d836d800 error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
+modinv 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+modinv 2 lines 8 0 e8440a4b99c8ab0b swaps=4 rounds=2 euclid_iters=38
+modinv 2 lines 22 0 61d9c63910d78175 swaps=15 rounds=2 euclid_iters=188
+modinv 2 copy 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+modinv 2 copy 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=38
+modinv 2 copy 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=188
+modinv 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
+modinv 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=38
+modinv 2 inplace 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=188
+modinv 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+modinv 3 lines 27 0 12fcd0b0bb0b67ae swaps=20 rounds=2 euclid_iters=288
+modinv 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=340
+modinv 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
+modinv 3 copy 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=288
+modinv 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+modinv 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
+modinv 3 inplace 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=288
+modinv 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+modinv 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+modinv 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=720
+modinv 4 lines 44 0 3fc7aaa991e00501 swaps=40 rounds=2 euclid_iters=394
+modinv 4 copy 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
+modinv 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=720
+modinv 4 copy 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
+modinv 4 inplace 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
+modinv 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=720
+modinv 4 inplace 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
+modinv 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
+modinv 5 lines 125 0 706b067e8cda86f7 swaps=112 rounds=2 euclid_iters=1832
+modinv 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=710
+modinv 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
+modinv 5 copy 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1832
+modinv 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+modinv 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
+modinv 5 inplace 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1832
+modinv 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+oracle 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=0 euclid_iters=0
+oracle 2 lines 8 0 e8440a4b99c8ab0b swaps=0 rounds=0 euclid_iters=0
+oracle 2 lines 22 0 61d9c63910d78175 swaps=0 rounds=0 euclid_iters=0
+oracle 2 copy 0 0 efbeffdf324f2821 swaps=0 rounds=0 euclid_iters=0
+oracle 2 copy 8 0 303b2d27e7ec9ca6 swaps=0 rounds=0 euclid_iters=0
+oracle 2 copy 22 0 dfe98f6a8f2f6991 swaps=0 rounds=0 euclid_iters=0
+oracle 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=0 euclid_iters=0
+oracle 2 inplace 8 0 303b2d27e7ec9ca6 swaps=0 rounds=0 euclid_iters=0
+oracle 2 inplace 22 0 dfe98f6a8f2f6991 swaps=0 rounds=0 euclid_iters=0
+oracle 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=0 euclid_iters=0
+oracle 3 lines 27 0 12fcd0b0bb0b67ae swaps=0 rounds=0 euclid_iters=0
+oracle 3 lines 33 0 0a101c48506a0513 swaps=0 rounds=0 euclid_iters=0
+oracle 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=0 euclid_iters=0
+oracle 3 copy 27 0 080220b9f84179bf swaps=0 rounds=0 euclid_iters=0
+oracle 3 copy 33 0 82ed8fdb9d7bdd83 swaps=0 rounds=0 euclid_iters=0
+oracle 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=0 euclid_iters=0
+oracle 3 inplace 27 0 080220b9f84179bf swaps=0 rounds=0 euclid_iters=0
+oracle 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=0 rounds=0 euclid_iters=0
+oracle 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=0 euclid_iters=0
+oracle 4 lines 64 0 777cb8d77a9c046d swaps=0 rounds=0 euclid_iters=0
+oracle 4 lines 44 0 3fc7aaa991e00501 swaps=0 rounds=0 euclid_iters=0
+oracle 4 copy 0 0 68a17c9ae0f1463e swaps=0 rounds=0 euclid_iters=0
+oracle 4 copy 64 0 d0df9bfefcc6cc70 swaps=0 rounds=0 euclid_iters=0
+oracle 4 copy 44 0 14973763115befaf swaps=0 rounds=0 euclid_iters=0
+oracle 4 inplace 0 0 68a17c9ae0f1463e swaps=0 rounds=0 euclid_iters=0
+oracle 4 inplace 64 0 d0df9bfefcc6cc70 swaps=0 rounds=0 euclid_iters=0
+oracle 4 inplace 44 0 14973763115befaf swaps=0 rounds=0 euclid_iters=0
+oracle 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=0 euclid_iters=0
+oracle 5 lines 125 0 706b067e8cda86f7 swaps=0 rounds=0 euclid_iters=0
+oracle 5 lines 55 0 7e75a0e1d89b3bf7 swaps=0 rounds=0 euclid_iters=0
+oracle 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=0 euclid_iters=0
+oracle 5 copy 125 0 d6d6dcaaa62b3350 swaps=0 rounds=0 euclid_iters=0
+oracle 5 copy 55 0 33dd8cfd2a9057c7 swaps=0 rounds=0 euclid_iters=0
+oracle 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=0 euclid_iters=0
+oracle 5 inplace 125 0 d6d6dcaaa62b3350 swaps=0 rounds=0 euclid_iters=0
+oracle 5 inplace 55 0 33dd8cfd2a9057c7 swaps=0 rounds=0 euclid_iters=0
+"""

@@ -77,6 +77,19 @@ def test_networks_realise_the_inshuffle():
         assert arr == oracle_shuffle(list(range(N)), k)
 
 
+def test_built_rounds_are_disjoint_and_in_range():
+    # build_network does not validate what it builds; the pair sources
+    # must give disjoint pairs i < j < N on their own
+    specs = [("bitrev", ShuffleSpec.for_power(k, n)) for k in (2, 3, 4, 5) for n in range(1, 13) if k ** n <= 4096]
+    specs += [("modinv", ShuffleSpec.for_length(k * M, k)) for k in (2, 3, 4, 5) for M in range(1, 130, 3)]
+    for method, spec in specs:
+        net = build_network(method, spec)
+        assert len(net.rounds) == 2
+        for round_ in net.rounds:
+            assert all(0 <= i < j < spec.N for i, j in round_), (method, spec.N, spec.k)
+            assert check_disjoint(round_), (method, spec.N, spec.k)
+
+
 def test_factorization_network():
     rng = random.Random(17)
     for n in (1, 2, 5, 12, 40):
@@ -151,6 +164,7 @@ def test_text_round_trip_is_byte_stable():
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0:\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1) (1 2)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (4 5)\n",
+        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 1)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nswaps (0 1)\n",
     ],

@@ -113,6 +113,15 @@ def test_parsed_records_are_a_writable_copy():
     assert blob[HEADER_SIZE:HEADER_SIZE + 8] == bytes(range(8))
 
 
+def test_parsed_records_of_a_bytearray_are_a_view():
+    buf = bytearray(make_record_file(2, 8, bytes(range(64))).to_bytes())
+    rf = parse_record_file(buf)
+    assert rf.records.flags.writeable and not rf.records.flags.owndata
+    rf.records[:] = rf.records[::-1].copy()
+    assert buf == bytearray(rf.header_bytes() + rf.records.tobytes())
+    assert buf[-8:] == bytes(range(8))
+
+
 def test_open_records_inplace(tmp_path):
     path = tmp_path / "records.bin"
     payload = bytes(i % 256 for i in range(16 * 4))

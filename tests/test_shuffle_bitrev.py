@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shuffleworks.oracle import oracle_shuffle
+from shuffleworks.perm_core import OpCounter
 from shuffleworks.shuffle_bitrev import (
-    GeneralShuffleStats,
     RotationPlan,
     ShuffleSpec,
     exact_log,
@@ -285,7 +285,7 @@ def test_general_shuffle_figure_sizes():
     arr = list("abcdef123456")
     stats = shuffle_general_k2(arr)
     assert "".join(arr) == "a1b2c3d4e5f6"
-    assert stats == GeneralShuffleStats(moved=6, swaps=5)
+    assert stats == OpCounter(swaps=5, moved=6, rounds=3)
 
 
 def test_general_shuffle_matches_oracle():
@@ -295,6 +295,7 @@ def test_general_shuffle_matches_oracle():
         assert arr == oracle_shuffle(list(range(N)), 2), N
         if N:
             assert stats.moved == rotation_cost(N // 2)
+            assert stats.rounds == 2 + len(rotation_plan(N // 2).rotations)
 
 
 def test_general_shuffle_ndarray():
