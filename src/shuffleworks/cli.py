@@ -77,10 +77,10 @@ def _shuffle_any(array, k: int, how: str) -> OpCounter:
 
 
 def cmd_shuffle(args) -> int:
+    if args.in_place and (args.input in (None, "-") or args.output is not None):
+        raise ParseFailure("--in-place needs an input file path and no -o")
     # Each mode sets up the array to shuffle and what to do with it afterwards.
     if args.records and args.in_place:
-        if args.input in (None, "-"):
-            raise ParseFailure("--in-place needs a file path, not stdin")
         rf, array = recordfile.open_records_inplace(args.input)
         finish = array.flush
     elif args.records:
@@ -90,8 +90,8 @@ def cmd_shuffle(args) -> int:
         finish = lambda: _write(args.output, data)
     else:
         array = _read_text(args.input).split()
-        dest = args.input if args.in_place and args.input not in (None, "-") else args.output
-        finish = lambda: _write(dest, " ".join(array) + "\n" if array else "")
+        dest = args.input if args.in_place else args.output
+        finish = lambda: _write(dest, " ".join(array), "\n" if array else "")
     k = args.k or (rf.k if args.records else 2)
     if len(array) % k:
         what = "records" if args.records else "tokens"
@@ -125,14 +125,14 @@ def _read_binary(path: str | None) -> bytearray:
     return data
 
 
-def _write(path: str | None, data: str | bytearray) -> None:
-    """Write text or bytes to path, or to stdout for None and "-"."""
-    binary = not isinstance(data, str)
+def _write(path: str | None, *chunks: str | bytearray) -> None:
+    """Write text or byte chunks to path, or to stdout for None and "-"."""
+    binary = not isinstance(chunks[0], str)
     if path in (None, "-"):
-        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
         with open(path, "wb" if binary else "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
 
 
 def _parse_permutation(text: str) -> Permutation:
@@ -167,6 +167,8 @@ def cmd_factor(args) -> int:
 
 def cmd_network(args) -> int:
     if args.perm is not None:
+        if (args.exp, args.n, args.k) != (None, None, None):
+            raise ParseFailure("--perm takes no --exp, --n or --k")
         target = _parse_permutation(args.perm)
         method = args.method if args.method != "auto" else "factorization"
         if method != "factorization":

@@ -12,11 +12,12 @@ no digit structure required.
 
 Each round has one pair source, modinv_pairs.  shuffle_modinv runs its
 pairs through perm_core.swap_pairs, swap_count_modinv counts them, and
-build_network stores them as the rounds of the swap network.  All index
-arithmetic runs through one extended-Euclid routine so that an OpCounter,
-the report every shuffle in the package fills (defined in perm_core and
-re-exported here), records exactly how much number-theoretic work a
-shuffle costs.  shuffle_modinv and swap_count_modinv fill it identically.
+build_network stores them as the rounds of the swap network.  Each
+J_r(x) costs one extended-Euclid run on (x, m), whose Bezout coefficient
+gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per shuffle, one per
+interior position per round.  The OpCounter every shuffle fills (defined
+in perm_core, re-exported here) records that work, identically for
+shuffle_modinv and swap_count_modinv.
 """
 
 from __future__ import annotations
@@ -65,15 +66,12 @@ def mod_inverse(a: int, m: int, counter: OpCounter | None = None) -> int:
 
 
 def _j_value(r: int, x: int, m: int, counter: OpCounter | None) -> int:
-    # Callers guarantee gcd(r, m) == 1 and 0 <= x < m.
+    # Callers guarantee gcd(r, m) == 1 and 0 <= x < m.  Dividing
+    # x*u + m*v = g by g shows u is already (x/g)^-1 mod m/g.
     if x == 0:
         return 0
     g, u, _ = ext_gcd(x, m, counter)
-    if g == 1:
-        return (r * u) % m
-    mg = m // g
-    _, u2, _ = ext_gcd(x // g, mg, counter)
-    return g * ((r * u2) % mg)
+    return g * (r * u % (m // g))
 
 
 def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:

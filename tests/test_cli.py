@@ -210,6 +210,22 @@ def test_shuffle_records_in_place_needs_a_path(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("records", [False, True])
+@pytest.mark.parametrize("where", [[], ["-"], ["{src}", "-o", "{dst}"], ["{src}", "-o", "-"]])
+def test_in_place_needs_an_input_path_and_no_output(tmp_path, capsys, monkeypatch, records, where):
+    src, dst = tmp_path / "in", tmp_path / "out"
+    blob = record_fixture() if records else FIGURE_TOKENS.encode()
+    src.write_bytes(blob)
+    argv = ["shuffle", "--in-place"] + (["--records"] if records else [])
+    argv += [a.format(src=src, dst=dst) for a in where]
+    code, out, err = run_cli(argv, capsys, stdin=FIGURE_TOKENS, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --in-place needs an input file path and no -o\n"
+    assert src.read_bytes() == blob
+    assert not dst.exists()
+
+
 def test_shuffle_missing_file(capsys):
     code, _, err = run_cli(["shuffle", "/nonexistent/tokens.txt"], capsys)
     assert code == 2
@@ -359,6 +375,14 @@ def test_network_flag_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sizes", [["--exp", "1"], ["--n", "2"], ["--k", "2"], ["--k", "2", "--n", "2"]])
+def test_network_perm_takes_no_size_flags(capsys, sizes):
+    code, out, err = run_cli(["network", "--perm", "1 0"] + sizes, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --perm takes no --exp, --n or --k\n"
+
+
 def test_network_overflow_exit_code(capsys):
     code, _, err = run_cli(["network", "--k", "2", "--exp", "63"], capsys)
     assert code == 4
@@ -444,7 +468,8 @@ def test_records_output_to_stdout_buffer(tmp_path, capsys, monkeypatch):
 # Every --method x k x container mode at N = 0, k**3 and 11k, recorded from
 # the CLI before its report types were merged into OpCounter: exit code,
 # stderr (the --stats line or the error) and the first 16 hex digits of the
-# SHA-256 of the output file.
+# SHA-256 of the output file.  The euclid_iters fields of the modinv rows
+# were re-recorded when each J_r value dropped to one extended-Euclid run.
 
 def _golden_run(method, k, mode, N, tmp_path, capsys):
     src, dst = tmp_path / "in", tmp_path / "out"
@@ -490,13 +515,13 @@ auto 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
 auto 2 inplace 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
 auto 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 auto 3 lines 27 0 12fcd0b0bb0b67ae swaps=18 rounds=2 euclid_iters=0
-auto 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=340
+auto 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=242
 auto 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
 auto 3 copy 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
-auto 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+auto 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=242
 auto 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
 auto 3 inplace 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
-auto 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+auto 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=242
 auto 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 auto 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=0
 auto 4 lines 44 0 3fc7aaa991e00501 swaps=40 rounds=2 euclid_iters=394
@@ -508,13 +533,13 @@ auto 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
 auto 4 inplace 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
 auto 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 auto 5 lines 125 0 706b067e8cda86f7 swaps=100 rounds=2 euclid_iters=0
-auto 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=710
+auto 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=440
 auto 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
 auto 5 copy 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
-auto 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+auto 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=440
 auto 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
 auto 5 inplace 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
-auto 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+auto 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=440
 bitrev 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 bitrev 2 lines 8 0 e8440a4b99c8ab0b swaps=4 rounds=2 euclid_iters=0
 bitrev 2 lines 22 0 61d9c63910d78175 swaps=11 rounds=4 euclid_iters=0
@@ -553,40 +578,40 @@ bitrev 5 inplace 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
 bitrev 5 inplace 55 3 5ee2ce41d836d800 error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
 modinv 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 modinv 2 lines 8 0 e8440a4b99c8ab0b swaps=4 rounds=2 euclid_iters=38
-modinv 2 lines 22 0 61d9c63910d78175 swaps=15 rounds=2 euclid_iters=188
+modinv 2 lines 22 0 61d9c63910d78175 swaps=15 rounds=2 euclid_iters=140
 modinv 2 copy 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
 modinv 2 copy 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=38
-modinv 2 copy 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=188
+modinv 2 copy 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=140
 modinv 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
 modinv 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=38
-modinv 2 inplace 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=188
+modinv 2 inplace 22 0 dfe98f6a8f2f6991 swaps=15 rounds=2 euclid_iters=140
 modinv 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
-modinv 3 lines 27 0 12fcd0b0bb0b67ae swaps=20 rounds=2 euclid_iters=288
-modinv 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=340
+modinv 3 lines 27 0 12fcd0b0bb0b67ae swaps=20 rounds=2 euclid_iters=196
+modinv 3 lines 33 0 0a101c48506a0513 swaps=23 rounds=2 euclid_iters=242
 modinv 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
-modinv 3 copy 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=288
-modinv 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+modinv 3 copy 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=196
+modinv 3 copy 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=242
 modinv 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
-modinv 3 inplace 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=288
-modinv 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=340
+modinv 3 inplace 27 0 080220b9f84179bf swaps=20 rounds=2 euclid_iters=196
+modinv 3 inplace 33 0 82ed8fdb9d7bdd83 swaps=23 rounds=2 euclid_iters=242
 modinv 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
-modinv 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=720
+modinv 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=542
 modinv 4 lines 44 0 3fc7aaa991e00501 swaps=40 rounds=2 euclid_iters=394
 modinv 4 copy 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
-modinv 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=720
+modinv 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=542
 modinv 4 copy 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
 modinv 4 inplace 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
-modinv 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=720
+modinv 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=542
 modinv 4 inplace 44 0 14973763115befaf swaps=40 rounds=2 euclid_iters=394
 modinv 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
-modinv 5 lines 125 0 706b067e8cda86f7 swaps=112 rounds=2 euclid_iters=1832
-modinv 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=710
+modinv 5 lines 125 0 706b067e8cda86f7 swaps=112 rounds=2 euclid_iters=1254
+modinv 5 lines 55 0 7e75a0e1d89b3bf7 swaps=46 rounds=2 euclid_iters=440
 modinv 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
-modinv 5 copy 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1832
-modinv 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+modinv 5 copy 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1254
+modinv 5 copy 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=440
 modinv 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
-modinv 5 inplace 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1832
-modinv 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=710
+modinv 5 inplace 125 0 d6d6dcaaa62b3350 swaps=112 rounds=2 euclid_iters=1254
+modinv 5 inplace 55 0 33dd8cfd2a9057c7 swaps=46 rounds=2 euclid_iters=440
 oracle 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=0 euclid_iters=0
 oracle 2 lines 8 0 e8440a4b99c8ab0b swaps=0 rounds=0 euclid_iters=0
 oracle 2 lines 22 0 61d9c63910d78175 swaps=0 rounds=0 euclid_iters=0

@@ -1,0 +1,77 @@
+"""CLI fuzz: malformed record containers and flag combinations never crash.
+
+Every run must end in one of the documented exit codes for a shuffle
+(0 success, 2 unparsable input, 3 arity mismatch, 4 overflow) and print no
+traceback, whatever the header, the body length and the flags.
+"""
+
+import contextlib
+import io
+import os
+import struct
+import tempfile
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from shuffleworks.cli import main
+from shuffleworks.recordfile import MAGIC, VERSION
+
+
+def mostly(valid, bad):
+    """valid three times in four, so that whole valid containers come up too."""
+    return st.integers(0, 3).flatmap(lambda i: st.just(valid) if i else bad)
+
+
+headers = st.fixed_dictionaries({
+    "magic": mostly(MAGIC, st.sampled_from([b"IVSX", b"\0\0\0\0"])),
+    "version": mostly(VERSION, st.sampled_from([0, 2, 255])),
+    "n": st.integers(0, 40),
+    "count": mostly(None, st.sampled_from([0, 1, 41, 2 ** 32, 2 ** 64 - 1])),
+    "k": st.integers(0, 6),
+    "size": st.integers(0, 17),
+    "delta": mostly(0, st.integers(-3, 3)),
+})
+
+flags = st.fixed_dictionaries({
+    "records": st.booleans(),
+    "in_place": st.booleans(),
+    "method": st.sampled_from(["auto", "bitrev", "modinv", "oracle"]),
+    "k": mostly(None, st.integers(-1, 6)),
+    "stats": st.booleans(),
+    "source": mostly("file", st.just("stdin")),
+    "output": mostly(None, st.sampled_from(["-", "file"])),
+})
+
+
+def container(h) -> bytes:
+    """A header as drawn (count defaults to the true record count) and a
+    body of n records cut or extended by delta bytes."""
+    count = h["n"] if h["count"] is None else h["count"]
+    head = struct.pack("<4sBQII", h["magic"], h["version"], count, h["k"], h["size"])
+    body = bytes(i % 251 for i in range(max(0, h["n"] * h["size"] + h["delta"])))
+    return head + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=headers, f=flags)
+def test_cli_survives_malformed_containers_and_flag_mixes(h, f):
+    blob = container(h)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in"), os.path.join(tmp, "out")
+        with open(src, "wb") as fh:
+            fh.write(blob)
+        argv = ["shuffle", "--method", f["method"]]
+        argv += ["--records"] if f["records"] else []
+        argv += ["--in-place"] if f["in_place"] else []
+        argv += ["--stats"] if f["stats"] else []
+        argv += [] if f["k"] is None else ["--k", str(f["k"])]
+        argv += [src] if f["source"] == "file" else []
+        argv += [] if f["output"] is None else ["-o", dst if f["output"] == "file" else "-"]
+        stdin = io.TextIOWrapper(io.BytesIO(blob))
+        stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -201,13 +201,25 @@ def test_op_count_profile_rows():
         assert 0 <= swaps <= N
 
 
-def test_primes_cost_fewer_iterations_than_composite_neighbours():
-    # m = N - 1 prime means one gcd call per element; composite moduli
-    # pay for a second call on the non-coprime residues
-    per_elem = {}
-    for N, iters, calls, swaps in op_count_profile((100, 101, 113, 114, 116, 128, 129), 2):
-        per_elem[N] = iters / (N - 2)
-    assert per_elem[228] < per_elem[226]
-    assert per_elem[228] < per_elem[232]
-    assert per_elem[202] > per_elem[200]
-    assert per_elem[256] > per_elem[258]
+def test_j_map_matches_the_two_step_definition():
+    # one Euclid run on (x, m) gives the partner that gcd(x, m) followed by
+    # an inverse modulo m/g gives
+    for k in (2, 3, 4, 5, 7):
+        for N in range(k, 700, k):
+            spec = ShuffleSpec.for_length(N, k)
+            m = spec.m
+            for r in (1, k):
+                for x in range(m):
+                    g = math.gcd(x, m)
+                    want = g * (r * mod_inverse(x // g, m // g) % (m // g))
+                    assert j_map(r, x, spec) == want, (k, N, r, x)
+
+
+def test_one_gcd_call_per_interior_position_per_round():
+    for k in (2, 3, 4, 5, 7):
+        for N in range(k, 400, k):
+            if N < 3:
+                continue
+            counter = OpCounter()
+            shuffle_modinv(list(range(N)), k, counter)
+            assert counter.gcd_calls == 2 * (N - 2), (k, N)
