@@ -25,12 +25,7 @@ from .perm_core import (
     cycle_decompose,
     cycle_notation,
 )
-from .shuffle_bitrev import (
-    ShuffleSpec,
-    exact_log,
-    shuffle_general_k2,
-    shuffle_power,
-)
+from .shuffle_bitrev import ShuffleSpec, shuffle_general_k2, shuffle_power
 from .shuffle_modinv import j_map, op_count_profile, shuffle_modinv
 
 
@@ -42,37 +37,24 @@ class ArityFailure(ValueError):
     """Input whose shape does not fit the requested operation (exit 3)."""
 
 
-def _resolve_method(method: str, N: int, k: int) -> str:
-    """Map the user's method choice to a concrete routine for this N, k."""
-    power = exact_log(N, k) is not None if N else False
-    if method == "auto":
-        if power:
-            return "power"
-        if k == 2:
-            return "general"
-        return "modinv"
-    if method == "bitrev":
-        if power:
-            return "power"
-        if k == 2 and N % 2 == 0:
-            return "general"
-        raise ArityFailure("bitrev needs N = k**n, or k=2 with N even (N=%d, k=%d)" % (N, k))
-    if method in ("modinv", "oracle"):
-        return method
-    raise ParseFailure("unknown method %r" % method)
+def _shuffle(array, k: int, method: str) -> OpCounter:
+    """Shuffle array in place by the --method choice; report the work done.
 
-
-def _shuffle_any(array, k: int, how: str) -> OpCounter:
-    """Shuffle array in place with the resolved method; report work done."""
-    if how == "power":
-        return OpCounter(swaps=sum(shuffle_power(array, ShuffleSpec.for_length(len(array), k))), rounds=2)
-    if how == "general":
-        return shuffle_general_k2(array)
+    auto and bitrev take digit reversal for N = k**n and the rotation
+    reduction for k=2; auto takes modular inverses for everything else.
+    """
+    spec = ShuffleSpec.for_length(len(array), k)
     counter = OpCounter()
-    if how == "modinv":
-        shuffle_modinv(array, k, counter)
-    else:
+    if method in ("auto", "bitrev") and spec.n is not None:
+        counter = OpCounter(swaps=sum(shuffle_power(array, spec)), rounds=2)
+    elif method in ("auto", "bitrev") and k == 2:
+        counter = shuffle_general_k2(array)
+    elif method == "bitrev":
+        raise ArityFailure("bitrev needs N = k**n, or k=2 with N even (N=%d, k=%d)" % (spec.N, k))
+    elif method == "oracle":
         array[:] = oracle_shuffle(array, k)
+    else:
+        shuffle_modinv(array, k, counter)
     return counter
 
 
@@ -96,7 +78,7 @@ def cmd_shuffle(args) -> int:
     if len(array) % k:
         what = "records" if args.records else "tokens"
         raise ArityFailure("%d %s is not a multiple of k=%d" % (len(array), what, k))
-    counter = _shuffle_any(array, k, _resolve_method(args.method, len(array), k))
+    counter = _shuffle(array, k, args.method)
     finish()
     if args.stats:
         print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
@@ -125,9 +107,18 @@ def _read_binary(path: str | None) -> bytearray:
     return data
 
 
+_TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
+
+
 def _write(path: str | None, *chunks: str | bytearray) -> None:
-    """Write text or byte chunks to path, or to stdout for None and "-"."""
+    """Write text or byte chunks to path, or to stdout for None and "-".
+
+    A text stream encodes each str it gets into one bytes copy, so text goes
+    out in slices; bytes go out whole, as slicing a bytearray copies it.
+    """
     binary = not isinstance(chunks[0], str)
+    if not binary:
+        chunks = (c[i:i + _TEXT_SLICE] for c in chunks for i in range(0, len(c), _TEXT_SLICE))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
@@ -150,7 +141,7 @@ def cmd_factor(args) -> int:
     text = args.perm if args.perm not in (None, "-") else _read_text(None)
     p = _parse_permutation(text)
     if args.enumerate:
-        decomp = cycle_decompose(p).cycles
+        decomp = cycle_decompose(p)
         if len(decomp) != 1:
             raise ParseFailure("--enumerate needs a single-cycle permutation")
         pairs = [

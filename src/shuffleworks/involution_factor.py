@@ -12,20 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import enumerate_involutions
-from .perm_core import Involution, Permutation, compose, cycle_decompose
+from .perm_core import Involution, Permutation, cycle_decompose
 
 
 @dataclass(frozen=True)
 class InvolutionPair:
-    """Ordered factor pair: applying t then s realises product."""
+    """Ordered factor pair: applying t then s realises compose(s, t)."""
 
     s: Involution
     t: Involution
-    product: Permutation
-
-    @classmethod
-    def of(cls, s: Involution, t: Involution) -> "InvolutionPair":
-        return cls(s, t, compose(s, t))
 
 
 def circular_involution(n: int, k: int) -> Involution:
@@ -59,7 +54,7 @@ def factor_cyclic(n: int, k: int) -> InvolutionPair:
     """
     s = circular_involution(n, k)
     t = circular_involution(n, (k - 1) % n)
-    return InvolutionPair.of(s, t)
+    return InvolutionPair(s, t)
 
 
 def enumerate_circular_factorizations(n: int) -> list[InvolutionPair]:
@@ -82,7 +77,7 @@ def relabel_factors(n: int, factored) -> InvolutionPair:
         for inv, m in ((pair.s, s_map), (pair.t, t_map)):
             for a, b in inv.transpositions:
                 m[cycle[a]], m[cycle[b]] = cycle[b], cycle[a]
-    return InvolutionPair.of(Involution(s_map, check=False), Involution(t_map, check=False))
+    return InvolutionPair(Involution(s_map, check=False), Involution(t_map, check=False))
 
 
 def factor_permutation(p: Permutation) -> InvolutionPair:
@@ -111,7 +106,7 @@ def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:
         for t in invs:
             tm = t.map
             if all(sm[tm[i]] == pm[i] for i in rng):
-                found.append(InvolutionPair(s, t, p))
+                found.append(InvolutionPair(s, t))
     return found
 
 

@@ -72,11 +72,11 @@ def build_network(method: str, target) -> SwapNetwork:
     return SwapNetwork(target.N, rounds, method)
 
 
-def apply_network(array, net: SwapNetwork, reverse: bool = False) -> None:
-    """Execute the network's swaps in round order (or reversed, which undoes it)."""
+def apply_network(array, net: SwapNetwork) -> None:
+    """Execute the network's swaps in round order."""
     if len(array) != net.n_positions:
         raise ValueError("array length %d != network size %d" % (len(array), net.n_positions))
-    for round_ in reversed(net.rounds) if reverse else net.rounds:
+    for round_ in net.rounds:
         swap_pairs(array, round_)
 
 

@@ -90,16 +90,6 @@ class Involution(Permutation):
         return tuple(i for i, v in enumerate(self.map) if i == v)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles covering 0..N-1; each cycle starts at its minimum."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-
 def identity(n: int) -> Permutation:
     return Permutation(range(n), check=False)
 
@@ -119,8 +109,8 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(m, check=False)
 
 
-def cycle_decompose(p: Permutation) -> CycleDecomposition:
-    """Disjoint cycles of p, each listed from its smallest element.
+def cycle_decompose(p: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles of p covering 0..N-1, each listed from its smallest element.
 
     Cycles appear in increasing order of that smallest element and are
     traversed in application order, so cycle[(t+1) % L] = p.map[cycle[t]].
@@ -138,7 +128,7 @@ def cycle_decompose(p: Permutation) -> CycleDecomposition:
             seen[x] = 1
             x = p.map[x]
         cycles.append(tuple(cycle))
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def permutation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
@@ -206,10 +196,10 @@ def apply_pair_in_place(array, s: Involution, t: Involution) -> None:
 
 def cycle_notation(p: Permutation) -> str:
     """Cycle string like ``(0)(1 12)(2 11)``; the identity prints ``()``."""
-    decomp = cycle_decompose(p)
-    if all(len(c) == 1 for c in decomp.cycles):
+    cycles = cycle_decompose(p)
+    if all(len(c) == 1 for c in cycles):
         return "()"
-    return "".join("(%s)" % " ".join(str(x) for x in c) for c in decomp.cycles)
+    return "".join("(%s)" % " ".join(str(x) for x in c) for c in cycles)
 
 
 def parse_cycle_notation(text: str, n: int) -> Permutation:

@@ -170,16 +170,15 @@ def _digit_counter(k: int, n: int):
         yield p + 1
 
 
-def revswap_round(array, t: int, spec: ShuffleSpec, ruler: str | None = None) -> int:
+def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
     """Swap every position with its low-t digit reversal; return the swap count.
 
     Each pair is touched once (only i < partner swaps), so the round is a
     single set of independent exchanges.  Sequences run the pairs of
-    revswap_pairs, with the given ruler, through swap_pairs.  numpy arrays
-    are dispatched to the tiled route, which has no ruler at all; it needs
-    a contiguous one-dimensional array, swaps whole tile pairs a bounded
-    chunk at a time, and returns the count (N/k**t)*(k**t - k**ceil(t/2))/2
-    of non-palindromic positions over two.
+    revswap_pairs through swap_pairs.  numpy arrays are dispatched to the
+    tiled route; it needs a contiguous one-dimensional array, swaps whole
+    tile pairs a bounded chunk at a time, and returns the count
+    (N/k**t)*(k**t - k**ceil(t/2))/2 of non-palindromic positions over two.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
@@ -187,7 +186,7 @@ def revswap_round(array, t: int, spec: ShuffleSpec, ruler: str | None = None) ->
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
     if isinstance(array, np.ndarray):
         return _revswap_round_tiled(array, t, spec)
-    return swap_pairs(array, revswap_pairs(t, spec, ruler=ruler))
+    return swap_pairs(array, revswap_pairs(t, spec))
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
@@ -245,7 +244,7 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     return _round_swaps(spec, t)
 
 
-def shuffle_power(array, spec: ShuffleSpec, ruler: str | None = None) -> tuple[int, int]:
+def shuffle_power(array, spec: ShuffleSpec) -> tuple[int, int]:
     """In-place in-shuffle of N = k**n elements via two reversal rounds.
 
     Returns the swap counts of the two rounds.
@@ -254,8 +253,8 @@ def shuffle_power(array, spec: ShuffleSpec, ruler: str | None = None) -> tuple[i
         raise ValueError("need N = k**n with n >= 1")
     if len(array) != spec.N:
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
-    first = revswap_round(array, spec.n - 1, spec, ruler)
-    second = revswap_round(array, spec.n, spec, ruler)
+    first = revswap_round(array, spec.n - 1, spec)
+    second = revswap_round(array, spec.n, spec)
     return first, second
 
 
@@ -287,13 +286,12 @@ class RotationPlan:
     Both halves split into segments sized by the binary expansion of M,
     largest first.  Each rotation (start, length, left_shift) brings one
     second-half segment next to its first-half mate; the smallest pair is
-    adjacent once the others are done and needs no rotation.  cost counts
-    every element the rotations displace.
+    adjacent once the others are done and needs no rotation.  The lengths
+    of the rotations sum to rotation_cost(M), the elements they displace.
     """
 
     segment_sizes: tuple[int, ...]
     rotations: tuple[tuple[int, int, int], ...]
-    cost: int
 
 
 def rotation_plan(M: int) -> RotationPlan:
@@ -301,14 +299,12 @@ def rotation_plan(M: int) -> RotationPlan:
         raise ValueError("M must be positive")
     segs = [1 << b for b in range(M.bit_length() - 1, -1, -1) if (M >> b) & 1]
     rotations = []
-    cost = 0
     prefix = 0  # first-half elements already aligned
     for m in segs[:-1]:
         rest = M - prefix - m  # first-half elements still between the mates
         rotations.append((2 * prefix + m, m + rest, rest))
-        cost += m + rest
         prefix += m
-    return RotationPlan(tuple(segs), tuple(rotations), cost)
+    return RotationPlan(tuple(segs), tuple(rotations))
 
 
 def rotation_cost(M: int) -> int:
@@ -377,7 +373,7 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     for m in plan.segment_sizes:
         spec = ShuffleSpec.for_length(2 * m, 2)
         if isinstance(array, np.ndarray):
-            report.swaps += sum(shuffle_power(array[base:base + 2 * m], spec, ruler))
+            report.swaps += sum(shuffle_power(array[base:base + 2 * m], spec))
         else:
             for t in (spec.n - 1, spec.n):
                 report.swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))

@@ -26,6 +26,7 @@ from shuffleworks.perm_core import Permutation
 from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
     rotate_left,
+    rotation_cost,
     rotation_plan,
     shuffle_general_k2,
     shuffle_power,
@@ -275,9 +276,10 @@ def test_criterion_09_rotation_cost_formula(check):
             # the bits at and below it (the lowest pair needs no rotation)
             bits = [i for i in range(M.bit_length()) if M >> i & 1]
             digit_sum = sum(M % (1 << i + 1) for i in bits[1:])
-            if not (moved == plan.cost == digit_sum):
-                problems.append("M=%d moved=%d cost=%d digits=%d"
-                                % (M, moved, plan.cost, digit_sum))
+            planned = sum(length for _, length, _ in plan.rotations)
+            if not (moved == planned == rotation_cost(M) == digit_sum):
+                problems.append("M=%d moved=%d planned=%d cost=%d digits=%d"
+                                % (M, moved, planned, rotation_cost(M), digit_sum))
             if moved > 2 * M:
                 problems.append("M=%d moved %d exceeds N" % (M, moved))
             if M % 2:

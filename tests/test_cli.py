@@ -4,11 +4,12 @@ import hashlib
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shuffleworks.cli import main
+from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import compose, parse_cycle_notation
 from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_file, parse_record_file
@@ -463,6 +464,27 @@ def test_records_output_to_stdout_buffer(tmp_path, capsys, monkeypatch):
     assert code == 0
     rf = parse_record_file(sink.getvalue())
     assert rf.records.tolist() == oracle_shuffle([0, 1, 2, 3], 2)
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_text_write_scratch_is_bounded(tmp_path, monkeypatch, to_stdout):
+    # A text stream encodes each str it is given into one bytes copy, so an
+    # 8 MiB str written whole would cost 8 MiB of scratch.
+    text = "w" * (8 << 20)
+    dst = tmp_path / "out.txt"
+    stdout = open(dst, "w") if to_stdout else None
+    if to_stdout:
+        monkeypatch.setattr("sys.stdout", stdout)
+    tracemalloc.start()
+    try:
+        _write(None if to_stdout else str(dst), text, "\n")
+        scratch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if stdout is not None:
+            stdout.close()
+    assert scratch < 3 << 20
+    assert dst.read_text() == text + "\n"
 
 
 # Every --method x k x container mode at N = 0, k**3 and 11k, recorded from

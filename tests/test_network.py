@@ -103,14 +103,6 @@ def test_factorization_network():
     assert net.rounds == ((), ())
 
 
-def test_apply_network_in_reverse_undoes_it():
-    net = build_network("modinv", ShuffleSpec.for_length(30, 2))
-    arr = list(range(30))
-    apply_network(arr, net)
-    apply_network(arr, net, reverse=True)
-    assert arr == list(range(30))
-
-
 def test_apply_network_length_check():
     net = build_network("bitrev", ShuffleSpec.for_length(4, 2))
     with pytest.raises(ValueError):

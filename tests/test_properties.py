@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import (
-    apply_network,
     build_network,
     emit_text,
     network_permutation,
     parse_text,
 )
-from shuffleworks.oracle import oracle_apply, oracle_shuffle
+from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import (
     Permutation,
     compose,
@@ -89,7 +88,7 @@ def test_rotation_cost_formula(M):
     plan = rotation_plan(M)
     assert sum(plan.segment_sizes) == M
     assert list(plan.segment_sizes) == sorted(plan.segment_sizes, reverse=True)
-    assert plan.cost == rotation_cost(M) <= 2 * M
+    assert sum(length for _, length, _ in plan.rotations) == rotation_cost(M) <= 2 * M
 
 
 @settings(max_examples=40)
@@ -125,7 +124,3 @@ def test_factorization_network_round_trip(vals):
     net = build_network("factorization", p)
     assert network_permutation(net) == p
     assert parse_text(emit_text(net)) == net
-    # applying the rounds backwards undoes the permutation
-    arr = oracle_apply(p, list(range(p.size)))
-    apply_network(arr, net, reverse=True)
-    assert arr == list(range(p.size))

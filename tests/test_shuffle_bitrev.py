@@ -176,20 +176,21 @@ def test_swap_counts_small_values():
 
 
 def test_ruler_modes_agree():
-    spec = binary_spec(8)
-    base = list(range(256))
-    want = oracle_shuffle(base, 2)
-    for mode in ("counter", "popcnt"):
-        arr = base.copy()
-        shuffle_power(arr, spec, ruler=mode)
-        assert arr == want, mode
+    # a power-of-two length, and one that needs rotations first
+    for N in (256, 2 * 45):
+        base = list(range(N))
+        want = oracle_shuffle(base, 2)
+        for mode in (None, "counter", "popcnt"):
+            arr = base.copy()
+            shuffle_general_k2(arr, ruler=mode)
+            assert arr == want, (N, mode)
 
 
 def test_popcnt_ruler_is_binary_only():
     with pytest.raises(ValueError):
-        revswap_round(list(range(9)), 2, ShuffleSpec.for_power(3, 2), ruler="popcnt")
+        list(revswap_pairs(2, ShuffleSpec.for_power(3, 2), ruler="popcnt"))
     with pytest.raises(ValueError):
-        revswap_round(list(range(4)), 2, binary_spec(2), ruler="bogus")
+        list(revswap_pairs(2, binary_spec(2), ruler="bogus"))
 
 
 def test_ndarray_route_matches_scalar_route():
@@ -215,14 +216,14 @@ def test_rotation_plan_fifteen():
     assert isinstance(plan, RotationPlan)
     assert plan.segment_sizes == (8, 4, 2, 1)
     assert plan.rotations == ((8, 15, 7), (20, 7, 3), (26, 3, 1))
-    assert plan.cost == 15 + 7 + 3 == 25
+    assert rotation_cost(15) == 15 + 7 + 3 == 25
 
 
 def test_rotation_plan_power_of_two_is_free():
     plan = rotation_plan(8)
     assert plan.segment_sizes == (8,)
     assert plan.rotations == ()
-    assert plan.cost == 0
+    assert rotation_cost(8) == 0
 
 
 def test_rotation_plan_six():
@@ -230,12 +231,13 @@ def test_rotation_plan_six():
     plan = rotation_plan(6)
     assert plan.segment_sizes == (4, 2)
     assert plan.rotations == ((4, 6, 2),)
-    assert plan.cost == 6
+    assert rotation_cost(6) == 6
 
 
 def test_rotation_cost_closed_form():
     for M in range(1, 3000):
-        assert rotation_plan(M).cost == rotation_cost(M) <= 2 * M
+        planned = sum(length for _, length, _ in rotation_plan(M).rotations)
+        assert planned == rotation_cost(M) <= 2 * M
     with pytest.raises(ValueError):
         rotation_cost(0)
     with pytest.raises(ValueError):
