@@ -10,8 +10,10 @@ method that cannot handle the length), 4 index arithmetic overflow.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
+import stat
 import sys
 
 from . import recordfile
@@ -37,53 +39,85 @@ class ArityFailure(ValueError):
     """Input whose shape does not fit the requested operation (exit 3)."""
 
 
-def _shuffle(array, k: int, method: str) -> OpCounter:
-    """Shuffle array in place by the --method choice; report the work done.
+def _check(N: int, k: int, method: str, what: str) -> ShuffleSpec:
+    """The spec of N elements shuffled k ways; ArityFailure if --method cannot take them."""
+    if N % k:
+        raise ArityFailure("%d %s is not a multiple of k=%d" % (N, what, k))
+    spec = ShuffleSpec.for_length(N, k)
+    if method == "bitrev" and spec.n is None and k != 2:
+        raise ArityFailure("bitrev needs N = k**n, or k=2 with N even (N=%d, k=%d)" % (N, k))
+    return spec
+
+
+def _shuffle(array, spec: ShuffleSpec, method: str) -> OpCounter:
+    """Shuffle array in place by the --method choice _check passed; report the work done.
 
     auto and bitrev take digit reversal for N = k**n and the rotation
     reduction for k=2; auto takes modular inverses for everything else.
     """
-    spec = ShuffleSpec.for_length(len(array), k)
     counter = OpCounter()
     if method in ("auto", "bitrev") and spec.n is not None:
         counter = OpCounter(swaps=sum(shuffle_power(array, spec)), rounds=2)
-    elif method in ("auto", "bitrev") and k == 2:
+    elif method in ("auto", "bitrev") and spec.k == 2:
         counter = shuffle_general_k2(array)
-    elif method == "bitrev":
-        raise ArityFailure("bitrev needs N = k**n, or k=2 with N even (N=%d, k=%d)" % (spec.N, k))
     elif method == "oracle":
-        array[:] = oracle_shuffle(array, k)
+        array[:] = oracle_shuffle(array, spec.k)
     else:
-        shuffle_modinv(array, k, counter)
+        shuffle_modinv(array, spec.k, counter)
     return counter
 
 
 def cmd_shuffle(args) -> int:
-    if args.in_place and (args.input in (None, "-") or args.output is not None):
+    src, dst = args.input, args.output
+    if args.in_place and (src in (None, "-") or dst is not None):
         raise ParseFailure("--in-place needs an input file path and no -o")
-    # Each mode sets up the array to shuffle and what to do with it afterwards.
-    if args.records and args.in_place:
-        rf, array = recordfile.open_records_inplace(args.input)
-        finish = array.flush
-    elif args.records:
-        data = _read_binary(args.input)
-        rf = recordfile.parse_record_file(data)
-        array = rf.records  # a view of data, which is written back out whole
-        finish = lambda: _write(args.output, data)
-    else:
-        array = _read_text(args.input).split()
-        dest = args.input if args.in_place else args.output
-        finish = lambda: _write(dest, " ".join(array), "\n" if array else "")
-    k = args.k or (rf.k if args.records else 2)
-    if len(array) % k:
-        what = "records" if args.records else "tokens"
-        raise ArityFailure("%d %s is not a multiple of k=%d" % (len(array), what, k))
-    counter = _shuffle(array, k, args.method)
-    finish()
+    from_file, to_file = src not in (None, "-"), dst not in (None, "-")
+    # -o naming IN runs in place: opening OUT with "wb" would empty IN before the copy read it
+    in_place = args.in_place or (
+        args.records and from_file and to_file and os.path.exists(dst) and os.path.samefile(src, dst))
+    copy_from_file = args.records and from_file and not in_place
+    with open(src, "rb") if copy_from_file else contextlib.nullcontext() as fin:
+        # Each mode sets up the array to shuffle and what to do with it
+        # afterwards.  A copy between regular files shuffles OUT's mapped
+        # body, and writes OUT only once the checks below have passed.
+        array = None
+        if args.records and in_place:
+            rf, array = recordfile.open_records_inplace(src)
+            N, header_k, finish = rf.n_records, rf.k, array.flush
+        elif fin is not None and to_file and _mappable(fin, dst):
+            N, header_k, size = recordfile.read_header(fin)
+            finish = lambda: recordfile.write_header(dst, N, header_k, size)
+        elif args.records:
+            data = _read_binary(fin)
+            rf = recordfile.parse_record_file(data)
+            array = rf.records  # a view of data, which is written back out whole
+            N, header_k, finish = rf.n_records, rf.k, lambda: _write(dst, data)
+        else:
+            array = _read_text(src).split()
+            N, header_k = len(array), 2
+            dest = src if args.in_place else dst
+            finish = lambda: _write(dest, " ".join(array), "\n" if array else "")
+        spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
+        if array is None:
+            array = recordfile.copy_records(fin, dst, N, size)
+        counter = _shuffle(array, spec, args.method)
+        finish()
     if args.stats:
         print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
               file=sys.stderr)
     return 0
+
+
+def _mappable(fin, dst: str) -> bool:
+    """Whether records can go from the open file fin to dst through a memory map.
+
+    fin must be a regular file and dst a regular file or nothing yet; pipes
+    and devices cannot be mapped.  Outside Linux, sendfile writes only to
+    sockets.
+    """
+    if not (sys.platform.startswith("linux") and stat.S_ISREG(os.fstat(fin.fileno()).st_mode)):
+        return False
+    return not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode)
 
 
 def _read_text(path: str | None) -> str:
@@ -93,17 +127,16 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
-def _read_binary(path: str | None) -> bytearray:
-    """The whole input in one writable buffer."""
-    if path in (None, "-"):
+def _read_binary(fh) -> bytearray:
+    """The whole of the open binary file fh, or of stdin for None, in one writable buffer."""
+    if fh is None:
         return bytearray(sys.stdin.buffer.read())
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if not size:  # pipes state no size
-            return bytearray(fh.read())
-        data = bytearray(size)
-        if fh.readinto(data) != size:
-            raise ParseFailure("%s: short read" % path)
+    size = os.fstat(fh.fileno()).st_size
+    if not size:  # pipes state no size
+        return bytearray(fh.read())
+    data = bytearray(size)
+    if fh.readinto(data) != size:
+        raise ParseFailure("%s: short read" % fh.name)
     return data
 
 

@@ -12,10 +12,16 @@ Layout, little-endian throughout:
 
 The body length must match the header exactly, and the arity k must be
 at least 2.
+
+Files are edited through a memory map of their body: `open_records_inplace`
+maps an existing container, and `copy_records` writes a new one whose body
+the kernel copies from another.  A copy carries a zeroed header, which
+both readers refuse, until `write_header` gives it the real one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -90,12 +96,41 @@ def make_record_file(k: int, record_size: int, payload: bytes) -> RecordFile:
     return RecordFile(len(records), k, record_size, records)
 
 
+def read_header(fh) -> tuple[int, int, int]:
+    """Validate the header of a container file opened at its start against its size; return (n, k, size)."""
+    return _check_header(fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+
+
+def _map_body(path: str, n: int, size: int) -> np.memmap:
+    return np.memmap(path, dtype=record_dtype(size), mode="r+", offset=HEADER_SIZE, shape=(n,))
+
+
 def open_records_inplace(path: str) -> tuple[RecordFile, np.memmap]:
     """Memory-map the record body of an existing file for in-place editing."""
     with open(path, "rb") as fh:
-        head = fh.read(HEADER_SIZE)
-        fh.seek(0, 2)
-        total = fh.tell()
-    n, k, size = _check_header(head, total - HEADER_SIZE)
-    mm = np.memmap(path, dtype=record_dtype(size), mode="r+", offset=HEADER_SIZE, shape=(n,))
+        n, k, size = read_header(fh)
+    mm = _map_body(path, n, size)
     return RecordFile(n, k, size, mm), mm
+
+
+def copy_records(src, path: str, n: int, size: int) -> np.memmap:
+    """Write path as the n records of the open container src behind a zeroed header; map them.
+
+    The kernel copies the body, so no buffer of its size is made.
+    """
+    end = HEADER_SIZE + n * size
+    with open(path, "wb") as out:
+        out.write(bytes(HEADER_SIZE))
+        out.flush()
+        offset = HEADER_SIZE
+        while offset < end:
+            sent = os.sendfile(out.fileno(), src.fileno(), offset, end - offset)
+            if not sent:
+                raise RecordFormatError("%s: short read" % src.name)
+            offset += sent
+    return _map_body(path, n, size)
+
+
+def write_header(path: str, n: int, k: int, size: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, n, k, size))

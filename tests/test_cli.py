@@ -4,11 +4,13 @@ import hashlib
 import io
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shuffleworks import shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import compose, parse_cycle_notation
@@ -16,6 +18,8 @@ from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_fil
 
 FIGURE_TOKENS = "a b c d e f 1 2 3 4 5 6"
 FIGURE_SHUFFLED = "a 1 b 2 c 3 d 4 e 5 f 6"
+# --records IN -o OUT maps OUT's body only where sendfile can write to a file
+mapped_copy = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the mapped copy runs on Linux")
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -149,6 +153,115 @@ def test_shuffle_records_short_read_exits_2(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert "short read" in err
     assert not (tmp_path / "out.bin").exists()
+
+
+def _in_place_bytes(tmp_path, blob, capsys):
+    ref = tmp_path / "ref.bin"
+    ref.write_bytes(blob)
+    assert run_cli(["shuffle", "--records", "--in-place", str(ref)], capsys)[0] == 0
+    return ref.read_bytes()
+
+
+@pytest.mark.parametrize("link", [None, "hard", "symbolic"])
+def test_records_output_naming_the_input_runs_in_place(tmp_path, capsys, link):
+    # Opening OUT for writing would empty IN before the copy read it.
+    blob = record_fixture(n=22, k=2, size=3)
+    src = tmp_path / "in.bin"
+    src.write_bytes(blob)
+    dst = src
+    if link is not None:
+        dst = tmp_path / "out.bin"
+        (os.link if link == "hard" else os.symlink)(src, dst)
+    code, out, _ = run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys)
+    assert (code, out) == (0, "")
+    assert src.read_bytes() == _in_place_bytes(tmp_path, blob, capsys)
+
+
+def test_records_copy_to_devnull(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(record_fixture())
+    code, out, _ = run_cli(["shuffle", "--records", str(src), "-o", os.devnull], capsys)
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("k,n,size", [(2, 22, 12), (3, 27, 8), (5, 55, 1), (2, 0, 3)])
+def test_records_copy_matches_in_place_and_leaves_input_alone(tmp_path, capsys, k, n, size):
+    blob = record_fixture(n=n, k=k, size=size)
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(blob)
+    dst.write_bytes(b"longer stale contents" * 100)
+    assert run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys)[:2] == (0, "")
+    assert src.read_bytes() == blob
+    assert dst.read_bytes() == _in_place_bytes(tmp_path, blob, capsys)
+
+
+def test_records_copy_checks_before_it_writes(tmp_path, capsys):
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(record_fixture(n=33, k=3, size=4))
+    dst.write_bytes(b"keep me")
+    for extra in (["--method", "bitrev"], ["--k", "2"]):
+        code, _, err = run_cli(["shuffle", "--records", *extra, str(src), "-o", str(dst)], capsys)
+        assert code == 3 and err.startswith("error:")
+        assert dst.read_bytes() == b"keep me"
+
+
+def _assert_refused(path, capsys):
+    """Both record readers exit 2 on path for a bad magic."""
+    for argv in (["--in-place", str(path)], [str(path), "-o", str(path.with_suffix(".again"))]):
+        code, _, err = run_cli(["shuffle", "--records", *argv], capsys)
+        assert code == 2 and "bad magic" in err, (argv, code, err)
+
+
+@mapped_copy
+def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch):
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(record_fixture(n=16, k=2, size=8))
+    first_round = shuffle_bitrev.revswap_round
+
+    def stop_after_round_0(array, t, spec):
+        if t == spec.n:
+            raise RuntimeError("stopped between the rounds")
+        return first_round(array, t, spec)
+
+    monkeypatch.setattr(shuffle_bitrev, "revswap_round", stop_after_round_0)
+    with pytest.raises(RuntimeError):
+        main(["shuffle", "--records", str(src), "-o", str(dst)])
+    monkeypatch.undo()
+    assert dst.stat().st_size == src.stat().st_size
+    _assert_refused(dst, capsys)
+
+
+@mapped_copy
+def test_records_copy_short_read_is_refused(tmp_path, capsys, monkeypatch):
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(record_fixture())
+    # the kernel copy finds the end of the file early, as if IN shrank meanwhile
+    monkeypatch.setattr(os, "sendfile", lambda *args: 0)
+    code, out, err = run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys)
+    assert (code, out) == (2, "")
+    assert "short read" in err
+    monkeypatch.undo()
+    _assert_refused(dst, capsys)
+
+
+@mapped_copy
+def test_records_copy_scratch_is_bounded(tmp_path, capsys):
+    # 1 400 006 records of 12 bytes (16.8 MB): rotations, then aligned blocks.
+    n = 2 * 700_003
+    payload = np.arange(3 * n, dtype=np.uint32).tobytes()
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(make_record_file(2, 12, payload).to_bytes())
+    del payload
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys)
+        scratch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert scratch < 2 << 20
+    got = parse_record_file(dst.read_bytes()).records.view(np.uint32).reshape(n, 3)[:, 0]
+    assert (got == np.asarray(oracle_shuffle(range(n), 2)) * 3).all()
 
 
 def test_shuffle_records_in_place(tmp_path, capsys):
@@ -434,19 +547,6 @@ def test_selftest_reports_injected_fault(capsys):
     assert code == 1
     assert "FAIL" in err
     assert "0 failures" not in out
-
-
-def test_popcnt_env_var_does_not_change_output(capsys, monkeypatch):
-    tokens = " ".join(str(i) for i in range(64))
-    results = set()
-    for mode in ("auto", "on", "off"):
-        monkeypatch.setenv("SHUFFLEWORKS_POPCNT", mode)
-        monkeypatch.setattr("sys.stdin", io.StringIO(tokens))
-        code = main(["shuffle", "--k", "2", "--method", "bitrev"])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        results.add(out)
-    assert len(results) == 1
 
 
 def test_unknown_method_is_an_argparse_error(capsys):
