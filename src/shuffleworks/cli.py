@@ -17,7 +17,7 @@ import stat
 import sys
 
 from . import recordfile
-from .involution_factor import factor_cyclic, factor_permutation, relabel_factors
+from .involution_factor import factor_permutation
 from .network import build_network, emit_dot, emit_text
 from .oracle import oracle_apply, oracle_shuffle
 from .perm_core import (
@@ -69,24 +69,25 @@ def _shuffle(array, spec: ShuffleSpec, method: str) -> OpCounter:
 
 def cmd_shuffle(args) -> int:
     src, dst = args.input, args.output
-    if args.in_place and (src in (None, "-") or dst is not None):
-        raise ParseFailure("--in-place needs an input file path and no -o")
+    if args.in_place:
+        if src in (None, "-") or dst is not None:
+            raise ParseFailure("--in-place needs an input file path and no -o")
+        dst = src  # --in-place is -o IN
     from_file, to_file = src not in (None, "-"), dst not in (None, "-")
-    # -o naming IN runs in place: opening OUT with "wb" would empty IN before the copy read it
-    in_place = args.in_place or (
-        args.records and from_file and to_file and os.path.exists(dst) and os.path.samefile(src, dst))
-    copy_from_file = args.records and from_file and not in_place
-    with open(src, "rb") if copy_from_file else contextlib.nullcontext() as fin:
+    with open(src, "rb", buffering=0) if args.records and from_file else contextlib.nullcontext() as fin:
         # Each mode sets up the array to shuffle and what to do with it
-        # afterwards.  A copy between regular files shuffles OUT's mapped
-        # body, and writes OUT only once the checks below have passed.
+        # afterwards.  Records between files, IN itself included, shuffle
+        # OUT's mapped body, which OUT gets only once the checks below have
+        # passed; until the real header is written last, both readers refuse OUT.
         array = None
-        if args.records and in_place:
-            rf, array = recordfile.open_records_inplace(src)
-            N, header_k, finish = rf.n_records, rf.k, array.flush
-        elif fin is not None and to_file and _mappable(fin, dst):
+        onto_src = fin is not None and to_file and os.path.exists(dst) and os.path.samefile(src, dst)
+        if onto_src or fin is not None and to_file and _mappable(fin, dst):
             N, header_k, size = recordfile.read_header(fin)
-            finish = lambda: recordfile.write_header(dst, N, header_k, size)
+
+            def finish():
+                if onto_src:  # a copy is not synced: msync of a 36 MiB one cost a fifth of its run
+                    array.flush()
+                recordfile.write_header(dst, N, header_k, size)
         elif args.records:
             data = _read_binary(fin)
             rf = recordfile.parse_record_file(data)
@@ -95,11 +96,10 @@ def cmd_shuffle(args) -> int:
         else:
             array = _read_text(src).split()
             N, header_k = len(array), 2
-            dest = src if args.in_place else dst
-            finish = lambda: _write(dest, " ".join(array), "\n" if array else "")
+            finish = lambda: _write(dst, " ".join(array), "\n" if array else "")
         spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
         if array is None:
-            array = recordfile.copy_records(fin, dst, N, size)
+            array = recordfile.copy_records(fin, dst, N, size, onto_src)
         counter = _shuffle(array, spec, args.method)
         finish()
     if args.stats:
@@ -134,8 +134,11 @@ def _read_binary(fh) -> bytearray:
     size = os.fstat(fh.fileno()).st_size
     if not size:  # pipes state no size
         return bytearray(fh.read())
-    data = bytearray(size)
-    if fh.readinto(data) != size:
+    data, got = bytearray(size), 0
+    with memoryview(data) as view:  # an unbuffered read stops short of 2 GiB on Linux
+        while got < size and (n := fh.readinto(view[got:])):
+            got += n
+    if got != size:
         raise ParseFailure("%s: short read" % fh.name)
     return data
 
@@ -174,13 +177,9 @@ def cmd_factor(args) -> int:
     text = args.perm if args.perm not in (None, "-") else _read_text(None)
     p = _parse_permutation(text)
     if args.enumerate:
-        decomp = cycle_decompose(p)
-        if len(decomp) != 1:
+        if len(cycle_decompose(p)) != 1:
             raise ParseFailure("--enumerate needs a single-cycle permutation")
-        pairs = [
-            relabel_factors(p.size, [(decomp[0], factor_cyclic(p.size, axis))])
-            for axis in range(p.size)
-        ]
+        pairs = [factor_permutation(p, axis) for axis in range(p.size)]
     else:
         pairs = [factor_permutation(p)]
     for pair in pairs:
@@ -258,7 +257,6 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures.append(what)
 
-    injected = args.inject_fault
     rng = random.Random(20240915)
     for N in range(2, args.max_n + 1):
         for k in (2, 3, 4, 5):
@@ -268,9 +266,6 @@ def cmd_selftest(args) -> int:
             expected = oracle_shuffle(list(range(N)), k)
             got = list(range(N))
             shuffle_modinv(got, k)
-            if injected:
-                got[0], got[-1] = got[-1], got[0]  # deliberate corruption hook
-                injected = False
             check(got == expected, "modinv N=%d k=%d" % (N, k))
             if spec.n is not None:
                 got = list(range(N))
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="cross-check the shuffle routines")
     p.add_argument("--max-n", type=int, default=64)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -32,18 +32,7 @@ def circular_involution(n: int, k: int) -> Involution:
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n, got k=%d n=%d" % (k, n))
-    m = list(range(n))
-    a, b = 0, k
-    while a < b:
-        m[a], m[b] = b, a
-        a += 1
-        b -= 1
-    a, b = k + 1, n - 1
-    while a < b:
-        m[a], m[b] = b, a
-        a += 1
-        b -= 1
-    return Involution(m, check=False)
+    return Involution([(k - a) % n for a in range(n)], check=False)
 
 
 def factor_cyclic(n: int, k: int) -> InvolutionPair:
@@ -64,29 +53,22 @@ def enumerate_circular_factorizations(n: int) -> list[InvolutionPair]:
     return [factor_cyclic(n, k) for k in range(n)]
 
 
-def relabel_factors(n: int, factored) -> InvolutionPair:
-    """Map factorizations of cyclic shifts onto disjoint cycles of n points.
-
-    factored yields (cycle, pair) with pair a factorization of the shift
-    on 0..L-1, L = len(cycle); position a of the shift becomes cycle[a].
-    The unions over cycles stay involutions because cycles are disjoint.
-    """
-    s_map = list(range(n))
-    t_map = list(range(n))
-    for cycle, pair in factored:
-        for inv, m in ((pair.s, s_map), (pair.t, t_map)):
-            for a, b in inv.transpositions:
-                m[cycle[a]], m[cycle[b]] = cycle[b], cycle[a]
-    return InvolutionPair(Involution(s_map, check=False), Involution(t_map, check=False))
-
-
-def factor_permutation(p: Permutation) -> InvolutionPair:
+def factor_permutation(p: Permutation, axis: int = 0) -> InvolutionPair:
     """Factor an arbitrary permutation into two involutions.
 
-    Each cycle, listed from its smallest element, is factored as the cyclic
-    shift with pairing axis 0 and relabelled onto its own points.
+    Each cycle c of length L, listed from its smallest element, is the
+    cyclic shift on its own points, factored by the mirror pairings about
+    axis and axis - 1: s sends c[a] to c[(axis - a) mod L] and t sends c[a]
+    to c[(axis - 1 - a) mod L].  Disjoint cycles keep the unions involutions.
+    On a single cycle of n points, axes 0..n-1 give its n factorizations.
     """
-    return relabel_factors(p.size, ((c, factor_cyclic(len(c), 0)) for c in cycle_decompose(p)))
+    s_map, t_map = list(range(p.size)), list(range(p.size))
+    for c in cycle_decompose(p):
+        L = len(c)
+        for a, x in enumerate(c):
+            s_map[x] = c[(axis - a) % L]
+            t_map[x] = c[(axis - 1 - a) % L]
+    return InvolutionPair(Involution(s_map, check=False), Involution(t_map, check=False))
 
 
 def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:

@@ -13,10 +13,11 @@ Layout, little-endian throughout:
 The body length must match the header exactly, and the arity k must be
 at least 2.
 
-Files are edited through a memory map of their body: `open_records_inplace`
-maps an existing container, and `copy_records` writes a new one whose body
-the kernel copies from another.  A copy carries a zeroed header, which
-both readers refuse, until `write_header` gives it the real one.
+Files are edited through a memory map of their body.  `open_records_inplace`
+maps an existing container as it stands.  `copy_records` zeroes the header
+of a file that is either the source container itself or a new one whose
+body the kernel copies from it, and maps that body; both readers refuse
+the file until `write_header` gives it the real header.
 """
 
 from __future__ import annotations
@@ -113,16 +114,16 @@ def open_records_inplace(path: str) -> tuple[RecordFile, np.memmap]:
     return RecordFile(n, k, size, mm), mm
 
 
-def copy_records(src, path: str, n: int, size: int) -> np.memmap:
-    """Write path as the n records of the open container src behind a zeroed header; map them.
+def copy_records(src, path: str, n: int, size: int, onto_src: bool) -> np.memmap:
+    """Make path the n records of the open container src behind a zeroed header; map them.
 
-    The kernel copies the body, so no buffer of its size is made.
+    Onto src itself only the header is zeroed.  Otherwise the kernel copies
+    the body, so no buffer of its size is made.
     """
     end = HEADER_SIZE + n * size
-    with open(path, "wb") as out:
+    with open(path, "r+b" if onto_src else "wb", buffering=0) as out:
         out.write(bytes(HEADER_SIZE))
-        out.flush()
-        offset = HEADER_SIZE
+        offset = end if onto_src else HEADER_SIZE
         while offset < end:
             sent = os.sendfile(out.fileno(), src.fileno(), offset, end - offset)
             if not sent:
@@ -132,5 +133,5 @@ def copy_records(src, path: str, n: int, size: int) -> np.memmap:
 
 
 def write_header(path: str, n: int, k: int, size: int) -> None:
-    with open(path, "r+b") as fh:
+    with open(path, "r+b", buffering=0) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, k, size))

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shuffleworks import shuffle_bitrev
+from shuffleworks import cli, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import compose, parse_cycle_notation
@@ -197,12 +197,15 @@ def test_records_copy_matches_in_place_and_leaves_input_alone(tmp_path, capsys, 
 
 def test_records_copy_checks_before_it_writes(tmp_path, capsys):
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
-    src.write_bytes(record_fixture(n=33, k=3, size=4))
+    blob = record_fixture(n=33, k=3, size=4)
+    src.write_bytes(blob)
     dst.write_bytes(b"keep me")
     for extra in (["--method", "bitrev"], ["--k", "2"]):
-        code, _, err = run_cli(["shuffle", "--records", *extra, str(src), "-o", str(dst)], capsys)
-        assert code == 3 and err.startswith("error:")
-        assert dst.read_bytes() == b"keep me"
+        for where in ([str(src), "-o", str(dst)], ["--in-place", str(src)]):
+            code, _, err = run_cli(["shuffle", "--records", *extra, *where], capsys)
+            assert code == 3 and err.startswith("error:"), (extra, where)
+            assert dst.read_bytes() == b"keep me"
+            assert src.read_bytes() == blob
 
 
 def _assert_refused(path, capsys):
@@ -213,7 +216,8 @@ def _assert_refused(path, capsys):
 
 
 @mapped_copy
-def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in_place"])
+def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, in_place):
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
     src.write_bytes(record_fixture(n=16, k=2, size=8))
     first_round = shuffle_bitrev.revswap_round
@@ -225,10 +229,11 @@ def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(shuffle_bitrev, "revswap_round", stop_after_round_0)
     with pytest.raises(RuntimeError):
-        main(["shuffle", "--records", str(src), "-o", str(dst)])
+        main(["shuffle", "--records", *(["--in-place", str(src)] if in_place else [str(src), "-o", str(dst)])])
     monkeypatch.undo()
-    assert dst.stat().st_size == src.stat().st_size
-    _assert_refused(dst, capsys)
+    stopped = src if in_place else dst
+    assert stopped.stat().st_size == src.stat().st_size
+    _assert_refused(stopped, capsys)
 
 
 @mapped_copy
@@ -542,10 +547,17 @@ def test_selftest_zero_budget(capsys):
     assert "0 checks" in out
 
 
-def test_selftest_reports_injected_fault(capsys):
-    code, out, err = run_cli(["selftest", "--max-n", "12", "--inject-fault"], capsys)
+def test_selftest_reports_injected_fault(capsys, monkeypatch):
+    real = cli.shuffle_modinv
+
+    def corrupted(array, *rest):
+        real(array, *rest)
+        array[0], array[-1] = array[-1], array[0]
+
+    monkeypatch.setattr(cli, "shuffle_modinv", corrupted)
+    code, out, err = run_cli(["selftest", "--max-n", "12"], capsys)
     assert code == 1
-    assert "FAIL" in err
+    assert "FAIL modinv" in err
     assert "0 failures" not in out
 
 

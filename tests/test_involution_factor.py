@@ -127,3 +127,12 @@ def test_factor_permutation_keeps_cycles_independent():
     cycles = {frozenset(c) for c in cycle_decompose(p)}
     for i, j in pair.s.transpositions + pair.t.transpositions:
         assert any(i in c and j in c for c in cycles)
+
+
+def test_factor_permutation_every_axis_is_a_factorization():
+    for n in range(1, 7):
+        for vals in itertools.permutations(range(n)):
+            p = Permutation(vals)
+            found = brute_force_factorizations(p)
+            for axis in range(n):
+                assert factor_permutation(p, axis) in found, (vals, axis)
