@@ -15,6 +15,7 @@ import os
 import random
 import stat
 import sys
+import tempfile
 
 from . import recordfile
 from .involution_factor import factor_permutation
@@ -74,14 +75,15 @@ def cmd_shuffle(args) -> int:
             raise ParseFailure("--in-place needs an input file path and no -o")
         dst = src  # --in-place is -o IN
     from_file, to_file = src not in (None, "-"), dst not in (None, "-")
+    onto_src = from_file and to_file and os.path.exists(dst) and os.path.samefile(src, dst)
     with open(src, "rb", buffering=0) if args.records and from_file else contextlib.nullcontext() as fin:
         # Each mode sets up the array to shuffle and what to do with it
         # afterwards.  Records between files, IN itself included, shuffle
         # OUT's mapped body, which OUT gets only once the checks below have
-        # passed; until the real header is written last, both readers refuse OUT.
+        # passed; until the real header is written last, both readers refuse
+        # OUT.  Tokens written onto IN replace it whole.
         array = None
-        onto_src = fin is not None and to_file and os.path.exists(dst) and os.path.samefile(src, dst)
-        if onto_src or fin is not None and to_file and _mappable(fin, dst):
+        if fin is not None and to_file and (onto_src or _mappable(fin, dst)):
             N, header_k, size = recordfile.read_header(fin)
 
             def finish():
@@ -96,7 +98,7 @@ def cmd_shuffle(args) -> int:
         else:
             array = _read_text(src).split()
             N, header_k = len(array), 2
-            finish = lambda: _write(dst, " ".join(array), "\n" if array else "")
+            finish = lambda: (_replace if onto_src else _write)(dst, " ".join(array), "\n" if array else "")
         spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
         if array is None:
             array = recordfile.copy_records(fin, dst, N, size, onto_src)
@@ -146,8 +148,8 @@ def _read_binary(fh) -> bytearray:
 _TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
 
 
-def _write(path: str | None, *chunks: str | bytearray) -> None:
-    """Write text or byte chunks to path, or to stdout for None and "-".
+def _write(path: str | int | None, *chunks: str | bytearray) -> None:
+    """Write text or byte chunks to path (or open file descriptor), or to stdout for None and "-".
 
     A text stream encodes each str it gets into one bytes copy, so text goes
     out in slices; bytes go out whole, as slicing a bytearray copies it.
@@ -160,6 +162,24 @@ def _write(path: str | None, *chunks: str | bytearray) -> None:
     else:
         with open(path, "wb" if binary else "w") as fh:
             fh.writelines(chunks)
+
+
+def _replace(path: str, *chunks: str) -> None:
+    """_write chunks into a new file beside path, then rename it over path.
+
+    An interrupted run leaves path as it was.  The new file takes the
+    permission bits of the file path names and replaces that file, so a
+    symlink at path stays a link; other hard links keep the old contents.
+    """
+    real = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real))
+    try:
+        _write(fd, *chunks)
+        os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_permutation(text: str) -> Permutation:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import enumerate_involutions
-from .perm_core import Involution, Permutation, cycle_decompose
+from .perm_core import Involution, Permutation, cycle_decompose, is_involution
 
 
 @dataclass(frozen=True)
@@ -21,36 +21,6 @@ class InvolutionPair:
 
     s: Involution
     t: Involution
-
-
-def circular_involution(n: int, k: int) -> Involution:
-    """Mirror pairing of 0..n-1 about k/2 and (k+n)/2.
-
-    Positions 0..k pair up as (0 k)(1 k-1)... and positions k+1..n-1 as
-    (k+1 n-1)(k+2 n-2)...; a self-paired middle position is left fixed.
-    Composing this with its k-1 neighbour gives the cyclic shift i -> i+1.
-    """
-    if not 0 <= k < n:
-        raise ValueError("need 0 <= k < n, got k=%d n=%d" % (k, n))
-    return Involution([(k - a) % n for a in range(n)], check=False)
-
-
-def factor_cyclic(n: int, k: int) -> InvolutionPair:
-    """The k-th factorization of the cyclic shift on n points.
-
-    Returns (s, t) with s the pairing about k and t the pairing about k-1
-    (taken mod n); their product sends i to i+1 mod n.
-    """
-    s = circular_involution(n, k)
-    t = circular_involution(n, (k - 1) % n)
-    return InvolutionPair(s, t)
-
-
-def enumerate_circular_factorizations(n: int) -> list[InvolutionPair]:
-    """All n two-involution factorizations of the cyclic shift on n points."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return [factor_cyclic(n, k) for k in range(n)]
 
 
 def factor_permutation(p: Permutation, axis: int = 0) -> InvolutionPair:
@@ -72,26 +42,17 @@ def factor_permutation(p: Permutation, axis: int = 0) -> InvolutionPair:
 
 
 def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:
-    """Every ordered involution pair (s, t) with compose(s, t) == p.
+    """Every ordered involution pair (s, t) with compose(s, t) == p, in order of s.
 
-    Scans all pairs from the full involution enumeration, so p.size must
-    stay small (at most 9).
+    Scans the full involution enumeration for s, so p.size must stay small
+    (at most 9).  s is its own inverse, so t = s after p is the only
+    partner of s; the pair counts when that t is an involution.
     """
     if p.size > 9:
         raise ValueError("exhaustive search limited to size <= 9")
-    invs = list(enumerate_involutions(p.size))
-    pm = p.map
-    rng = range(p.size)
     found = []
-    for s in invs:
-        sm = s.map
-        for t in invs:
-            tm = t.map
-            if all(sm[tm[i]] == pm[i] for i in rng):
-                found.append(InvolutionPair(s, t))
+    for s in enumerate_involutions(p.size):
+        t = Involution([s.map[v] for v in p.map], check=False)
+        if is_involution(t):
+            found.append(InvolutionPair(s, t))
     return found
-
-
-def brute_force_factorization_count(p: Permutation) -> int:
-    """Number of ordered two-involution factorizations of p."""
-    return len(brute_force_factorizations(p))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .involution_factor import factor_permutation
-from .perm_core import Permutation, swap_pairs
+from .perm_core import Involution, Permutation, swap_pairs
 from .shuffle_bitrev import ShuffleSpec, revswap_pairs
 from .shuffle_modinv import modinv_pairs
 
@@ -31,17 +31,6 @@ class SwapNetwork:
     @property
     def total_swaps(self) -> int:
         return sum(len(r) for r in self.rounds)
-
-
-def check_disjoint(swaps) -> bool:
-    """True when no position occurs twice in the given swaps."""
-    seen = set()
-    for i, j in swaps:
-        if i == j or i in seen or j in seen:
-            return False
-        seen.add(i)
-        seen.add(j)
-    return True
 
 
 def build_network(method: str, target) -> SwapNetwork:
@@ -138,8 +127,10 @@ def parse_text(text: str) -> SwapNetwork:
             if not 0 <= i < j < n_positions:
                 raise ValueError("swap (%d %d) out of range in round %d" % (i, j, len(rounds)))
             swaps.append((i, j))
-        if not check_disjoint(swaps):
-            raise ValueError("round %d has overlapping swaps" % len(rounds))
+        try:
+            Involution.from_pairs(n_positions, swaps)
+        except ValueError as exc:
+            raise ValueError("round %d has overlapping swaps" % len(rounds)) from exc
         rounds.append(tuple(swaps))
     net = SwapNetwork(n_positions, tuple(rounds), label)
     if net.total_swaps != declared:

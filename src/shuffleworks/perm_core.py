@@ -71,7 +71,7 @@ class Involution(Permutation):
         """Build the involution with the given transpositions on n points."""
         m = list(range(n))
         for i, j in pairs:
-            if m[i] != i or m[j] != j:
+            if i == j or m[i] != i or m[j] != j:
                 raise ValueError("position reused by pair (%d %d)" % (i, j))
             m[i], m[j] = j, i
         return cls(m, check=False)

@@ -14,10 +14,11 @@ Each round has one pair source, modinv_pairs.  shuffle_modinv runs its
 pairs through perm_core.swap_pairs, swap_count_modinv counts them, and
 build_network stores them as the rounds of the swap network.  Each
 J_r(x) costs one extended-Euclid run on (x, m), whose Bezout coefficient
-gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per shuffle, one per
-interior position per round.  The OpCounter every shuffle fills (defined
-in perm_core, re-exported here) records that work, identically for
-shuffle_modinv and swap_count_modinv.
+of x gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per shuffle, one
+per interior position per round.  The loop carries that one cofactor,
+not the coefficient of m, which nothing reads.  The OpCounter every
+shuffle fills (defined in perm_core, re-exported here) records that
+work, identically for shuffle_modinv and swap_count_modinv.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .perm_core import OpCounter, swap_pairs
 from .shuffle_bitrev import ShuffleSpec
 
 
-def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
-    """Extended Euclid: (g, u, v) with a*u + b*v = g = gcd(a, b).
+def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int]:
+    """Extended Euclid: (g, u) with g = gcd(a, b) and a*u = g (mod b).
 
     Counts one gcd call and one iteration per quotient step.
     """
@@ -39,18 +40,16 @@ def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int,
         raise ValueError("gcd(0, 0) is undefined")
     r0, r1 = a, b
     s0, s1 = 1, 0
-    t0, t1 = 0, 1
     steps = 0
     while r1:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
         steps += 1
     if counter is not None:
         counter.gcd_calls += 1
         counter.euclid_iterations += steps
-    return r0, s0, t0
+    return r0, s0
 
 
 def mod_inverse(a: int, m: int, counter: OpCounter | None = None) -> int:
@@ -59,7 +58,7 @@ def mod_inverse(a: int, m: int, counter: OpCounter | None = None) -> int:
         raise ValueError("modulus must be positive")
     if m == 1:
         return 0
-    g, u, _ = ext_gcd(a % m, m, counter)
+    g, u = ext_gcd(a % m, m, counter)
     if g != 1:
         raise ValueError("%d is not invertible modulo %d" % (a, m))
     return u % m
@@ -70,7 +69,7 @@ def _j_value(r: int, x: int, m: int, counter: OpCounter | None) -> int:
     # x*u + m*v = g by g shows u is already (x/g)^-1 mod m/g.
     if x == 0:
         return 0
-    g, u, _ = ext_gcd(x, m, counter)
+    g, u = ext_gcd(x, m, counter)
     return g * (r * u % (m // g))
 
 
@@ -84,11 +83,6 @@ def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -
     if not 0 <= x < spec.m:
         raise ValueError("x=%d outside 0..%d" % (x, spec.m - 1))
     return _j_value(r, x, spec.m, counter)
-
-
-def compose_j(r: int, s: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:
-    """J_r(J_s(x)); for (r, s) = (k, 1) this is the in-shuffle map k*x mod m."""
-    return j_map(r, j_map(s, x, spec, counter), spec, counter)
 
 
 def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):

@@ -15,14 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from shuffleworks.involution_factor import (
-    brute_force_factorizations,
-    circular_involution,
-    enumerate_circular_factorizations,
-)
-from shuffleworks.network import build_network, check_disjoint, network_permutation
+from shuffleworks.involution_factor import brute_force_factorizations, factor_permutation
+from shuffleworks.network import build_network, network_permutation
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
-from shuffleworks.perm_core import Permutation
+from shuffleworks.perm_core import Involution, Permutation
 from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
     rotate_left,
@@ -121,7 +117,7 @@ def test_criterion_04_cyclic_shift_has_n_factorizations(check):
             if len(found) != n:
                 problems.append("n=%d: exhaustive search found %d pairs" % (n, len(found)))
                 continue
-            want = {(p.s.map, p.t.map) for p in enumerate_circular_factorizations(n)}
+            want = {(p.s.map, p.t.map) for p in (factor_permutation(shift, axis) for axis in range(n))}
             got = {(p.s.map, p.t.map) for p in found}
             if got != want:
                 problems.append("n=%d: search and construction disagree" % n)
@@ -183,7 +179,7 @@ def test_criterion_05_mirror_pairing_golden_tables(check):
             assert len(lines) == n
             for k, line in enumerate(lines):
                 want_pairs, want_fixed = _parse_pairing(line)
-                inv = circular_involution(n, k)
+                inv = factor_permutation(Permutation([(i + 1) % n for i in range(n)]), k).s
                 if set(inv.transpositions) != want_pairs:
                     problems.append("n=%d axis=%d pairs differ" % (n, k))
                 if set(inv.fixed_points) != want_fixed:
@@ -357,7 +353,9 @@ def test_criterion_12_network_integrity(check):
         for method, spec in specs:
             net = build_network(method, spec)
             for r, round_ in enumerate(net.rounds):
-                if not check_disjoint(round_):
+                try:
+                    Involution.from_pairs(spec.N, round_)
+                except ValueError:
                     problems.append("%s N=%d round %d overlaps" % (method, spec.N, r))
             if network_permutation(net) != inshuffle_permutation(spec.N, spec.k):
                 problems.append("%s N=%d wrong permutation" % (method, spec.N))

@@ -1,8 +1,11 @@
 """Command-line behaviour: subcommands, formats, exit codes."""
 
+import builtins
+import errno
 import hashlib
 import io
 import os
+import stat
 import struct
 import sys
 import tracemalloc
@@ -56,6 +59,55 @@ def test_shuffle_lines_in_place(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert src.read_text() == FIGURE_SHUFFLED + "\n"
+
+
+class _StopAfterFirstChunk:
+    """A text file whose writelines writes one chunk, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        self.fh.write(next(iter(chunks)))
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["--in-place", "IN"], ["IN", "-o", "IN"]], ids=["in_place", "output_is_input"])
+def test_interrupted_lines_write_leaves_the_input_whole(tmp_path, capsys, monkeypatch, argv):
+    src = tmp_path / "tokens.txt"
+    src.write_text(FIGURE_TOKENS)
+    monkeypatch.setattr(cli, "_TEXT_SLICE", 4)
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return _StopAfterFirstChunk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", open_failing, raising=False)
+    code, out, err = run_cli(["shuffle", "--k", "2", *(str(src) if a == "IN" else a for a in argv)], capsys)
+    assert (code, out) == (2, "")
+    assert "No space left" in err
+    assert src.read_text() == FIGURE_TOKENS
+    assert os.listdir(tmp_path) == ["tokens.txt"]
+
+
+def test_lines_in_place_through_a_symlink_keeps_the_link_and_mode(tmp_path, capsys):
+    src, link = tmp_path / "tokens.txt", tmp_path / "link.txt"
+    src.write_text(FIGURE_TOKENS)
+    src.chmod(0o640)
+    link.symlink_to(src)
+    code, out, _ = run_cli(["shuffle", "--k", "2", "--in-place", str(link)], capsys)
+    assert (code, out) == (0, "")
+    assert link.is_symlink()
+    assert src.read_text() == FIGURE_SHUFFLED + "\n"
+    assert stat.S_IMODE(src.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "tokens.txt"]
 
 
 def test_shuffle_lines_to_output_file(tmp_path, capsys, monkeypatch):

@@ -7,11 +7,7 @@ import pytest
 
 from shuffleworks.involution_factor import (
     InvolutionPair,
-    brute_force_factorization_count,
     brute_force_factorizations,
-    circular_involution,
-    enumerate_circular_factorizations,
-    factor_cyclic,
     factor_permutation,
 )
 from shuffleworks.oracle import oracle_apply
@@ -22,53 +18,46 @@ def cyclic_shift(n):
     return Permutation([(i + 1) % n for i in range(n)])
 
 
-def test_circular_involution_is_an_involution():
+def test_shift_factors_are_involutions_on_every_axis():
     for n in range(1, 20):
         for k in range(n):
-            assert is_involution(circular_involution(n, k))
+            pair = factor_permutation(cyclic_shift(n), k)
+            assert is_involution(pair.s) and is_involution(pair.t)
 
 
-def test_circular_involution_pairs_mirror_about_the_axis():
-    inv = circular_involution(13, 0)
+def test_shift_factors_pair_mirror_about_the_axis():
+    inv = factor_permutation(cyclic_shift(13), 0).s
     assert inv.transpositions == (
         (1, 12), (2, 11), (3, 10), (4, 9), (5, 8), (6, 7))
     assert inv.fixed_points == (0,)
-    inv = circular_involution(14, 3)
+    inv = factor_permutation(cyclic_shift(14), 3).s
     assert inv.transpositions == (
         (0, 3), (1, 2), (4, 13), (5, 12), (6, 11), (7, 10), (8, 9))
     assert inv.fixed_points == ()
 
 
-def test_circular_involution_range_check():
-    with pytest.raises(ValueError):
-        circular_involution(5, 5)
-    with pytest.raises(ValueError):
-        circular_involution(5, -1)
-
-
 def test_adjacent_pairings_compose_to_the_cyclic_shift():
+    # t on axis k is the pairing s on axis k-1, and s after t is the shift
     for n in range(1, 30):
+        shift = cyclic_shift(n)
         for k in range(n):
-            s = circular_involution(n, k)
-            t = circular_involution(n, (k - 1) % n)
-            assert compose(s, t) == cyclic_shift(n)
+            pair = factor_permutation(shift, k)
+            assert pair.t == factor_permutation(shift, (k - 1) % n).s
+            assert compose(pair.s, pair.t) == shift
 
 
 def test_factor_cyclic_product_field():
     for n in (1, 2, 3, 8, 13):
         for k in range(n):
-            pair = factor_cyclic(n, k)
+            pair = factor_permutation(cyclic_shift(n), k)
             assert isinstance(pair, InvolutionPair)
             assert compose(pair.s, pair.t) == cyclic_shift(n)
 
 
-def test_enumerate_circular_factorizations_are_distinct():
+def test_every_axis_gives_a_distinct_shift_factorization():
     for n in range(1, 16):
-        pairs = enumerate_circular_factorizations(n)
-        assert len(pairs) == n
+        pairs = [factor_permutation(cyclic_shift(n), k) for k in range(n)]
         assert len({(p.s.map, p.t.map) for p in pairs}) == n
-    with pytest.raises(ValueError):
-        enumerate_circular_factorizations(0)
 
 
 def test_brute_force_agrees_with_enumeration():
@@ -76,7 +65,7 @@ def test_brute_force_agrees_with_enumeration():
     for n in range(1, 8):
         found = brute_force_factorizations(cyclic_shift(n))
         assert len(found) == n
-        want = {(p.s.map, p.t.map) for p in enumerate_circular_factorizations(n)}
+        want = {(p.s.map, p.t.map) for p in (factor_permutation(cyclic_shift(n), k) for k in range(n))}
         assert {(p.s.map, p.t.map) for p in found} == want
 
 
@@ -85,7 +74,6 @@ def test_brute_force_verifies_each_pair():
         p = Permutation(vals)
         found = brute_force_factorizations(p)
         assert found, vals
-        assert brute_force_factorization_count(p) == len(found)
         for pair in found:
             assert is_involution(pair.s) and is_involution(pair.t)
             assert compose(pair.s, pair.t) == p

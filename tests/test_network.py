@@ -9,23 +9,23 @@ from shuffleworks.network import (
     TEXT_FORMAT_LINE,
     apply_network,
     build_network,
-    check_disjoint,
     emit_dot,
     emit_text,
     network_permutation,
     parse_text,
 )
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
-from shuffleworks.perm_core import Permutation, identity
+from shuffleworks.perm_core import Involution, Permutation, identity
 from shuffleworks.shuffle_bitrev import ShuffleSpec, rev_digits, revswap_pairs
 from shuffleworks.shuffle_modinv import j_map, modinv_pairs
 
 
-def test_check_disjoint():
-    assert check_disjoint([(0, 1), (2, 3)])
-    assert not check_disjoint([(0, 1), (1, 2)])
-    assert not check_disjoint([(2, 2)])
-    assert check_disjoint([])
+def test_parse_text_names_the_overlapping_round():
+    # the declared count matches, so only the disjointness check can refuse
+    head = TEXT_FORMAT_LINE + "\nN=4 method=x swaps=4\nround 0: (0 1) (2 3)\nround 1: "
+    assert parse_text(head + "(1 2) (0 3)\nround 2:\n").rounds == (((0, 1), (2, 3)), ((1, 2), (0, 3)), ())
+    with pytest.raises(ValueError, match="round 1 has overlapping swaps"):
+        parse_text(head + "(1 2) (2 3)\n")
 
 
 def test_total_swaps():
@@ -71,7 +71,7 @@ def test_networks_realise_the_inshuffle():
         net = build_network(method, ShuffleSpec.for_length(N, k))
         assert network_permutation(net) == inshuffle_permutation(N, k), (method, N)
         for round_ in net.rounds:
-            assert check_disjoint(round_)
+            Involution.from_pairs(N, round_)  # raises on a reused position
         arr = list(range(N))
         apply_network(arr, net)
         assert arr == oracle_shuffle(list(range(N)), k)
@@ -87,7 +87,7 @@ def test_built_rounds_are_disjoint_and_in_range():
         assert len(net.rounds) == 2
         for round_ in net.rounds:
             assert all(0 <= i < j < spec.N for i, j in round_), (method, spec.N, spec.k)
-            assert check_disjoint(round_), (method, spec.N, spec.k)
+            Involution.from_pairs(spec.N, round_)  # raises on a reused position
 
 
 def test_factorization_network():
@@ -155,6 +155,8 @@ def test_text_round_trip_is_byte_stable():
         "# shuffleworks-net v1\nN=4 swaps=0\nround 0:\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0:\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1) (1 2)\n",
+        "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 0: (0 1) (1 2)\n",
+        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 2)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (4 5)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 1)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1\n",

@@ -130,6 +130,8 @@ def test_involution_from_pairs():
     assert inv.transpositions == ((0, 4), (1, 3))
     with pytest.raises(ValueError):
         Involution.from_pairs(5, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        Involution.from_pairs(5, [(2, 2)])
 
 
 def test_apply_involution_in_place():
