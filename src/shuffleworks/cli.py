@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import random
 import stat
@@ -28,7 +29,7 @@ from .perm_core import (
     cycle_decompose,
     cycle_notation,
 )
-from .shuffle_bitrev import ShuffleSpec, shuffle_general_k2, shuffle_power
+from .shuffle_bitrev import INDEX_LIMIT, ShuffleSpec, shuffle_general_k2, shuffle_power
 from .shuffle_modinv import j_map, op_count_profile, shuffle_modinv
 
 
@@ -221,6 +222,10 @@ def cmd_network(args) -> int:
         if args.exp is not None and args.n is not None:
             raise ParseFailure("give either --exp or --n, not both")
         if args.exp is not None:
+            if args.exp < 1:
+                raise ArityFailure("--exp %d gives no positions; it must be at least 1" % args.exp)
+            if args.exp >= INDEX_LIMIT.bit_length() or k ** args.exp > INDEX_LIMIT:  # k**exp >= 2**exp
+                raise OverflowError("N=%d**%d exceeds the index arithmetic limit" % (k, args.exp))
             N = k ** args.exp
         elif args.n is not None:
             N = args.n
@@ -314,6 +319,7 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache  # built once per process: a parser is a cyclic graph the collector frees late
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shuffleworks",

@@ -35,7 +35,7 @@ import numpy as np
 from .perm_core import OpCounter, swap_pairs
 
 # Guards the int64-based vectorised index path; nothing real gets close.
-_INDEX_LIMIT = 1 << 62
+INDEX_LIMIT = 1 << 62
 
 
 def exact_log(N: int, k: int) -> int | None:
@@ -81,7 +81,7 @@ class ShuffleSpec:
             raise ValueError("k must be at least 2")
         if N < 0 or N % k:
             raise ValueError("N=%d is not a multiple of k=%d" % (N, k))
-        if N > _INDEX_LIMIT:
+        if N > INDEX_LIMIT:
             raise OverflowError("N=%d exceeds the index arithmetic limit" % N)
         n = exact_log(N, k)
         powers = power_table(k, n) if n is not None else ()

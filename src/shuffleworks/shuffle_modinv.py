@@ -10,20 +10,22 @@ gives J_k(J_1(x)) = k*x mod m, the in-shuffle, so two rounds of swaps
 (first along J_1, then along J_k) shuffle any multiple-of-k length with
 no digit structure required.
 
-Each round has one pair source, modinv_pairs.  shuffle_modinv runs its
-pairs through perm_core.swap_pairs, swap_count_modinv counts them, and
-build_network stores them as the rounds of the swap network.  Each
-J_r(x) costs one extended-Euclid run on (x, m), whose Bezout coefficient
-of x gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per shuffle, one
-per interior position per round.  The loop carries that one cofactor,
-not the coefficient of m, which nothing reads.  The OpCounter every
-shuffle fills (defined in perm_core, re-exported here) records that
-work, identically for shuffle_modinv and swap_count_modinv.
+Each J_r(x) costs one extended-Euclid run on (x, m), whose Bezout
+coefficient of x gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per
+shuffle.  ext_gcd is the scalar reference (j_map, mod_inverse).  The
+rounds run Euclid for 256 positions at a time in lockstep int64 lanes, in
+14 KiB of state, counting a step only where both remainders are
+non-zero: the OpCounter (from perm_core) gets ext_gcd's counts exactly.
+k*(N-1) must be below 2**63, or the rounds raise OverflowError at once.
+numpy arrays swap a chunk's pairs by fancy indexing; modinv_pairs yields
+them in ascending x for sequences, swap_count_modinv and networks.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .perm_core import OpCounter, swap_pairs
 from .shuffle_bitrev import ShuffleSpec
@@ -64,15 +66,6 @@ def mod_inverse(a: int, m: int, counter: OpCounter | None = None) -> int:
     return u % m
 
 
-def _j_value(r: int, x: int, m: int, counter: OpCounter | None) -> int:
-    # Callers guarantee gcd(r, m) == 1 and 0 <= x < m.  Dividing
-    # x*u + m*v = g by g shows u is already (x/g)^-1 mod m/g.
-    if x == 0:
-        return 0
-    g, u = ext_gcd(x, m, counter)
-    return g * (r * u % (m // g))
-
-
 def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:
     """The involution J_r on Z_m: x maps to gcd(x,m) * ((r * (x/g)^-1) mod (m/g)).
 
@@ -82,21 +75,60 @@ def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -
         raise ValueError("r=%d shares a factor with m=%d" % (r, spec.m))
     if not 0 <= x < spec.m:
         raise ValueError("x=%d outside 0..%d" % (x, spec.m - 1))
-    return _j_value(r, x, spec.m, counter)
+    if x == 0:
+        return 0
+    g, u = ext_gcd(x, spec.m, counter)  # x*u + m*v = g, so u is (x/g)^-1 mod m/g
+    return g * (r * u % (spec.m // g))
+
+
+_LANES = 256  # positions per lockstep Euclid chunk
+
+
+def _j_chunks(r: int, spec: ShuffleSpec, counter: OpCounter | None):
+    """Yield (lo, keep, J) per chunk of up to 256 positions lo, lo+1, ... in 1..N-2.
+
+    keep marks the x with x < J_r(x), and J holds those J_r(x).  Lane i runs
+    ext_gcd(lo+i, m) in rows a, s_a, b, s_b (remainders and cofactors of x),
+    taking a %= b and b %= a in turn.
+    """
+    m = spec.m
+    if spec.k * m >= 1 << 63:
+        raise OverflowError("k*(N-1) exceeds the int64 Euclid lanes (N=%d, k=%d)" % (spec.N, spec.k))
+    state, q, tmp = np.empty((4, _LANES), np.int64), np.empty(_LANES, np.int64), np.empty((2, _LANES), np.int64)
+    for lo in range(1, m, _LANES):
+        n = min(_LANES, m - lo)
+        st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
+        st[0], st[1], st[2], st[3] = np.arange(lo, lo + n), 1, m, 0
+        dst, src, iters = st[:2], st[2:], 0
+        with np.errstate(divide="ignore"):  # a finished lane divides by 0, gets q = 0 and stays put
+            while live := np.count_nonzero(st[::2]) - n:  # lanes with a and b both non-zero
+                iters += live
+                np.floor_divide(dst[0], src[0], out=qn)
+                np.multiply(qn, src, out=tn)
+                np.subtract(dst, tn, out=dst)
+                dst, src = src, dst
+        if counter is not None:
+            counter.euclid_iterations += int(iters)
+            counter.gcd_calls += n
+        np.copyto(tn, st[2:])  # g and u: the remainder that is not 0, and its cofactor
+        np.copyto(tn, st[:2], where=st[0] != 0)
+        g, J = tn
+        J *= r
+        J %= np.floor_divide(m, g, out=qn)
+        J *= g
+        keep = J > np.arange(lo, lo + n)
+        yield lo, keep, J[keep]
 
 
 def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
-    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions.
+    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
 
-    Positions 0 and N-1 are never paired.  r must be coprime to m = N - 1,
-    as 1 and k always are.  The Euclid work of every J_r value computed
+    Positions 0 and N-1 are never paired.  r must be 1 or k, which are
+    coprime to m = N - 1.  The Euclid work of every J_r value computed
     goes to counter.
     """
-    m = spec.m
-    for x in range(1, m):
-        j = _j_value(r, x, m, counter)
-        if x < j:
-            yield x, j
+    for lo, keep, J in _j_chunks(r, spec, counter):
+        yield from zip((np.flatnonzero(keep) + lo).tolist(), J.tolist())
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
@@ -106,7 +138,15 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     J_k.  Positions 0 and N-1 are never touched.
     """
     spec = ShuffleSpec.for_length(len(array), k)
-    swaps = sum(swap_pairs(array, modinv_pairs(r, spec, counter)) for r in (1, k))
+    if isinstance(array, np.ndarray):
+        swaps = 0
+        for r in (1, k):
+            for lo, keep, J in _j_chunks(r, spec, counter):
+                xs = array[lo:lo + len(keep)]  # pairs within a round are disjoint
+                xs[keep], array[J] = array[J], xs[keep]
+                swaps += len(J)
+    else:
+        swaps = sum(swap_pairs(array, modinv_pairs(r, spec, counter)) for r in (1, k))
     if counter is not None:
         counter.swaps += swaps
         counter.rounds += 2

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import gc
 import hashlib
 import io
 import os
@@ -321,6 +322,27 @@ def test_records_copy_scratch_is_bounded(tmp_path, capsys):
     assert (got == np.asarray(oracle_shuffle(range(n), 2)) * 3).all()
 
 
+def test_records_in_place_k3_scratch_after_the_first_call(tmp_path, capsys):
+    # The parser is built once per process, so a later in-place run's scratch
+    # is the modular-inverse rounds' own: 256 Euclid lanes and a chunk of records.
+    n = 3 * 12_001
+    path = tmp_path / "data.bin"
+    path.write_bytes(make_record_file(3, 8, np.arange(n, dtype=np.uint64).tobytes()).to_bytes())
+    argv = ["shuffle", "--records", "--in-place", str(path)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(argv, capsys)
+        scratch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert scratch < 0.054 * (1 << 20), scratch
+    twice = np.arange(n, dtype=np.uint64).reshape(3, -1).T.ravel().reshape(3, -1).T.ravel()
+    assert (parse_record_file(path.read_bytes()).records == twice).all()
+
+
 def test_shuffle_records_in_place(tmp_path, capsys):
     path = tmp_path / "data.bin"
     path.write_bytes(record_fixture(n=30, k=2, size=8))
@@ -558,6 +580,27 @@ def test_network_overflow_exit_code(capsys):
     code, _, err = run_cli(["network", "--k", "2", "--exp", "63"], capsys)
     assert code == 4
     assert "error:" in err
+
+
+def test_network_exp_is_bounded_before_n_is_built(capsys):
+    # 2**100000 has more digits than Python will print
+    code, out, err = run_cli(["network", "--k", "2", "--exp", "100000"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: N=2**100000 exceeds the index arithmetic limit\n"
+
+
+@pytest.mark.parametrize("exp", ["0", "-1"])
+def test_network_exp_below_one_exits_3(capsys, exp):
+    code, out, err = run_cli(["network", "--k", "2", "--exp", exp], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: --exp %s gives no positions; it must be at least 1\n" % exp
+
+
+def test_profile_past_the_euclid_lanes_exits_4(capsys):
+    # N = 3 * 2**60 passes the index limit, but 3 * (N - 1) does not fit in int64
+    code, out, err = run_cli(["profile", "--k", "3", "--m-range", "%d..%d" % (1 << 60, 1 << 60)], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: k*(N-1) exceeds the int64 Euclid lanes")
 
 
 def test_profile_single_row(capsys):

@@ -1,7 +1,10 @@
 """Number-theoretic shuffle: extended Euclid, the J involutions, swap rounds."""
 
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from shuffleworks.network import build_network
@@ -12,6 +15,7 @@ from shuffleworks.shuffle_modinv import (
     ext_gcd,
     j_map,
     mod_inverse,
+    modinv_pairs,
     op_count_profile,
     shuffle_modinv,
     swap_count_modinv,
@@ -224,3 +228,62 @@ def test_one_gcd_call_per_interior_position_per_round():
             counter = OpCounter()
             shuffle_modinv(list(range(N)), k, counter)
             assert counter.gcd_calls == 2 * (N - 2), (k, N)
+
+
+def _scalar_round(r, spec, last=None):
+    """One round's pairs (x, J_r(x)), x < J_r(x), from one scalar ext_gcd run per position."""
+    counter = OpCounter()
+    xs = range(1, spec.m if last is None else last + 1)
+    return [(x, j) for x in xs if x < (j := j_map(r, x, spec, counter))], counter
+
+
+# (N, k) with N - 2 interior positions just below, at and above one and two
+# full 256-lane chunks
+LANE_EDGES = [(257, 257), (258, 3), (259, 7), (513, 3), (514, 2), (515, 5)]
+
+
+def test_lane_pairs_and_counts_equal_the_scalar_reference():
+    cases = [(N, k) for k in range(2, 8) for N in range(k, 401, k)] + LANE_EDGES
+    for N, k in cases:
+        spec = ShuffleSpec.for_length(N, k)
+        for r in (1, k):
+            counter = OpCounter()
+            got = list(modinv_pairs(r, spec, counter))
+            want, scalar = _scalar_round(r, spec)
+            assert got == want, (N, k, r)
+            assert counter == scalar, (N, k, r)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_lanes_are_exact_up_to_the_int64_guard(k):
+    # The largest N with k*(N-1) < 2**63: the first chunk's partners, from
+    # int64 remainders, cofactors and r*u, equal Python's exact integers.
+    N = ((1 << 63) - 1) // k + 1
+    N -= N % k
+    spec = ShuffleSpec.for_length(N, k)
+    for r in (1, k):
+        got = list(itertools.takewhile(lambda pair: pair[0] <= 256, modinv_pairs(r, spec)))
+        assert got == _scalar_round(r, spec, last=256)[0], r
+    # one multiple of k further passes the spec check and stops at the guard
+    counter = OpCounter()
+    with pytest.raises(OverflowError, match="int64"):
+        next(modinv_pairs(1, ShuffleSpec.for_length(N + k, k), counter))
+    assert counter == OpCounter()
+
+
+def test_lane_scratch_does_not_grow_with_n():
+    arrays = [np.arange(3 * M, dtype=np.uint64) for M in (12_001, 120_001)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for array in arrays:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            shuffle_modinv(array, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    for array in arrays:
+        assert (array == np.arange(len(array), dtype=np.uint64).reshape(3, -1).T.ravel()).all()
+    # the (4, 256) lane state, its temporaries and one chunk of records in flight
+    assert max(peaks) < 32 << 10, peaks
