@@ -18,6 +18,8 @@ import stat
 import sys
 import tempfile
 
+import numpy as np
+
 from . import recordfile
 from .involution_factor import factor_permutation
 from .network import build_network, emit_dot, emit_text
@@ -82,7 +84,7 @@ def cmd_shuffle(args) -> int:
         # afterwards.  Records between files, IN itself included, shuffle
         # OUT's mapped body, which OUT gets only once the checks below have
         # passed; until the real header is written last, both readers refuse
-        # OUT.  Tokens written onto IN replace it whole.
+        # OUT.  Tokens go in an ndarray, as records do; onto IN they replace it whole.
         array = None
         if fin is not None and to_file and (onto_src or _mappable(fin, dst)):
             N, header_k, size = recordfile.read_header(fin)
@@ -97,9 +99,9 @@ def cmd_shuffle(args) -> int:
             array = rf.records  # a view of data, which is written back out whole
             N, header_k, finish = rf.n_records, rf.k, lambda: _write(dst, data)
         else:
-            array = _read_text(src).split()
+            array = np.array(_read_text(src).split(), dtype=object)
             N, header_k = len(array), 2
-            finish = lambda: (_replace if onto_src else _write)(dst, " ".join(array), "\n" if array else "")
+            finish = lambda: (_replace if onto_src else _write)(dst, array, "\n" if len(array) else "")
         spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
         if array is None:
             array = recordfile.copy_records(fin, dst, N, size, onto_src)
@@ -147,17 +149,19 @@ def _read_binary(fh) -> bytearray:
 
 
 _TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
+_TOKEN_SLICE = 1 << 16  # tokens per joined str: at most _TEXT_SLICE characters while they average 15 or fewer
 
 
-def _write(path: str | int | None, *chunks: str | bytearray) -> None:
+def _write(path: str | int | None, *chunks: str | np.ndarray | bytearray) -> None:
     """Write text or byte chunks to path (or open file descriptor), or to stdout for None and "-".
 
-    A text stream encodes each str it gets into one bytes copy, so text goes
-    out in slices; bytes go out whole, as slicing a bytearray copies it.
+    A text chunk is a str, or an array of tokens to separate by spaces.  A
+    text stream encodes each str it gets into one bytes copy, so text and
+    tokens go out in slices; bytes go out whole, as slicing a bytearray copies it.
     """
-    binary = not isinstance(chunks[0], str)
+    binary = not isinstance(chunks[0], (str, np.ndarray))
     if not binary:
-        chunks = (c[i:i + _TEXT_SLICE] for c in chunks for i in range(0, len(c), _TEXT_SLICE))
+        chunks = (s[i:i + _TEXT_SLICE] for c in chunks for s in _strs(c) for i in range(0, len(s), _TEXT_SLICE))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
@@ -165,7 +169,17 @@ def _write(path: str | int | None, *chunks: str | bytearray) -> None:
             fh.writelines(chunks)
 
 
-def _replace(path: str, *chunks: str) -> None:
+def _strs(text: str | np.ndarray):
+    """text itself, or its tokens joined by spaces _TOKEN_SLICE at a time."""
+    if isinstance(text, str):
+        yield text
+        return
+    for i in range(0, len(text), _TOKEN_SLICE):
+        yield " " * (i > 0)
+        yield " ".join(text[i:i + _TOKEN_SLICE])
+
+
+def _replace(path: str, *chunks: str | np.ndarray) -> None:
     """_write chunks into a new file beside path, then rename it over path.
 
     An interrupted run leaves path as it was.  The new file takes the

@@ -4,6 +4,7 @@ import builtins
 import errno
 import gc
 import hashlib
+import importlib
 import io
 import os
 import stat
@@ -878,3 +879,76 @@ oracle 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=0 euclid_iters=0
 oracle 5 inplace 125 0 d6d6dcaaa62b3350 swaps=0 rounds=0 euclid_iters=0
 oracle 5 inplace 55 0 33dd8cfd2a9057c7 swaps=0 rounds=0 euclid_iters=0
 """
+
+
+def _no_scalar_swaps(array, pairs):
+    raise AssertionError("the scalar executor ran")
+
+
+@pytest.mark.parametrize("k, N, method", [
+    (2, 2 ** 10, "auto"),   # digit reversal
+    (2, 2 * 1001, "auto"),  # rotations, then power-of-two blocks; M odd
+    (3, 27, "bitrev"),
+    (3, 3 * 401, "auto"),
+    (3, 3 * 401, "modinv"),
+    (3, 3 * 401, "oracle"),
+])
+def test_lines_take_the_ndarray_routes(k, N, method, capsys, monkeypatch):
+    monkeypatch.setattr(shuffle_bitrev, "swap_pairs", _no_scalar_swaps)
+    # the package exports a function of the module's name
+    monkeypatch.setattr(importlib.import_module("shuffleworks.shuffle_modinv"), "swap_pairs", _no_scalar_swaps)
+    tokens = ["t%d" % i for i in range(N)]
+    code, out, err = run_cli(
+        ["shuffle", "--lines", "--k", str(k), "--method", method],
+        capsys, stdin=" ".join(tokens), monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == " ".join(oracle_shuffle(tokens, k)) + "\n"
+
+
+# Every character str.split splits on.
+SEPARATORS = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
+              + "\u2028\u2029\u202f\u205f\u3000")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lines_split_on_every_whitespace_and_keep_tokens_as_text(k, capsys, monkeypatch):
+    assert set(SEPARATORS) == {c for c in map(chr, range(0x110000)) if c.isspace()}
+    # tokens numpy would read as numbers, booleans, lists or None if it
+    # were asked to guess their type
+    words = ["nan", "1e5", "True", "[0]", "None", "-0", "inf", "0x1f", "b''", "()"]
+    tokens = [words[i % len(words)] + ("" if i < len(words) else str(i)) for i in range(6 * len(SEPARATORS))]
+    text = SEPARATORS[-1] + "".join(t + SEPARATORS[i % len(SEPARATORS)] * (1 + i % 3) for i, t in enumerate(tokens))
+    assert text.split() == tokens
+    code, out, _ = run_cli(["shuffle", "--k", str(k)], capsys, stdin=text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == " ".join(oracle_shuffle(text.split(), k)) + "\n"
+    code, out, _ = run_cli(["shuffle", "--k", str(k)], capsys, stdin=SEPARATORS, monkeypatch=monkeypatch)
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [["IN", "-o", "OUT"], ["--in-place", "IN"]], ids=["copy", "in_place"])
+def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeypatch, argv):
+    # tracing starts once the tokens are shuffled, so the peak is what
+    # writing them out costs on top of the tokens themselves
+    real = cli._shuffle
+
+    def shuffle_then_trace(*args):
+        counter = real(*args)
+        tracemalloc.start()
+        return counter
+
+    monkeypatch.setattr(cli, "_shuffle", shuffle_then_trace)
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    paths = {"IN": str(src), "OUT": str(dst)}
+    for N in (2 ** 17, 2 ** 19):
+        text = " ".join("w%07d" % i for i in range(N))
+        src.write_text(text)
+        try:
+            code = main(["shuffle", "--k", "2", *(paths.get(a, a) for a in argv)])
+            scratch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (dst if "OUT" in argv else src).read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+        # the joined text is 1.1 MiB at 2**17 tokens and 4.5 MiB at 2**19
+        assert scratch < 2 << 20, (N, scratch)

@@ -1,10 +1,12 @@
 """Both constructions on every container, checked against the oracle.
 
-For digit reversal, numpy arrays and memmaps take the tiled route of
-revswap_round, lists the scalar pair loop; all must realise the same
-permutation and report the same swap counts.  The tile-edge cases pin the
-shapes where the tile side, the middle digits or the chunking change.
-The modular-inverse rounds run one scalar executor on every container.
+For digit reversal, numpy arrays (object arrays of tokens, as the CLI
+holds them, included) and memmaps take the tiled route of revswap_round,
+lists the scalar pair loop; all must realise the same permutation and
+report the same swap counts.  The tile-edge cases pin the shapes where the
+tile side, the middle digits or the chunking change.  The modular-inverse
+rounds swap by fancy indexing with the int64-lane partners on every
+ndarray, and through the scalar executor on lists.
 """
 
 import tracemalloc
@@ -29,7 +31,7 @@ from shuffleworks.shuffle_modinv import OpCounter, shuffle_modinv, swap_count_mo
 # One power of each k whose two rounds split into tiles with and without
 # middle digits.
 POWERS = {2: 13, 3: 8, 4: 6, 5: 5}
-CONTAINERS = ["list", "ndarray", "void", "memmap"]
+CONTAINERS = ["list", "ndarray", "void", "object", "memmap"]
 SIZES = [1, 3, 8, 16]
 
 
@@ -43,8 +45,9 @@ def payload(N, size):
 
 def container(kind, N, k, size, tmp_path):
     data = payload(N, size)
-    if kind == "list":
-        return [data[i * size:(i + 1) * size] for i in range(N)]
+    if kind in ("list", "object"):
+        items = [data[i * size:(i + 1) * size] for i in range(N)]
+        return items if kind == "list" else np.array(items, dtype=object)
     if kind == "ndarray":
         return np.frombuffer(data, dtype=record_dtype(size)).copy()
     if kind == "void":
