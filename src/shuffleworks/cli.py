@@ -84,7 +84,7 @@ def cmd_shuffle(args) -> int:
         # afterwards.  Records between files, IN itself included, shuffle
         # OUT's mapped body, which OUT gets only once the checks below have
         # passed; until the real header is written last, both readers refuse
-        # OUT.  Tokens go in an ndarray, as records do; onto IN they replace it whole.
+        # OUT.  Tokens are 16-byte (start, end) records; onto IN they replace it whole.
         array = None
         if fin is not None and to_file and (onto_src or _mappable(fin, dst)):
             N, header_k, size = recordfile.read_header(fin)
@@ -99,9 +99,9 @@ def cmd_shuffle(args) -> int:
             array = rf.records  # a view of data, which is written back out whole
             N, header_k, finish = rf.n_records, rf.k, lambda: _write(dst, data)
         else:
-            array = np.array(_read_text(src).split(), dtype=object)
-            N, header_k = len(array), 2
-            finish = lambda: (_replace if onto_src else _write)(dst, array, "\n" if len(array) else "")
+            codes, edges = _read_tokens(src)
+            array, N, header_k = edges.view("V16"), len(edges) // 2, 2
+            finish = lambda: (_replace if onto_src else _write)(dst, _token_text(codes, edges))
         spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
         if array is None:
             array = recordfile.copy_records(fin, dst, N, size, onto_src)
@@ -149,19 +149,78 @@ def _read_binary(fh) -> bytearray:
 
 
 _TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
-_TOKEN_SLICE = 1 << 16  # tokens per joined str: at most _TEXT_SLICE characters while they average 15 or fewer
+_CODE_CHUNK = 1 << 16  # code units per step of the token split, and at most per step of the output gather
+_TOKEN_CHUNK = 1 << 13  # tokens per step of the output gather
+# Whether a code point is in a token: str.split's separators lie below U+3001, so 0x3001 stands for wider codes.
+_IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("U1"))  # code points as 1-character strs
 
 
-def _write(path: str | int | None, *chunks: str | np.ndarray | bytearray) -> None:
+def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """The text at path (or stdin) as codes, and the offsets where its str.split tokens start and end.
+
+    ASCII text becomes uint8 codes, any other "<u4" code points, lone
+    surrogates included.  The int64 edges alternate start and end: one pass
+    over _CODE_CHUNK code units at a time counts them and a second stores
+    them, so only the result is held whole.
+    """
+    text = _read_text(path)
+    codes = np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else \
+        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    del text
+
+    def changes(lo):  # whether each code unit of the chunk at lo starts or ends a token
+        chunk = codes[max(lo - 1, 0):lo + _CODE_CHUNK]
+        in_token = np.take(_IN_TOKEN, chunk if chunk.itemsize == 1 else np.minimum(chunk, len(_IN_TOKEN) - 1))
+        return np.diff(in_token, prepend=False) if lo == 0 else in_token[1:] != in_token[:-1]
+
+    n = sum(np.count_nonzero(changes(lo)) for lo in range(0, len(codes), _CODE_CHUNK))
+    edges = np.empty(n + n % 2, np.int64)
+    edges[n:] = len(codes)  # a token that runs to the end of the text
+    at = 0
+    for lo in range(0, len(codes), _CODE_CHUNK):
+        found = np.flatnonzero(changes(lo))
+        edges[at:at + len(found)] = found + lo
+        at += len(found)
+    return codes, edges
+
+
+def _token_text(codes: np.ndarray, edges: np.ndarray):
+    """The tokens at edges in codes as strs, each followed by a space and the last by a newline.
+
+    At most _TOKEN_CHUNK tokens and _CODE_CHUNK code units go through one
+    buffer at a time; a longer token is decoded on its own.
+    """
+    codec, n, i = "ascii" if codes.itemsize == 1 else "utf-32-le", len(edges) // 2, 0
+    index = np.empty(_CODE_CHUNK, np.int64)
+    while i < n:
+        start, end = edges[2 * i:2 * (i + _TOKEN_CHUNK):2], edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2]
+        stop = np.cumsum(end - start + 1)  # where each token and its separator end in the buffer
+        take = int(np.searchsorted(stop, _CODE_CHUNK, "right"))
+        i += max(take, 1)
+        if not take:
+            yield from (str(codes[start[0]:end[0]], codec, "surrogatepass"), " " if i < n else "\n")
+            continue
+        start, end, stop = start[:take], end[:take], stop[:take]
+        steps = index[:stop[-1]]  # from the code unit each buffer position takes to the next one's
+        steps.fill(1)
+        steps[0], steps[stop[:-1]] = start[0], start[1:] - end[:-1]
+        out = codes.take(np.cumsum(steps, out=steps), mode="clip")  # the last separator may lie past codes
+        out[stop - 1] = ord(" ")
+        out[-1] = ord(" " if i < n else "\n")
+        yield str(out, codec, "surrogatepass")
+
+
+def _write(path: str | int | None, *chunks) -> None:
     """Write text or byte chunks to path (or open file descriptor), or to stdout for None and "-".
 
-    A text chunk is a str, or an array of tokens to separate by spaces.  A
-    text stream encodes each str it gets into one bytes copy, so text and
-    tokens go out in slices; bytes go out whole, as slicing a bytearray copies it.
+    A text chunk is a str or an iterable of strs.  A text stream encodes
+    each str it gets into one bytes copy, so text goes out in slices;
+    bytes go out whole, as slicing a bytearray copies it.
     """
-    binary = not isinstance(chunks[0], (str, np.ndarray))
+    binary = isinstance(chunks[0], bytearray)
     if not binary:
-        chunks = (s[i:i + _TEXT_SLICE] for c in chunks for s in _strs(c) for i in range(0, len(s), _TEXT_SLICE))
+        strs = (s for c in chunks for s in ((c,) if isinstance(c, str) else c))
+        chunks = (s[i:i + _TEXT_SLICE] for s in strs for i in range(0, len(s), _TEXT_SLICE))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
@@ -169,17 +228,7 @@ def _write(path: str | int | None, *chunks: str | np.ndarray | bytearray) -> Non
             fh.writelines(chunks)
 
 
-def _strs(text: str | np.ndarray):
-    """text itself, or its tokens joined by spaces _TOKEN_SLICE at a time."""
-    if isinstance(text, str):
-        yield text
-        return
-    for i in range(0, len(text), _TOKEN_SLICE):
-        yield " " * (i > 0)
-        yield " ".join(text[i:i + _TOKEN_SLICE])
-
-
-def _replace(path: str, *chunks: str | np.ndarray) -> None:
+def _replace(path: str, *chunks) -> None:
     """_write chunks into a new file beside path, then rename it over path.
 
     An interrupted run leaves path as it was.  The new file takes the

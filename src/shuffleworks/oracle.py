@@ -84,11 +84,3 @@ def enumerate_involutions(n: int):
 
     for pairs in match(tuple(range(n))):
         yield Involution.from_pairs(n, pairs)
-
-
-def telephone_number(n: int) -> int:
-    """Number of involutions of n points: T(n) = T(n-1) + (n-1)*T(n-2)."""
-    a, b = 1, 1
-    for i in range(2, n + 1):
-        a, b = b, b + (i - 1) * a
-    return b if n >= 1 else 1

@@ -952,3 +952,34 @@ def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeyp
         assert (dst if "OUT" in argv else src).read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
         # the joined text is 1.1 MiB at 2**17 tokens and 4.5 MiB at 2**19
         assert scratch < 2 << 20, (N, scratch)
+
+
+def test_lines_pass_undecodable_stdin_bytes_through(monkeypatch):
+    # a stream decoding with surrogateescape turns b"\xff" into "\udcff";
+    # the bytes expected are what the str-token route printed
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a\xff b c d"), "utf-8", "surrogateescape"))
+    sink, err = io.BytesIO(), io.StringIO()
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(sink, "utf-8", "surrogateescape", write_through=True))
+    monkeypatch.setattr("sys.stderr", err)
+    assert main(["shuffle"]) == 0
+    assert sink.getvalue() == b"a\xff c b d\n"
+    assert err.getvalue() == ""
+
+
+def test_lines_in_place_scratch_is_the_text_and_16_bytes_a_token(tmp_path, capsys):
+    # one str per token cost about 57 B each, and a second copy of the
+    # (start, end) offsets would cost 16 B more
+    src = tmp_path / "in.txt"
+    for N in (2 ** 17, 2 ** 19):
+        text = " ".join("w%07d" % i for i in range(N))
+        src.write_text(text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["shuffle", "--in-place", str(src)])
+            scratch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert src.read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+        assert scratch < len(text) + 16 * N + (2 << 20), (N, scratch, len(text) + 16 * N)

@@ -1,4 +1,5 @@
-"""CLI fuzz: malformed record containers and flag combinations never crash.
+"""CLI fuzz: malformed record containers and flag combinations never crash,
+and lines mode splits and shuffles any text as str.split and the oracle do.
 
 Every run must end in one of the documented exit codes for a shuffle
 (0 success, 2 unparsable input, 3 arity mismatch, 4 overflow) and print no
@@ -14,8 +15,11 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from shuffleworks import cli
 from shuffleworks.cli import main
+from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.recordfile import MAGIC, VERSION
+from test_cli import SEPARATORS
 
 
 def mostly(valid, bad):
@@ -75,3 +79,32 @@ def test_cli_survives_malformed_containers_and_flag_mixes(h, f):
             code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+# ASCII, Latin-1, the rest of the BMP, astral planes and every separator:
+# lines mode keeps ASCII text as bytes and anything wider as code points.
+text_chars = st.one_of(
+    st.characters(max_codepoint=0x7f),
+    st.characters(min_codepoint=0x80, max_codepoint=0xff),
+    st.characters(min_codepoint=0x100, max_codepoint=0xffff),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from(SEPARATORS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(text_chars, max_size=60), k=st.integers(2, 4),
+       method=st.sampled_from(["auto", "modinv", "oracle"]), small_chunks=st.booleans())
+def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks):
+    # small chunks put chunk edges inside tokens and make tokens longer than the output buffer
+    chunks = mock.patch.multiple(cli, _CODE_CHUNK=8, _TOKEN_CHUNK=3) if small_chunks else contextlib.nullcontext()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with chunks, mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(["shuffle", "--k", str(k), "--method", method])
+    tokens = text.split()
+    if len(tokens) % k:
+        assert (code, stdout.getvalue()) == (3, ""), stderr.getvalue()
+    else:
+        assert (code, stderr.getvalue()) == (0, "")
+        assert stdout.getvalue() == (" ".join(oracle_shuffle(tokens, k)) + "\n" if tokens else "")

@@ -8,9 +8,16 @@ from shuffleworks.oracle import (
     inshuffle_permutation,
     oracle_apply,
     oracle_shuffle,
-    telephone_number,
 )
 from shuffleworks.perm_core import Permutation, is_involution
+
+
+def telephone_number(n: int) -> int:
+    """Number of involutions of n points: T(n) = T(n-1) + (n-1)*T(n-2)."""
+    a, b = 1, 1
+    for i in range(2, n + 1):
+        a, b = b, b + (i - 1) * a
+    return b if n >= 1 else 1
 
 
 def test_two_way_shuffle_interleaves_the_halves():
