@@ -22,12 +22,11 @@ import numpy as np
 
 from . import recordfile
 from .involution_factor import factor_permutation
-from .network import build_network, emit_dot, emit_text
+from .network import apply_network, build_network, emit_dot, emit_text
 from .oracle import oracle_apply, oracle_shuffle
 from .perm_core import (
     OpCounter,
     Permutation,
-    apply_pair_in_place,
     cycle_decompose,
     cycle_notation,
 )
@@ -372,9 +371,8 @@ def cmd_selftest(args) -> int:
         perm = list(range(N))
         rng.shuffle(perm)
         p = Permutation(perm)
-        pair = factor_permutation(p)
         arr = list(range(N))
-        apply_pair_in_place(arr, pair.s, pair.t)
+        apply_network(arr, build_network("factorization", p))
         check(arr == oracle_apply(p, list(range(N))), "factor round trip N=%d" % N)
     for what in failures:
         print("FAIL %s" % what, file=sys.stderr)

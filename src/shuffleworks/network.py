@@ -107,14 +107,16 @@ def parse_text(text: str) -> SwapNetwork:
         declared = int(fields["swaps"])
     except (KeyError, ValueError) as exc:
         raise ValueError("malformed header %r" % lines[1]) from exc
+    if n_positions < 0:
+        raise ValueError("negative network size N=%d" % n_positions)
     rounds = []
     for line in lines[2:]:
         line = line.strip()
         if not line:
             continue
         head, _, body = line.partition(":")
-        if not head.startswith("round"):
-            raise ValueError("unexpected line %r" % line)
+        if head.split() != ["round", str(len(rounds))]:
+            raise ValueError("expected round %d, got %r" % (len(rounds), line))
         swaps = []
         tokens = body.split(")")
         for token in tokens:
@@ -147,9 +149,8 @@ def emit_dot(net: SwapNetwork) -> str:
     exactly one bold edge between its two rails; rails are dotted.
     """
     cols = len(net.rounds) + 1
-    inv = [0] * net.n_positions
-    for src, pos in enumerate(network_permutation(net).map):
-        inv[pos] = src
+    origin = list(range(net.n_positions))
+    apply_network(origin, net)
     out = [
         'graph "%s" {' % net.label,
         "  rankdir=RL;",
@@ -161,7 +162,7 @@ def emit_dot(net: SwapNetwork) -> str:
             if c == 0:
                 row.append(' p%d_r%d [label="%d"];' % (pos, c, pos))
             elif c == cols - 1:
-                row.append(' p%d_r%d [label="%d"];' % (pos, c, inv[pos]))
+                row.append(' p%d_r%d [label="%d"];' % (pos, c, origin[pos]))
             else:
                 row.append(" p%d_r%d [shape=point];" % (pos, c))
         row.append(" }")

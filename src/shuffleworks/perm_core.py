@@ -13,7 +13,7 @@ in exactly two rounds of swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _check_index_map(map_: tuple[int, ...]) -> None:
@@ -56,8 +56,8 @@ class Permutation:
 class Involution(Permutation):
     """A self-inverse permutation.
 
-    The transposition and fixed-point views are derived from the map on
-    first use, so the map stays the single source of truth.
+    The transposition view is derived from the map on first use, so the
+    map stays the single source of truth.
     """
 
     def __init__(self, map_: Iterable[int], check: bool = True):
@@ -84,14 +84,6 @@ class Involution(Permutation):
                 (i, v) for i, v in enumerate(self.map) if i < v
             )
         return self._transpositions
-
-    @property
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.map) if i == v)
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(range(n), check=False)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -131,17 +123,6 @@ def cycle_decompose(p: Permutation) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def permutation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-    """Rebuild a permutation of n points from disjoint cycles."""
-    m = list(range(n))
-    for cycle in cycles:
-        for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-            if m[a] != a:
-                raise ValueError("cycles are not disjoint at %d" % a)
-            m[a] = b
-    return Permutation(m)
-
-
 def is_involution(p: Permutation) -> bool:
     m = p.map
     return all(m[v] == i for i, v in enumerate(m))
@@ -176,42 +157,10 @@ def swap_pairs(array, pairs: Iterable[tuple[int, int]]) -> int:
     return swaps
 
 
-def apply_involution_in_place(array, inv: Involution) -> None:
-    """Realise inv on array by swapping each transposed pair once."""
-    if len(array) != inv.size:
-        raise ValueError("array length %d != involution size %d" % (len(array), inv.size))
-    swap_pairs(array, inv.transpositions)
-
-
-def apply_pair_in_place(array, s: Involution, t: Involution) -> None:
-    """Apply t then s, realising the product permutation compose(s, t).
-
-    The element starting at position x ends at s.map[t.map[x]].
-    """
-    if s.size != t.size:
-        raise ValueError("involution sizes differ")
-    apply_involution_in_place(array, t)
-    apply_involution_in_place(array, s)
-
-
 def cycle_notation(p: Permutation) -> str:
-    """Cycle string like ``(0)(1 12)(2 11)``; the identity prints ``()``."""
+    """Cycle string like ``(0)(1 12)(2 11)``; a permutation that moves nothing prints ``()``."""
     cycles = cycle_decompose(p)
     if all(len(c) == 1 for c in cycles):
         return "()"
     return "".join("(%s)" % " ".join(str(x) for x in c) for c in cycles)
 
-
-def parse_cycle_notation(text: str, n: int) -> Permutation:
-    """Inverse of cycle_notation for permutations of n points."""
-    text = text.strip()
-    if text == "()":
-        return identity(n)
-    if not text.startswith("(") or not text.endswith(")"):
-        raise ValueError("malformed cycle string: %r" % text)
-    cycles = []
-    for part in text[1:-1].split(")("):
-        if not part.strip():
-            raise ValueError("empty cycle in %r" % text)
-        cycles.append([int(tok) for tok in part.replace(",", " ").split()])
-    return permutation_from_cycles(n, cycles)

@@ -71,7 +71,6 @@ class ShuffleSpec:
 
     N: int
     k: int
-    M: int
     n: int | None
     powers: tuple[int, ...]
 
@@ -85,36 +84,11 @@ class ShuffleSpec:
             raise OverflowError("N=%d exceeds the index arithmetic limit" % N)
         n = exact_log(N, k)
         powers = power_table(k, n) if n is not None else ()
-        return cls(N, k, N // k, n, powers)
+        return cls(N, k, n, powers)
 
     @property
     def m(self) -> int:
         return self.N - 1
-
-    @classmethod
-    def for_power(cls, k: int, n: int) -> "ShuffleSpec":
-        if n < 1:
-            raise ValueError("exponent must be at least 1")
-        spec = cls.for_length(k ** n, k)
-        assert spec.n == n
-        return spec
-
-
-def rev_digits(i: int, t: int, spec: ShuffleSpec) -> int:
-    """Reverse the t least significant base-k digits of the n-digit index i."""
-    if spec.n is None:
-        raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
-    if not 0 <= i < spec.N:
-        raise ValueError("index %d out of range" % i)
-    if not 0 <= t <= spec.n:
-        raise ValueError("digit count %d out of range" % t)
-    k = spec.k
-    head, low = divmod(i, spec.powers[t])
-    rev = 0
-    for _ in range(t):
-        low, digit = divmod(low, k)
-        rev = rev * k + digit
-    return head * spec.powers[t] + rev
 
 
 def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = None):

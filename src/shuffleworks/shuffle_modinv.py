@@ -12,7 +12,7 @@ no digit structure required.
 
 Each J_r(x) costs one extended-Euclid run on (x, m), whose Bezout
 coefficient of x gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per
-shuffle.  ext_gcd is the scalar reference (j_map, mod_inverse).  The
+shuffle.  ext_gcd is the scalar reference, which j_map uses.  The
 rounds run Euclid for 256 positions at a time in lockstep int64 lanes, in
 14 KiB of state, counting a step only where both remainders are
 non-zero: the OpCounter (from perm_core) gets ext_gcd's counts exactly.
@@ -52,18 +52,6 @@ def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int]
         counter.gcd_calls += 1
         counter.euclid_iterations += steps
     return r0, s0
-
-
-def mod_inverse(a: int, m: int, counter: OpCounter | None = None) -> int:
-    """The inverse of a modulo m, in 0..m-1.  mod_inverse(anything, 1) is 0."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return 0
-    g, u = ext_gcd(a % m, m, counter)
-    if g != 1:
-        raise ValueError("%d is not invertible modulo %d" % (a, m))
-    return u % m
 
 
 def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -> int:

@@ -182,7 +182,7 @@ def test_criterion_05_mirror_pairing_golden_tables(check):
                 inv = factor_permutation(Permutation([(i + 1) % n for i in range(n)]), k).s
                 if set(inv.transpositions) != want_pairs:
                     problems.append("n=%d axis=%d pairs differ" % (n, k))
-                if set(inv.fixed_points) != want_fixed:
+                if {i for i, v in enumerate(inv.map) if i == v} != want_fixed:
                     problems.append("n=%d axis=%d fixed points differ" % (n, k))
 
     check(5, "mirror pairings match the golden tables", 1.0, body)

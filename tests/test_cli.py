@@ -18,8 +18,10 @@ import pytest
 from shuffleworks import cli, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
-from shuffleworks.perm_core import compose, parse_cycle_notation
+from shuffleworks.perm_core import compose
 from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_file, parse_record_file
+
+from _reference import parse_cycle_notation
 
 FIGURE_TOKENS = "a b c d e f 1 2 3 4 5 6"
 FIGURE_SHUFFLED = "a 1 b 2 c 3 d 4 e 5 f 6"

@@ -15,9 +15,11 @@ from shuffleworks.network import (
     parse_text,
 )
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
-from shuffleworks.perm_core import Involution, Permutation, identity
-from shuffleworks.shuffle_bitrev import ShuffleSpec, rev_digits, revswap_pairs
+from shuffleworks.perm_core import Involution, Permutation
+from shuffleworks.shuffle_bitrev import ShuffleSpec, revswap_pairs
 from shuffleworks.shuffle_modinv import j_map, modinv_pairs
+
+from _reference import rev_digits
 
 
 def test_parse_text_names_the_overlapping_round():
@@ -50,7 +52,7 @@ def test_network_rounds_are_the_pair_sources():
     # each round is its construction's pair source, and both agree with
     # the pairs recomputed position by position
     for k, n in ((2, 1), (2, 6), (3, 4), (4, 3), (5, 2)):
-        spec = ShuffleSpec.for_power(k, n)
+        spec = ShuffleSpec.for_length(k ** n, k)
         rounds = build_network("bitrev", spec).rounds
         digits = (n - 1, n)
         assert rounds == tuple(tuple(revswap_pairs(t, spec)) for t in digits)
@@ -80,7 +82,7 @@ def test_networks_realise_the_inshuffle():
 def test_built_rounds_are_disjoint_and_in_range():
     # build_network does not validate what it builds; the pair sources
     # must give disjoint pairs i < j < N on their own
-    specs = [("bitrev", ShuffleSpec.for_power(k, n)) for k in (2, 3, 4, 5) for n in range(1, 13) if k ** n <= 4096]
+    specs = [("bitrev", ShuffleSpec.for_length(k ** n, k)) for k in (2, 3, 4, 5) for n in range(1, 13) if k ** n <= 4096]
     specs += [("modinv", ShuffleSpec.for_length(k * M, k)) for k in (2, 3, 4, 5) for M in range(1, 130, 3)]
     for method, spec in specs:
         net = build_network(method, spec)
@@ -99,7 +101,7 @@ def test_factorization_network():
         net = build_network("factorization", p)
         assert len(net.rounds) == 2
         assert network_permutation(net) == p
-    net = build_network("factorization", identity(3))
+    net = build_network("factorization", Permutation(range(3)))
     assert net.rounds == ((), ())
 
 
@@ -131,7 +133,7 @@ def test_emit_text_golden():
 
 
 def test_emit_text_keeps_empty_rounds_visible():
-    net = build_network("factorization", identity(3))
+    net = build_network("factorization", Permutation(range(3)))
     assert emit_text(net) == (
         TEXT_FORMAT_LINE + "\nN=3 method=factorization swaps=0\nround 0:\nround 1:\n"
     )
@@ -161,6 +163,9 @@ def test_text_round_trip_is_byte_stable():
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 1)\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1\n",
         "# shuffleworks-net v1\nN=4 method=x swaps=1\nswaps (0 1)\n",
+        "# shuffleworks-net v1\nN=-3 method=x swaps=0\n",
+        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 7: (0 1)\n",
+        "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 1: (0 1)\nround 0: (2 3)\n",
     ],
 )
 def test_parse_text_rejects_malformed_input(text):

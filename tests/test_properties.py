@@ -18,11 +18,9 @@ from shuffleworks.perm_core import (
     cycle_decompose,
     cycle_notation,
     is_involution,
-    parse_cycle_notation,
 )
 from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
-    rev_digits,
     revswap_pairs,
     rotation_cost,
     rotation_plan,
@@ -30,12 +28,14 @@ from shuffleworks.shuffle_bitrev import (
 )
 from shuffleworks.shuffle_modinv import j_map, shuffle_modinv
 
+from _reference import parse_cycle_notation, rev_digits
+
 permutations = st.integers(0, 40).flatmap(
     lambda n: st.permutations(list(range(n))))
 
 power_specs = st.tuples(st.integers(2, 5), st.integers(1, 6)).filter(
     lambda kn: kn[0] ** kn[1] <= 4096).map(
-    lambda kn: ShuffleSpec.for_power(*kn))
+    lambda kn: ShuffleSpec.for_length(kn[0] ** kn[1], kn[0]))
 
 
 @given(permutations)

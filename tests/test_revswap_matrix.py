@@ -67,7 +67,7 @@ def as_list(array):
 @pytest.mark.parametrize("k", sorted(POWERS))
 @pytest.mark.parametrize("kind", CONTAINERS)
 def test_shuffle_power_matches_oracle(kind, k, size, tmp_path):
-    spec = ShuffleSpec.for_power(k, POWERS[k])
+    spec = ShuffleSpec.for_length(k ** POWERS[k], k)
     array = container(kind, spec.N, k, size, tmp_path)
     want = oracle_shuffle(as_list(array), k)
     assert shuffle_power(array, spec) == swap_counts(spec)
@@ -143,7 +143,7 @@ def largest_tile_side(k):
 def test_every_digit_count_past_the_largest_tile(k):
     b = largest_tile_side(k)
     n = 2 * b + 3
-    spec = ShuffleSpec.for_power(k, n)
+    spec = ShuffleSpec.for_length(k ** n, k)
     for t in range(n + 1):
         array = np.arange(spec.N, dtype=np.uint32)
         partner = reversal_reference(spec.N, k, t)
@@ -154,7 +154,7 @@ def test_every_digit_count_past_the_largest_tile(k):
 
 @pytest.mark.parametrize("k, n", [(2, 15), (3, 9)])
 def test_round_counts_match_the_scalar_loop(k, n):
-    spec = ShuffleSpec.for_power(k, n)
+    spec = ShuffleSpec.for_length(k ** n, k)
     for t in range(n + 1):
         lst = list(range(spec.N))
         arr = np.arange(spec.N, dtype=np.int64)
@@ -168,7 +168,7 @@ def test_round_counts_match_the_scalar_loop(k, n):
 def test_mids_span_several_chunks():
     # 2**17 eight-byte records: the full-width round has 2**5 middle
     # values of 2**12-element tiles, more than one chunk holds.
-    spec = ShuffleSpec.for_power(2, 17)
+    spec = ShuffleSpec.for_length(2 ** 17, 2)
     tile_bytes = _TILE_ELEMS * 8
     mids = (2 ** 5 + 2 ** 3) // 2  # middle values up to their reversal
     assert mids * tile_bytes > 2 * _CHUNK_BYTES
@@ -179,7 +179,7 @@ def test_mids_span_several_chunks():
 
 def test_small_digit_counts_on_many_blocks_stay_chunked():
     # t=2 on 2**20 positions: one 2x2 tile per block, 2**18 blocks
-    spec = ShuffleSpec.for_power(2, 20)
+    spec = ShuffleSpec.for_length(2 ** 20, 2)
     array = np.arange(spec.N, dtype=np.uint64)
     tracemalloc.start()
     try:
@@ -196,7 +196,7 @@ def test_small_digit_counts_on_many_blocks_stay_chunked():
 def test_shuffle_power_scratch_is_bounded(n, size):
     # both arrays are 8 MiB; a full 2**12-record tile of the 1 KiB records
     # alone would be half of it
-    spec = ShuffleSpec.for_power(2, n)
+    spec = ShuffleSpec.for_length(2 ** n, 2)
     array = np.frombuffer(np.arange(spec.N * size // 8, dtype=np.uint64), dtype=record_dtype(size)).copy()
     want = oracle_shuffle(array.copy(), 2)
     tracemalloc.start()

