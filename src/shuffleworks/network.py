@@ -98,9 +98,10 @@ def parse_text(text: str) -> SwapNetwork:
         raise ValueError("missing format line %r" % TEXT_FORMAT_LINE)
     if len(lines) < 2:
         raise ValueError("missing header line")
-    fields = dict(
-        item.split("=", 1) for item in lines[1].split() if "=" in item
-    )
+    items = [item.split("=", 1) for item in lines[1].split() if "=" in item]
+    fields = dict(items)
+    if len(fields) != len(items):
+        raise ValueError("repeated key in header %r" % lines[1])
     try:
         n_positions = int(fields["N"])
         label = fields["method"]
@@ -118,7 +119,9 @@ def parse_text(text: str) -> SwapNetwork:
         if head.split() != ["round", str(len(rounds))]:
             raise ValueError("expected round %d, got %r" % (len(rounds), line))
         swaps = []
-        tokens = body.split(")")
+        *tokens, tail = body.split(")")
+        if tail.strip():
+            raise ValueError("unclosed swap %r in round %d" % (tail.strip(), len(rounds)))
         for token in tokens:
             token = token.strip()
             if not token:

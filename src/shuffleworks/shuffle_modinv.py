@@ -10,15 +10,19 @@ gives J_k(J_1(x)) = k*x mod m, the in-shuffle, so two rounds of swaps
 (first along J_1, then along J_k) shuffle any multiple-of-k length with
 no digit structure required.
 
-Each J_r(x) costs one extended-Euclid run on (x, m), whose Bezout
-coefficient of x gives g and (x/g)^-1 mod m/g at once: 2(N-2) runs per
-shuffle.  ext_gcd is the scalar reference, which j_map uses.  The
-rounds run Euclid for 256 positions at a time in lockstep int64 lanes, in
-14 KiB of state, counting a step only where both remainders are
-non-zero: the OpCounter (from perm_core) gets ext_gcd's counts exactly.
+Each J_r(x) comes from one extended-Euclid run on (x, m), whose Bezout
+coefficient of x gives g and (x/g)^-1 mod m/g at once.  As gcd(m-x, m)
+= gcd(x, m) = g and (m-x)/g = -x/g mod m/g, J_r(m-x) = m - J_r(x), so the
+rounds run Euclid only for x in 1..m//2: about N-2 runs per shuffle, not
+2(N-2).  ext_gcd is the scalar reference, which j_map uses.  The rounds
+run Euclid for 256 positions at a time in lockstep int64 lanes, in 14 KiB
+of state, counting a step only where both remainders are non-zero.  The
+OpCounter (from perm_core) still gets ext_gcd's counts for every position
+taken: for x < m/2, ext_gcd(m-x, m) takes one step more than ext_gcd(x,
+m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
 k*(N-1) must be below 2**63, or the rounds raise OverflowError at once.
-numpy arrays swap a chunk's pairs by fancy indexing; modinv_pairs yields
-them in ascending x for sequences, swap_count_modinv and networks.
+numpy arrays swap a chunk's pairs and its mirrors' by fancy indexing;
+modinv_pairs yields them in ascending x for sequences and networks.
 """
 
 from __future__ import annotations
@@ -72,51 +76,65 @@ def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -
 _LANES = 256  # positions per lockstep Euclid chunk
 
 
-def _j_chunks(r: int, spec: ShuffleSpec, counter: OpCounter | None):
-    """Yield (lo, keep, J) per chunk of up to 256 positions lo, lo+1, ... in 1..N-2.
+def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None, descending: bool = False):
+    """Yield (lo, x, J) per r in rs and chunk: x = lo, lo+1, ..., up to 256 of 1..m//2, J = J_r(x).
 
-    keep marks the x with x < J_r(x), and J holds those J_r(x).  Lane i runs
-    ext_gcd(lo+i, m) in rows a, s_a, b, s_b (remainders and cofactors of x),
-    taking a %= b and b %= a in turn.
+    The mirrors m-x pair with m-J.  Chunks come in ascending lo, or
+    descending.  x and J are views that the next chunk overwrites; a caller
+    may turn them into m-x and m-J in place.  Lane i runs ext_gcd(lo+i, m)
+    in rows a, s_a, b, s_b (remainders and cofactors of x), taking a %= b
+    and b %= a in turn.  Once a round's last chunk is out, counter gets
+    ext_gcd's counts for all of 1..m-1.
     """
     m = spec.m
     if spec.k * m >= 1 << 63:
         raise OverflowError("k*(N-1) exceeds the int64 Euclid lanes (N=%d, k=%d)" % (spec.N, spec.k))
     state, q, tmp = np.empty((4, _LANES), np.int64), np.empty(_LANES, np.int64), np.empty((2, _LANES), np.int64)
-    for lo in range(1, m, _LANES):
-        n = min(_LANES, m - lo)
-        st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
-        st[0], st[1], st[2], st[3] = np.arange(lo, lo + n), 1, m, 0
-        dst, src, iters = st[:2], st[2:], 0
-        with np.errstate(divide="ignore"):  # a finished lane divides by 0, gets q = 0 and stays put
-            while live := np.count_nonzero(st[::2]) - n:  # lanes with a and b both non-zero
-                iters += live
-                np.floor_divide(dst[0], src[0], out=qn)
-                np.multiply(qn, src, out=tn)
-                np.subtract(dst, tn, out=dst)
-                dst, src = src, dst
-        if counter is not None:
-            counter.euclid_iterations += int(iters)
-            counter.gcd_calls += n
-        np.copyto(tn, st[2:])  # g and u: the remainder that is not 0, and its cofactor
-        np.copyto(tn, st[:2], where=st[0] != 0)
-        g, J = tn
-        J *= r
-        J %= np.floor_divide(m, g, out=qn)
-        J *= g
-        keep = J > np.arange(lo, lo + n)
-        yield lo, keep, J[keep]
+    los = range(1, m // 2 + 1, _LANES)
+    for r in rs:
+        lanes = 0
+        for lo in reversed(los) if descending else los:
+            n = min(_LANES, m // 2 + 1 - lo)
+            st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
+            st[0], st[1], st[2], st[3] = np.arange(lo, lo + n), 1, m, 0
+            dst, src = st[:2], st[2:]
+            with np.errstate(divide="ignore"):  # a finished lane divides by 0, gets q = 0 and stays put
+                while live := np.count_nonzero(st[::2]) - n:  # lanes with a and b both non-zero
+                    lanes += live
+                    np.floor_divide(dst[0], src[0], out=qn)
+                    np.multiply(qn, src, out=tn)
+                    np.subtract(dst, tn, out=dst)
+                    dst, src = src, dst
+            np.copyto(tn, st[2:])  # g and u: the remainder that is not 0, and its cofactor
+            np.copyto(tn, st[:2], where=st[0] != 0)
+            g, J = tn
+            J *= r
+            J %= np.floor_divide(m, g, out=qn)
+            J *= g
+            x = st[0]  # free once the lanes are done
+            x[:] = np.arange(lo, lo + n)
+            yield lo, x, J
+        if counter is not None and m > 1:
+            counter.euclid_iterations += 2 * int(lanes) + (m - 1) // 2 - (2 if m % 2 == 0 else 0)
+            counter.gcd_calls += m - 1
 
 
 def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
     """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
 
     Positions 0 and N-1 are never paired.  r must be 1 or k, which are
-    coprime to m = N - 1.  The Euclid work of every J_r value computed
-    goes to counter.
+    coprime to m = N - 1.  The pairs with x <= m/2 come from the chunks in
+    ascending order; the rest are (m-x, m-J_r(x)) for the x with J_r(x) < x,
+    from a second walk in descending order.  The Euclid work of every J_r
+    value taken goes to counter.
     """
-    for lo, keep, J in _j_chunks(r, spec, counter):
-        yield from zip((np.flatnonzero(keep) + lo).tolist(), J.tolist())
+    m = spec.m
+    for descending, counted in ((False, None), (True, counter)):
+        for _, x, J in _j_chunks(spec, (r,), counted, descending):
+            if descending:
+                x, J = m - x[::-1], m - J[::-1]
+            keep = J > x
+            yield from zip(x[keep].tolist(), J[keep].tolist())
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
@@ -127,12 +145,15 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     """
     spec = ShuffleSpec.for_length(len(array), k)
     if isinstance(array, np.ndarray):
-        swaps = 0
-        for r in (1, k):
-            for lo, keep, J in _j_chunks(r, spec, counter):
-                xs = array[lo:lo + len(keep)]  # pairs within a round are disjoint
-                xs[keep], array[J] = array[J], xs[keep]
-                swaps += len(J)
+        swaps, m = 0, spec.m
+        for lo, x, J in _j_chunks(spec, (1, k), counter):
+            for xs in (array[lo:lo + len(x)], array[m - lo:m - lo - len(x):-1]):  # x, then m-x
+                keep = J > x
+                ys = J[keep]
+                xs[keep], array[ys] = array[ys], xs[keep]  # pairs within a round are disjoint
+                swaps += len(ys)
+                np.subtract(m, x, out=x)
+                np.subtract(m, J, out=J)
     else:
         swaps = sum(swap_pairs(array, modinv_pairs(r, spec, counter)) for r in (1, k))
     if counter is not None:
@@ -146,7 +167,7 @@ def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:
     counter receives the same tally shuffle_modinv would give it.
     """
     spec = ShuffleSpec.for_length(N, k)
-    total = sum(1 for r in (1, k) for _ in modinv_pairs(r, spec, counter))
+    total = sum(int(np.count_nonzero(J != x)) for _, x, J in _j_chunks(spec, (1, k), counter))
     if counter is not None:
         counter.swaps += total
         counter.rounds += 2

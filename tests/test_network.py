@@ -173,6 +173,20 @@ def test_parse_text_rejects_malformed_input(text):
         parse_text(text)
 
 
+def test_parse_text_rejects_an_unclosed_swap():
+    head = TEXT_FORMAT_LINE + "\nN=4 method=x swaps=2\nround 0: (0 1) "
+    assert parse_text(head + "(2 3)\n").rounds == (((0, 1), (2, 3)),)
+    with pytest.raises(ValueError, match="unclosed swap"):
+        parse_text(head + "(2 3\n")
+
+
+def test_parse_text_rejects_a_repeated_header_key():
+    body = " method=x swaps=1\nround 0: (0 8)\n"
+    assert parse_text(TEXT_FORMAT_LINE + "\nN=9" + body).n_positions == 9
+    with pytest.raises(ValueError, match="repeated key"):
+        parse_text(TEXT_FORMAT_LINE + "\nN=4 N=9" + body)
+
+
 def test_dot_output_shape():
     net = build_network("modinv", ShuffleSpec.for_length(27, 3))
     dot = emit_dot(net)

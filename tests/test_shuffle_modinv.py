@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shuffleworks.network import build_network
 from shuffleworks.oracle import oracle_shuffle
@@ -233,6 +234,75 @@ def test_lane_pairs_and_counts_equal_the_scalar_reference():
             want, scalar = _scalar_round(r, spec)
             assert got == want, (N, k, r)
             assert counter == scalar, (N, k, r)
+
+
+# N = k*M whose lanes, which run 1..m//2, end just below, at and just past
+# one and two full 256-lane chunks, with m = N - 1 odd and even
+MIRROR_EDGES = [
+    (N, k) for k in (2, 3, 5, 7) for N in range(k, 1100, k) if (N - 1) // 2 in (255, 256, 257, 511, 512, 513)
+]
+
+
+def _mirror_container(kind, N, tmp_path):
+    values = np.arange(N, dtype=np.uint64) * 7919
+    if kind == "list":
+        return values.tolist()
+    if kind == "void":
+        return values.view(np.dtype((np.void, 8)))
+    if kind == "memmap":
+        mm = np.memmap(tmp_path / "values.bin", dtype=np.uint64, mode="w+", shape=(N,))
+        mm[:] = values
+        return mm
+    return values
+
+
+def test_mirror_edges_take_both_parities_of_m():
+    assert {(N - 1) % 2 for N, _ in MIRROR_EDGES} == {0, 1}
+    assert {(N - 1) // 2 for N, _ in MIRROR_EDGES} == {255, 256, 257, 511, 512, 513}
+
+
+@pytest.mark.parametrize("kind", ["uint64", "void", "memmap", "list"])
+@pytest.mark.parametrize("N, k", MIRROR_EDGES)
+def test_mirror_edges_match_the_oracle_and_the_scalar_counts(N, k, kind, tmp_path):
+    array = _mirror_container(kind, N, tmp_path)
+    want = oracle_shuffle(list(array) if kind == "list" else array.tolist(), k)
+    counter = OpCounter()
+    shuffle_modinv(array, k, counter)
+    assert (array if kind == "list" else array.tolist()) == want
+    counted = OpCounter()
+    assert swap_count_modinv(N, k, counted) == counter.swaps
+    assert counted == counter
+    spec, scalar = ShuffleSpec.for_length(N, k), OpCounter(rounds=2)
+    for r in (1, k):
+        pairs, work = _scalar_round(r, spec)
+        scalar.swaps += len(pairs)
+        scalar.euclid_iterations += work.euclid_iterations
+        scalar.gcd_calls += work.gcd_calls
+    assert counter == scalar
+
+
+def _steps(x, m):
+    counter = OpCounter()
+    ext_gcd(x, m, counter)
+    return counter.euclid_iterations
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_mirror_identities_of_the_scalar_reference(k, data):
+    # J_r(m-x) = m - J_r(x), and ext_gcd(m-x, m) takes one step more than
+    # ext_gcd(x, m) below m/2 (two steps at m/2), for any m under the int64 guard
+    M = data.draw(st.integers(2, ((1 << 63) - 1) // k // k), label="M")
+    spec = ShuffleSpec.for_length(k * M, k)
+    m = spec.m
+    assert k * m < 1 << 63
+    x = data.draw(st.one_of(st.integers(1, m - 1), st.sampled_from([1, m // 2, m - 1])), label="x")
+    r = data.draw(st.sampled_from([1, k]), label="r")
+    assert j_map(r, m - x, spec) == m - j_map(r, x, spec)
+    if 2 * x < m:
+        assert _steps(m - x, m) == _steps(x, m) + 1
+    elif 2 * x == m:
+        assert _steps(x, m) == 2
 
 
 @pytest.mark.parametrize("k", [3, 7])
