@@ -335,15 +335,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_selftest(args) -> int:
-    checks = 0
-    failures = []
-
-    def check(ok: bool, what: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(what)
-
+    results = []  # (passed, what) per check
     rng = random.Random(20240915)
     for N in range(2, args.max_n + 1):
         for k in (2, 3, 4, 5):
@@ -351,32 +343,33 @@ def cmd_selftest(args) -> int:
                 continue
             spec = ShuffleSpec.for_length(N, k)
             expected = oracle_shuffle(list(range(N)), k)
-            got = list(range(N))
-            shuffle_modinv(got, k)
-            check(got == expected, "modinv N=%d k=%d" % (N, k))
-            if spec.n is not None:
-                got = list(range(N))
-                shuffle_power(got, spec)
-                check(got == expected, "bitrev N=%d k=%d" % (N, k))
-            if k == 2:
-                got = list(range(N))
-                shuffle_general_k2(got)
-                check(got == expected, "general N=%d k=%d" % (N, k))
+            for method in ("bitrev", "modinv"):
+                try:
+                    _check(N, k, method, "elements")
+                except ArityFailure:
+                    continue
+                # a list, and ndarrays of a native dtype (as records) and a void one (as tokens)
+                values = np.arange(N, dtype=np.int64)
+                for kind, got in (("list", values.tolist()), ("int64", values.copy()), ("void", values.view("V8"))):
+                    _shuffle(got, spec, method)
+                    got = got if kind == "list" else got.view(np.int64).tolist()
+                    results.append((got == expected, "%s N=%d k=%d %s" % (method, N, k, kind)))
             ok = all(
                 j_map(r, j_map(r, x, spec), spec) == x
                 for r in (1, k)
                 for x in range(spec.m)
             )
-            check(ok, "involution law N=%d k=%d" % (N, k))
+            results.append((ok, "involution law N=%d k=%d" % (N, k)))
         perm = list(range(N))
         rng.shuffle(perm)
         p = Permutation(perm)
         arr = list(range(N))
         apply_network(arr, build_network("factorization", p))
-        check(arr == oracle_apply(p, list(range(N))), "factor round trip N=%d" % N)
+        results.append((arr == oracle_apply(p, list(range(N))), "factor round trip N=%d" % N))
+    failures = [what for passed, what in results if not passed]
     for what in failures:
         print("FAIL %s" % what, file=sys.stderr)
-    print("selftest: %d checks, %d failures" % (checks, len(failures)))
+    print("selftest: %d checks, %d failures" % (len(results), len(failures)))
     return 1 if failures else 0
 
 

@@ -6,11 +6,11 @@ digits, then with the reversal of all n digits.  Chaining the two
 reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
-Each round has one pair source, revswap_pairs.  It visits positions in
-counter order and updates each partner index in O(1) from the carry
-length of the increment, so a round costs O(N) time and O(log N) words of
-state (the counter digits plus the table of powers of k).  Plain
-sequences run its pairs through perm_core.swap_pairs, and build_network
+On lists each round has one pair source, revswap_pairs.  It visits
+positions in counter order and updates each partner index in O(1) from
+the carry length of the increment, so a round costs O(N) time and
+O(log N) words of state (the counter digits plus the table of powers of
+k).  Lists run its pairs through perm_core.swap_pairs, and build_network
 stores them as the rounds of the swap network.  Lengths that are not
 powers of k are handled for k=2 by rotating power-of-two segment pairs
 into adjacency and shuffling each aligned block.
@@ -20,6 +20,7 @@ and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
 split into (hi, mid, lo), and a round becomes swaps of small k**b x k**b
 tiles between mid and its reversal, each tile digit-reversed on both axes
 and transposed.  Tile pairs are gathered a fixed number of bytes at a time,
+and the mid values paired with their reversals a bounded batch at a time,
 so the scratch memory of a round does not grow with N.  The route
 produces the same permutation as the scalar loop and reports the same
 swap count, from its closed form.
@@ -164,18 +165,20 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
-# and fewer for records so large that a chunk holds fewer.
+# and fewer for records so large that a chunk holds fewer.  A round pairs at
+# most this many mid values with their reversals at a time.
 _TILE_ELEMS = 1 << 12
 # Bytes gathered from one side of the tile pairs per step; the step's scratch
 # is a few times this, independent of the array length.
 _CHUNK_BYTES = 1 << 18
 
 
-def _rev_table(k: int, digits: int) -> np.ndarray:
-    """rev[i] = reversal of i's base-k digits, for all i < k**digits."""
-    r = np.zeros(1, dtype=np.intp)
+def _rev(values: np.ndarray, k: int, digits: int) -> np.ndarray:
+    """The reversal of each value's low `digits` base-k digits."""
+    r = np.zeros_like(values)
     for _ in range(digits):
-        r = np.concatenate([k * r + d for d in range(k)])
+        values, d = np.divmod(values, k)
+        r = r * k + d
     return r
 
 
@@ -198,23 +201,26 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step):
         b += 1
     kb = k ** b
-    revb = _rev_table(k, b)
+    revb = _rev(np.arange(kb), k, b)
     tile_perm = (revb[None, :] * kb + revb[:, None]).ravel()
-    revm = _rev_table(k, t - 2 * b)
-    mids = np.flatnonzero(np.arange(revm.size) <= revm)
+    n_mids = spec.powers[t - 2 * b]
     # axes (block, mid, hi, lo)
-    x = array.view(np.ndarray).reshape(blocks, kb, revm.size, kb).transpose(0, 2, 1, 3)
-    mids_per_step = min(mids.size, max(1, step // (kb * kb)))
-    blocks_per_step = max(1, step // (kb * kb * mids_per_step))
-    for h in range(0, blocks, blocks_per_step):
-        xs = x[h:h + blocks_per_step]
-        for c in range(0, mids.size, mids_per_step):
-            mine = mids[c:c + mids_per_step]
-            theirs = revm[mine]
-            here = xs[:, mine]
-            there = xs[:, theirs]
-            xs[:, theirs] = here.reshape(*here.shape[:2], -1).take(tile_perm, axis=2).reshape(here.shape)
-            xs[:, mine] = there.reshape(*there.shape[:2], -1).take(tile_perm, axis=2).reshape(there.shape)
+    x = array.view(np.ndarray).reshape(blocks, kb, n_mids, kb).transpose(0, 2, 1, 3)
+    for first in range(0, n_mids, _TILE_ELEMS):
+        batch = np.arange(first, min(first + _TILE_ELEMS, n_mids))
+        revs = _rev(batch, k, t - 2 * b)
+        keep = batch <= revs
+        mids, revs = batch[keep], revs[keep]
+        mids_per_step = max(1, min(mids.size, step // (kb * kb)))
+        blocks_per_step = max(1, step // (kb * kb * mids_per_step))
+        for h in range(0, blocks, blocks_per_step):
+            xs = x[h:h + blocks_per_step]
+            for c in range(0, mids.size, mids_per_step):
+                mine, theirs = mids[c:c + mids_per_step], revs[c:c + mids_per_step]
+                here = xs[:, mine]
+                there = xs[:, theirs]
+                xs[:, theirs] = here.reshape(*here.shape[:2], -1).take(tile_perm, axis=2).reshape(here.shape)
+                xs[:, mine] = there.reshape(*there.shape[:2], -1).take(tile_perm, axis=2).reshape(there.shape)
     return _round_swaps(spec, t)
 
 

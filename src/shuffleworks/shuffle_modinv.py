@@ -21,8 +21,8 @@ OpCounter (from perm_core) still gets ext_gcd's counts for every position
 taken: for x < m/2, ext_gcd(m-x, m) takes one step more than ext_gcd(x,
 m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
 k*(N-1) must be below 2**63, or the rounds raise OverflowError at once.
-numpy arrays swap a chunk's pairs and its mirrors' by fancy indexing;
-modinv_pairs yields them in ascending x for sequences and networks.
+A chunk's pairs, then its mirrors', swap by fancy indexing on ndarrays and
+through swap_pairs on lists; modinv_pairs yields them x-sorted for networks.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ _LANES = 256  # positions per lockstep Euclid chunk
 
 
 def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None, descending: bool = False):
-    """Yield (lo, x, J) per r in rs and chunk: x = lo, lo+1, ..., up to 256 of 1..m//2, J = J_r(x).
+    """Yield (x, J) per r in rs and chunk: x = lo, lo+1, ..., up to 256 of 1..m//2, J = J_r(x).
 
     The mirrors m-x pair with m-J.  Chunks come in ascending lo, or
     descending.  x and J are views that the next chunk overwrites; a caller
@@ -113,7 +113,7 @@ def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None,
             J *= g
             x = st[0]  # free once the lanes are done
             x[:] = np.arange(lo, lo + n)
-            yield lo, x, J
+            yield x, J
         if counter is not None and m > 1:
             counter.euclid_iterations += 2 * int(lanes) + (m - 1) // 2 - (2 if m % 2 == 0 else 0)
             counter.gcd_calls += m - 1
@@ -130,7 +130,7 @@ def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
     """
     m = spec.m
     for descending, counted in ((False, None), (True, counter)):
-        for _, x, J in _j_chunks(spec, (r,), counted, descending):
+        for x, J in _j_chunks(spec, (r,), counted, descending):
             if descending:
                 x, J = m - x[::-1], m - J[::-1]
             keep = J > x
@@ -144,18 +144,18 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     J_k.  Positions 0 and N-1 are never touched.
     """
     spec = ShuffleSpec.for_length(len(array), k)
-    if isinstance(array, np.ndarray):
-        swaps, m = 0, spec.m
-        for lo, x, J in _j_chunks(spec, (1, k), counter):
-            for xs in (array[lo:lo + len(x)], array[m - lo:m - lo - len(x):-1]):  # x, then m-x
-                keep = J > x
-                ys = J[keep]
-                xs[keep], array[ys] = array[ys], xs[keep]  # pairs within a round are disjoint
-                swaps += len(ys)
-                np.subtract(m, x, out=x)
-                np.subtract(m, J, out=J)
-    else:
-        swaps = sum(swap_pairs(array, modinv_pairs(r, spec, counter)) for r in (1, k))
+    swaps, m = 0, spec.m
+    for x, J in _j_chunks(spec, (1, k), counter):
+        for _ in range(2):  # x, then m-x
+            keep = J > x
+            xs, ys = x[keep], J[keep]
+            if isinstance(array, np.ndarray):
+                array[xs], array[ys] = array[ys], array[xs]  # pairs within a round are disjoint
+            else:
+                swap_pairs(array, zip(xs.tolist(), ys.tolist()))
+            swaps += len(ys)
+            np.subtract(m, x, out=x)
+            np.subtract(m, J, out=J)
     if counter is not None:
         counter.swaps += swaps
         counter.rounds += 2
@@ -167,7 +167,7 @@ def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:
     counter receives the same tally shuffle_modinv would give it.
     """
     spec = ShuffleSpec.for_length(N, k)
-    total = sum(int(np.count_nonzero(J != x)) for _, x, J in _j_chunks(spec, (1, k), counter))
+    total = sum(int(np.count_nonzero(J != x)) for x, J in _j_chunks(spec, (1, k), counter))
     if counter is not None:
         counter.swaps += total
         counter.rounds += 2

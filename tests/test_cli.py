@@ -659,6 +659,25 @@ def test_selftest_reports_injected_fault(capsys, monkeypatch):
     assert "0 failures" not in out
 
 
+def test_selftest_reports_a_fault_in_the_tiled_route(capsys, monkeypatch):
+    # Only ndarrays, as every shuffle --records and --lines run holds them, take the tiled rounds.
+    real = shuffle_bitrev._revswap_round_tiled
+
+    def corrupted(array, t, spec):
+        swaps = real(array, t, spec)
+        if t == spec.n:  # in the last round only, or the two swaps would cancel
+            array[[0, -1]] = array[[-1, 0]]
+        return swaps
+
+    monkeypatch.setattr(shuffle_bitrev, "_revswap_round_tiled", corrupted)
+    code, out, err = run_cli(["selftest", "--max-n", "16"], capsys)
+    assert code == 1
+    fails = err.splitlines()
+    assert fails and all(line.startswith("FAIL bitrev ") for line in fails)
+    assert {line.split()[-1] for line in fails} == {"int64", "void"}
+    assert "0 failures" not in out
+
+
 def test_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["shuffle", "--method", "sideways"])

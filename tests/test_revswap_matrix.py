@@ -207,3 +207,19 @@ def test_shuffle_power_scratch_is_bounded(n, size):
         tracemalloc.stop()
     assert peak < array.nbytes // 4, peak
     assert np.array_equal(array, want)
+
+
+def test_tiled_round_scratch_does_not_grow_with_n():
+    # 2**27 one-byte records have 2**15 middle values per round, which the
+    # round reverses a bounded batch at a time
+    peaks = []
+    for n in (22, 27):
+        array = np.zeros(2 ** n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            shuffle_power(array, ShuffleSpec.for_length(2 ** n, 2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del array
+    assert peaks[1] - peaks[0] < 0.15 * (1 << 20), peaks
