@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
+import locale
+import mmap
 import os
 import random
 import stat
@@ -83,7 +86,7 @@ def cmd_shuffle(args) -> int:
         # afterwards.  Records between files, IN itself included, shuffle
         # OUT's mapped body, which OUT gets only once the checks below have
         # passed; until the real header is written last, both readers refuse
-        # OUT.  Tokens are 16-byte (start, end) records; onto IN they replace it whole.
+        # OUT.  Tokens are 8-byte (start, end) records; onto IN they replace it whole.
         array = None
         if fin is not None and to_file and (onto_src or _mappable(fin, dst)):
             N, header_k, size = recordfile.read_header(fin)
@@ -99,7 +102,7 @@ def cmd_shuffle(args) -> int:
             N, header_k, finish = rf.n_records, rf.k, lambda: _write(dst, data)
         else:
             codes, edges = _read_tokens(src)
-            array, N, header_k = edges.view("V16"), len(edges) // 2, 2
+            array, N, header_k = edges.view("V%d" % (2 * edges.itemsize)), len(edges) // 2, 2
             finish = lambda: (_replace if onto_src else _write)(dst, _token_text(codes, edges))
         spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
         if array is None:
@@ -124,48 +127,66 @@ def _mappable(fin, dst: str) -> bool:
     return not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode)
 
 
-def _read_text(path: str | None) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
-    with open(path, "r") as fh:
-        return fh.read()
+def _read_binary(fh) -> np.ndarray:
+    """The whole of the open binary file fh, or of stdin for None, in one writable uint8 buffer.
 
-
-def _read_binary(fh) -> bytearray:
-    """The whole of the open binary file fh, or of stdin for None, in one writable buffer."""
-    if fh is None:
-        return bytearray(sys.stdin.buffer.read())
-    size = os.fstat(fh.fileno()).st_size
-    if not size:  # pipes state no size
-        return bytearray(fh.read())
-    data, got = bytearray(size), 0
-    with memoryview(data) as view:  # an unbuffered read stops short of 2 GiB on Linux
-        while got < size and (n := fh.readinto(view[got:])):
-            got += n
-    if got != size:
-        raise ParseFailure("%s: short read" % fh.name)
+    Stdin and pipes state no size, so their header is read and checked
+    first and the buffer is the size it promises; a short body or trailing
+    bytes are refused.  The buffer is not zeroed: a header that promises
+    more than is sent costs address space until the short body is found.
+    """
+    size = os.fstat(fh.fileno()).st_size if fh is not None else 0
+    if size:
+        data = np.empty(size, np.uint8)
+        if _fill(fh, data) != size:
+            raise ParseFailure("%s: short read" % fh.name)
+        return data
+    fh = fh or sys.stdin.buffer
+    head = bytearray(recordfile.HEADER_SIZE)
+    n, _, size = recordfile.check_header(head[:_fill(fh, head)])
+    try:
+        data = np.empty(recordfile.HEADER_SIZE + n * size, np.uint8)
+    except MemoryError as exc:
+        raise ParseFailure("header promises %d records of %d bytes, more than memory holds" % (n, size)) from exc
+    data[:recordfile.HEADER_SIZE] = head
+    got = _fill(fh, data[recordfile.HEADER_SIZE:])
+    if got < n * size:
+        raise recordfile.RecordFormatError("body is %d bytes, header promises %d" % (got, n * size))
+    if fh.read(1):
+        raise recordfile.RecordFormatError("body is more than %d bytes, header promises %d" % (got, got))
     return data
 
 
+def _fill(fh, buffer) -> int:
+    """Read from fh into buffer until it is full or fh ends; return the bytes read."""
+    got = 0
+    with memoryview(buffer) as view:  # an unbuffered read stops short of 2 GiB on Linux
+        while got < len(view) and (n := fh.readinto(view[got:])):
+            got += n
+    return got
+
+
 _TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
+_ASCII_STEP = 1 << 20  # bytes per step of the check that a mapped file is ASCII
 _CODE_CHUNK = 1 << 16  # code units per step of the token split, and at most per step of the output gather
 _TOKEN_CHUNK = 1 << 13  # tokens per step of the output gather
 # Whether a code point is in a token: str.split's separators lie below U+3001, so 0x3001 stands for wider codes.
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("U1"))  # code points as 1-character strs
+_CODECS = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}  # by code unit size; each gives a code point one unit
+# Bytes below 0x80, then escapes that make ISO 2022, HZ and UTF-7 read such bytes as other characters.
+_ASCII_PROBE = bytes(range(0x80)) + b"\x1b$B!!\x1b(B~{!!~}+AOk-"
 
 
 def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
     """The text at path (or stdin) as codes, and the offsets where its str.split tokens start and end.
 
-    ASCII text becomes uint8 codes, any other "<u4" code points, lone
-    surrogates included.  The int64 edges alternate start and end: one pass
-    over _CODE_CHUNK code units at a time counts them and a second stores
-    them, so only the result is held whole.
+    The codes are code points: those of a regular, non-empty ASCII file
+    are its own bytes, mapped read-only (_read_codes).  The edges alternate
+    start and end, int32 below 2**31 code units, so that a token takes 8
+    bytes: one pass over _CODE_CHUNK code units at a time counts them and
+    a second stores them, so only the result is held whole.
     """
-    text = _read_text(path)
-    codes = np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else \
-        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    del text
+    codes = _read_codes(path)
 
     def changes(lo):  # whether each code unit of the chunk at lo starts or ends a token
         chunk = codes[max(lo - 1, 0):lo + _CODE_CHUNK]
@@ -173,7 +194,7 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
         return np.diff(in_token, prepend=False) if lo == 0 else in_token[1:] != in_token[:-1]
 
     n = sum(np.count_nonzero(changes(lo)) for lo in range(0, len(codes), _CODE_CHUNK))
-    edges = np.empty(n + n % 2, np.int64)
+    edges = np.empty(n + n % 2, np.int32 if len(codes) < 1 << 31 else np.int64)
     edges[n:] = len(codes)  # a token that runs to the end of the text
     at = 0
     for lo in range(0, len(codes), _CODE_CHUNK):
@@ -183,16 +204,62 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
     return codes, edges
 
 
+def _read_codes(path: str | None) -> np.ndarray:
+    """The code points of the text at path (or stdin) as 1-, 2- or 4-byte code units.
+
+    A regular, non-empty file whose bytes all lie below 0x80, read in an
+    encoding that takes each such byte as its own code point (as UTF-8 and
+    Latin-1 do, and UTF-16 and UTF-7 do not), is mapped read-only and is
+    its own uint8 codes.  Other text is decoded from the same handle as
+    open() would decode it, and held as the narrowest units that give each
+    character one: uint8 (latin-1) below U+0100, "<u2" (utf-16-le) in the
+    BMP with no lone surrogates, "<u4" (utf-32-le) otherwise.
+    """
+    if path in (None, "-"):
+        return _code_units(sys.stdin.read())
+    encoding = locale.getpreferredencoding(False)  # what open() would use
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size and _ascii_compatible(encoding):  # a FIFO reads once
+            codes = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
+            if all(codes[lo:lo + _ASCII_STEP].max() < 0x80 for lo in range(0, len(codes), _ASCII_STEP)):
+                return codes
+        with io.TextIOWrapper(fh, encoding) as text:
+            return _code_units(text.read())
+
+
+def _ascii_compatible(encoding: str) -> bool:
+    """Whether text in encoding always decodes each byte below 0x80 as its own code point."""
+    try:
+        return _ASCII_PROBE.decode(encoding) == _ASCII_PROBE.decode("ascii")
+    except UnicodeDecodeError:
+        return False
+
+
+def _code_units(text: str) -> np.ndarray:
+    """text as the narrowest code units of _CODECS that hold each of its characters in one."""
+    for size, codec in _CODECS.items():
+        try:
+            data = text.encode(codec, "surrogatepass" if size == 4 else "strict")
+        except UnicodeEncodeError:  # a character past U+00FF, or a lone surrogate
+            continue
+        if len(data) == size * len(text):  # no character took a UTF-16 surrogate pair
+            return np.frombuffer(data, "<u%d" % size)
+
+
 def _token_text(codes: np.ndarray, edges: np.ndarray):
     """The tokens at edges in codes as strs, each followed by a space and the last by a newline.
 
     At most _TOKEN_CHUNK tokens and _CODE_CHUNK code units go through one
-    buffer at a time; a longer token is decoded on its own.
+    buffer at a time, decoded by the codec of the code unit size; a longer
+    token is decoded on its own.  Each slice of edges is widened to int64
+    before any arithmetic on it.
     """
-    codec, n, i = "ascii" if codes.itemsize == 1 else "utf-32-le", len(edges) // 2, 0
+    codec, n, i = _CODECS[codes.itemsize], len(edges) // 2, 0
     index = np.empty(_CODE_CHUNK, np.int64)
     while i < n:
-        start, end = edges[2 * i:2 * (i + _TOKEN_CHUNK):2], edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2]
+        start = edges[2 * i:2 * (i + _TOKEN_CHUNK):2].astype(np.int64)
+        end = edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2].astype(np.int64)
         stop = np.cumsum(end - start + 1)  # where each token and its separator end in the buffer
         take = int(np.searchsorted(stop, _CODE_CHUNK, "right"))
         i += max(take, 1)
@@ -213,10 +280,10 @@ def _write(path: str | int | None, *chunks) -> None:
     """Write text or byte chunks to path (or open file descriptor), or to stdout for None and "-".
 
     A text chunk is a str or an iterable of strs.  A text stream encodes
-    each str it gets into one bytes copy, so text goes out in slices;
-    bytes go out whole, as slicing a bytearray copies it.
+    each str it gets into one bytes copy, so text goes out in slices; a
+    uint8 ndarray of bytes goes out whole.
     """
-    binary = isinstance(chunks[0], bytearray)
+    binary = isinstance(chunks[0], np.ndarray)
     if not binary:
         strs = (s for c in chunks for s in ((c,) if isinstance(c, str) else c))
         chunks = (s[i:i + _TEXT_SLICE] for s in strs for i in range(0, len(s), _TEXT_SLICE))
@@ -257,7 +324,7 @@ def _parse_permutation(text: str) -> Permutation:
 
 
 def cmd_factor(args) -> int:
-    text = args.perm if args.perm not in (None, "-") else _read_text(None)
+    text = args.perm if args.perm not in (None, "-") else sys.stdin.read()
     p = _parse_permutation(text)
     if args.enumerate:
         if len(cycle_decompose(p)) != 1:
@@ -335,6 +402,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_selftest(args) -> int:
+    if args.max_n < 2:
+        raise ParseFailure("--max-n %d leaves nothing to check; it must be at least 2" % args.max_n)
     results = []  # (passed, what) per check
     rng = random.Random(20240915)
     for N in range(2, args.max_n + 1):

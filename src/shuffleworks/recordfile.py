@@ -59,8 +59,8 @@ class RecordFile:
         return b"".join([self.header_bytes(), self.records.view(np.uint8)])
 
 
-def _check_header(head: bytes, body_len: int) -> tuple[int, int, int]:
-    """Validate a container header against its body length; return (n, k, size)."""
+def check_header(head: bytes, body_len: int | None = None) -> tuple[int, int, int]:
+    """Validate a container header, and against its body length unless that is None; return (n, k, size)."""
     if len(head) < HEADER_SIZE:
         raise RecordFormatError("truncated header: %d bytes" % len(head))
     magic, version, n, k, size = _HEADER.unpack_from(head)
@@ -72,18 +72,18 @@ def _check_header(head: bytes, body_len: int) -> tuple[int, int, int]:
         raise RecordFormatError("record size must be positive")
     if k < 2:
         raise RecordFormatError("arity k must be at least 2, header has %d" % k)
-    if body_len != n * size:
+    if body_len is not None and body_len != n * size:
         raise RecordFormatError("body is %d bytes, header promises %d" % (body_len, n * size))
     return n, k, size
 
 
-def parse_record_file(data: bytes | bytearray) -> RecordFile:
+def parse_record_file(data: bytes | bytearray | np.ndarray) -> RecordFile:
     """Parse a container held in memory.
 
-    The records of writable data (a bytearray) are a view of it, so
-    shuffling them rewrites data itself; read-only data is copied once.
+    The records of writable data (a bytearray or uint8 ndarray) are a view
+    of it, so shuffling them rewrites data itself; read-only data is copied once.
     """
-    n, k, size = _check_header(data, len(data) - HEADER_SIZE)
+    n, k, size = check_header(data, len(data) - HEADER_SIZE)
     records = np.frombuffer(data, dtype=record_dtype(size), count=n, offset=HEADER_SIZE)
     return RecordFile(n, k, size, records if records.flags.writeable else records.copy())
 
@@ -99,7 +99,7 @@ def make_record_file(k: int, record_size: int, payload: bytes) -> RecordFile:
 
 def read_header(fh) -> tuple[int, int, int]:
     """Validate the header of a container file opened at its start against its size; return (n, k, size)."""
-    return _check_header(fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+    return check_header(fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size - HEADER_SIZE)
 
 
 def _map_body(path: str, n: int, size: int) -> np.memmap:

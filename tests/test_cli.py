@@ -1,15 +1,19 @@
 """Command-line behaviour: subcommands, formats, exit codes."""
 
 import builtins
+import contextlib
 import errno
 import gc
 import hashlib
 import importlib
 import io
+import locale
+import mmap
 import os
 import stat
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -346,6 +350,68 @@ def test_records_in_place_k3_scratch_after_the_first_call(tmp_path, capsys):
     assert (parse_record_file(path.read_bytes()).records == twice).all()
 
 
+@contextlib.contextmanager
+def _stdin_pipe(monkeypatch, blob):
+    """Make stdin the read end of a pipe that a thread fills with blob, for the length of the block."""
+    read_end, write_end = os.pipe()
+    monkeypatch.setattr("sys.stdin", open(read_end, "r"))
+
+    def feed():
+        with open(write_end, "wb") as out, contextlib.suppress(BrokenPipeError):
+            out.write(blob)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        yield
+    finally:
+        sys.stdin.close()  # a writer blocked on bytes no one read gets a broken pipe
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+
+
+def test_records_from_stdin_scratch_is_the_container(tmp_path, capsys, monkeypatch):
+    # one buffer of the container's size: read() and a copy of it held two
+    src, ref, dst = tmp_path / "in.bin", tmp_path / "ref.bin", tmp_path / "out.bin"
+    for n in (2 ** 18, 2 ** 20):
+        blob = make_record_file(2, 8, np.arange(n, dtype=np.uint64).tobytes()).to_bytes()
+        src.write_bytes(blob)
+        assert run_cli(["shuffle", "--records", str(src), "-o", str(ref)], capsys) == (0, "", "")
+        with _stdin_pipe(monkeypatch, blob):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = main(["shuffle", "--records", "-o", str(dst)])
+                scratch = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert dst.read_bytes() == ref.read_bytes()
+        assert scratch < len(blob) + (1 << 20), (n, scratch, len(blob))
+
+
+@pytest.mark.parametrize("delta", [-1, 1, 4096], ids=["short", "one_more", "more"])
+def test_records_from_stdin_refuse_a_body_the_header_does_not_promise(capsys, monkeypatch, delta):
+    blob = record_fixture(n=12, k=2, size=4)
+    blob = blob[:delta] if delta < 0 else blob + bytes(delta)
+    with _stdin_pipe(monkeypatch, blob):
+        code, out, err = run_cli(["shuffle", "--records"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: body is 47 bytes, header promises 48\n" if delta < 0 else
+                   "error: body is more than 48 bytes, header promises 48\n")
+
+
+def test_records_from_stdin_with_a_header_promising_too_much(capsys, monkeypatch):
+    # the buffer is not zeroed, so asking for it costs no memory before the
+    # body is found short, or it cannot be had
+    for count, size in ((2 ** 32, 1), (2 ** 32, 17), (2 ** 64 - 1, 17)):
+        head = struct.pack("<4sBQII", MAGIC, VERSION, count, 2, size)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(head + bytes(size))))
+        code, out, err = run_cli(["shuffle", "--records"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_shuffle_records_in_place(tmp_path, capsys):
     path = tmp_path / "data.bin"
     path.write_bytes(record_fixture(n=30, k=2, size=8))
@@ -639,10 +705,13 @@ def test_selftest_passes(capsys):
     assert "0 failures" in out
 
 
-def test_selftest_zero_budget(capsys):
-    code, out, _ = run_cli(["selftest", "--max-n", "0"], capsys)
-    assert code == 0
-    assert "0 checks" in out
+def test_selftest_max_n_below_two_exits_2(capsys):
+    # below N = 2 no size is checked, so the run would pass with 0 checks
+    for max_n in ("-5", "0", "1"):
+        code, out, err = run_cli(["selftest", "--max-n", max_n], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --max-n %s " % max_n), err
+    assert run_cli(["selftest", "--max-n", "2"], capsys)[:2] == (0, "selftest: 8 checks, 0 failures\n")
 
 
 def test_selftest_reports_injected_fault(capsys, monkeypatch):
@@ -1004,3 +1073,108 @@ def test_lines_in_place_scratch_is_the_text_and_16_bytes_a_token(tmp_path, capsy
         assert code == 0
         assert src.read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
         assert scratch < len(text) + 16 * N + (2 << 20), (N, scratch, len(text) + 16 * N)
+
+
+def _scratch_of_in_place(src, text):
+    """The traced peak of one --in-place run on text written to src, checked against the oracle."""
+    src.write_text(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["shuffle", "--in-place", str(src)])
+        scratch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert src.read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    return scratch
+
+
+def test_lines_mapped_in_place_scratch_is_8_bytes_a_token(tmp_path):
+    # an ASCII file is mapped as its own codes, so the scratch is the int32 edges
+    for N in (2 ** 17, 2 ** 19):
+        scratch = _scratch_of_in_place(tmp_path / "in.txt", " ".join("w%07d" % i for i in range(N)))
+        assert scratch < 8 * N + 1.25 * (1 << 20), (N, scratch, 8 * N)
+
+
+@pytest.mark.parametrize("fmt, width, sizes", [("\u00e9%07d", 1, (2 ** 17, 2 ** 19)), ("\u4e2d%07d", 2, (2 ** 19,))],
+                         ids=["latin1", "bmp"])
+def test_lines_decoded_scratch_is_the_text_in_its_narrowest_codes(tmp_path, fmt, width, sizes):
+    # the decoded str and its codes are held at once, each as wide as the
+    # narrowest code unit, so 4-byte codes would not fit the bound for Latin-1 text
+    for N in sizes:
+        text = " ".join(fmt % i for i in range(N))
+        scratch = _scratch_of_in_place(tmp_path / "in.txt", text)
+        assert scratch < 2.5 * width * len(text) + 8 * N + (2 << 20), (N, scratch, len(text))
+
+
+@pytest.mark.parametrize("text, dtype", [
+    ("ascii only", np.uint8), ("\u00e9t\u00e9\xa0na\u00efve", np.uint8), ("\u4e2d\u6587\u3000x", "<u2"),
+    ("\U0001f600 x", "<u4"), ("a\udcff b", "<u4")])
+def test_lines_codes_are_the_narrowest_that_hold_each_character(tmp_path, monkeypatch, text, dtype):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli._read_codes(None).dtype == np.dtype(dtype)
+    if not text.endswith("\udcff b"):  # a lone surrogate cannot be written to a file
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        codes = cli._read_codes(str(src))
+        assert codes.dtype == np.dtype(dtype)
+        assert isinstance(getattr(codes.base, "obj", None), mmap.mmap) == text.isascii()  # a view of the map
+
+
+def _lines_to_stdout(path, capsys, k=2):
+    code, out, err = run_cli(["shuffle", "--k", str(k), str(path)], capsys)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_lines_mapped_crlf_and_lone_cr_separate_tokens(tmp_path, capsys):
+    # the mapped bytes keep the \r that a text stream turns into \n
+    text = "a b\r\nc\rd\r\r\ne\tf\r\n\rg h\r"
+    src = tmp_path / "crlf.txt"
+    src.write_bytes(text.encode("ascii"))
+    assert _lines_to_stdout(src, capsys) == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    assert run_cli(["shuffle", "--in-place", str(src)], capsys) == (0, "", "")
+    assert src.read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["last_byte_checked_first", "first_byte_checked_second"])
+def test_lines_non_ascii_byte_past_the_first_check_step_is_decoded(tmp_path, capsys, at):
+    step = cli._ASCII_STEP
+    words = ["w%06d" % i for i in range(step // 7 + 2)]
+    text = " ".join(words)
+    cut = step - 1 + at  # where the \u00e9 starts: its first UTF-8 byte is >= 0x80
+    text = text[:cut] + "\u00e9" + text[cut:]
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    assert src.read_bytes().index(b"\xc3") == cut
+    assert _lines_to_stdout(src, capsys) == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_lines_from_a_named_pipe(tmp_path, capsys):
+    # a FIFO can be read only once, so it is decoded from the handle that was opened
+    fifo, text = tmp_path / "in.fifo", "a b c d e f\n1 2 3 4 5 6"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as out:
+            out.write(text)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        assert _lines_to_stdout(fifo, capsys) == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    finally:
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+
+
+def test_lines_in_an_encoding_that_is_not_ascii_compatible_are_decoded(tmp_path, capsys, monkeypatch):
+    # UTF-7 writes \u00e9 as the ASCII bytes "+AOk-", which the mapped route would take as they are
+    text = "\u00e9t\u00e9 a b c na\u00efve +x 1+ 2"
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-7"))
+    assert max(src.read_bytes()) < 0x80
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-7")
+    assert _lines_to_stdout(src, capsys) == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
