@@ -2,7 +2,6 @@
 
 from .involution_factor import (
     InvolutionPair,
-    brute_force_factorizations,
     factor_permutation,
 )
 from .network import (
@@ -15,7 +14,6 @@ from .network import (
     parse_text,
 )
 from .oracle import (
-    enumerate_involutions,
     inshuffle_permutation,
     oracle_apply,
     oracle_shuffle,
@@ -24,18 +22,14 @@ from .perm_core import (
     Involution,
     OpCounter,
     Permutation,
-    compose,
     cycle_decompose,
     cycle_notation,
-    inverse,
     is_involution,
     swap_pairs,
 )
 from .shuffle_bitrev import (
     RotationPlan,
     ShuffleSpec,
-    exact_log,
-    power_table,
     revswap_pairs,
     rotate_left,
     rotation_cost,
@@ -65,19 +59,14 @@ __all__ = [
     "ShuffleSpec",
     "SwapNetwork",
     "apply_network",
-    "brute_force_factorizations",
     "build_network",
-    "compose",
     "cycle_decompose",
     "cycle_notation",
     "emit_dot",
     "emit_text",
-    "enumerate_involutions",
-    "exact_log",
     "ext_gcd",
     "factor_permutation",
     "inshuffle_permutation",
-    "inverse",
     "is_involution",
     "j_map",
     "modinv_pairs",
@@ -86,7 +75,6 @@ __all__ = [
     "oracle_apply",
     "oracle_shuffle",
     "parse_text",
-    "power_table",
     "revswap_pairs",
     "revswap_round",
     "rotate_left",

@@ -166,9 +166,7 @@ def _fill(fh, buffer) -> int:
     return got
 
 
-_TEXT_SLICE = 1 << 20  # characters per str handed to a text stream
-_ASCII_STEP = 1 << 20  # bytes per step of the check that a mapped file is ASCII
-_CODE_CHUNK = 1 << 16  # code units per step of the token split, and at most per step of the output gather
+_CODE_CHUNK = 1 << 16  # code units per step of the ASCII check, the token split and the text write, at most per gather
 _TOKEN_CHUNK = 1 << 13  # tokens per step of the output gather
 # Whether a code point is in a token: str.split's separators lie below U+3001, so 0x3001 stands for wider codes.
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("U1"))  # code points as 1-character strs
@@ -222,7 +220,7 @@ def _read_codes(path: str | None) -> np.ndarray:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode) and info.st_size and _ascii_compatible(encoding):  # a FIFO reads once
             codes = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
-            if all(codes[lo:lo + _ASCII_STEP].max() < 0x80 for lo in range(0, len(codes), _ASCII_STEP)):
+            if all(codes[lo:lo + _CODE_CHUNK].max() < 0x80 for lo in range(0, len(codes), _CODE_CHUNK)):
                 return codes
         with io.TextIOWrapper(fh, encoding) as text:
             return _code_units(text.read())
@@ -276,17 +274,15 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
         yield str(out, codec, "surrogatepass")
 
 
-def _write(path: str | int | None, *chunks) -> None:
-    """Write text or byte chunks to path (or open file descriptor), or to stdout for None and "-".
+def _write(path: str | int | None, data) -> None:
+    """Write data to path (or open file descriptor), or to stdout for None and "-".
 
-    A text chunk is a str or an iterable of strs.  A text stream encodes
-    each str it gets into one bytes copy, so text goes out in slices; a
-    uint8 ndarray of bytes goes out whole.
+    data is a uint8 ndarray of bytes, which goes out whole, or an iterable
+    of strs.  A text stream encodes each str it gets into one bytes copy,
+    so strs go out _CODE_CHUNK characters at a time.
     """
-    binary = isinstance(chunks[0], np.ndarray)
-    if not binary:
-        strs = (s for c in chunks for s in ((c,) if isinstance(c, str) else c))
-        chunks = (s[i:i + _TEXT_SLICE] for s in strs for i in range(0, len(s), _TEXT_SLICE))
+    binary = isinstance(data, np.ndarray)
+    chunks = (data,) if binary else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
@@ -294,8 +290,8 @@ def _write(path: str | int | None, *chunks) -> None:
             fh.writelines(chunks)
 
 
-def _replace(path: str, *chunks) -> None:
-    """_write chunks into a new file beside path, then rename it over path.
+def _replace(path: str, data) -> None:
+    """_write data into a new file beside path, then rename it over path.
 
     An interrupted run leaves path as it was.  The new file takes the
     permission bits of the file path names and replaces that file, so a
@@ -304,7 +300,7 @@ def _replace(path: str, *chunks) -> None:
     real = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real))
     try:
-        _write(fd, *chunks)
+        _write(fd, data)
         os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
         os.replace(tmp, real)
     except BaseException:

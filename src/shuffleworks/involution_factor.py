@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import enumerate_involutions
-from .perm_core import Involution, Permutation, cycle_decompose, is_involution
+from .perm_core import Involution, Permutation, cycle_decompose
 
 
 @dataclass(frozen=True)
 class InvolutionPair:
-    """Ordered factor pair: applying t then s realises compose(s, t)."""
+    """Ordered factor pair: applying t and then s realises the factored permutation."""
 
     s: Involution
     t: Involution
@@ -39,20 +38,3 @@ def factor_permutation(p: Permutation, axis: int = 0) -> InvolutionPair:
             s_map[x] = c[(axis - a) % L]
             t_map[x] = c[(axis - 1 - a) % L]
     return InvolutionPair(Involution(s_map, check=False), Involution(t_map, check=False))
-
-
-def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:
-    """Every ordered involution pair (s, t) with compose(s, t) == p, in order of s.
-
-    Scans the full involution enumeration for s, so p.size must stay small
-    (at most 9).  s is its own inverse, so t = s after p is the only
-    partner of s; the pair counts when that t is an involution.
-    """
-    if p.size > 9:
-        raise ValueError("exhaustive search limited to size <= 9")
-    found = []
-    for s in enumerate_involutions(p.size):
-        t = Involution([s.map[v] for v in p.map], check=False)
-        if is_involution(t):
-            found.append(InvolutionPair(s, t))
-    return found

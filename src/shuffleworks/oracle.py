@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm_core import Involution, Permutation
+from .perm_core import Permutation
 
 
 def oracle_shuffle(array, k: int):
@@ -56,31 +56,3 @@ def inshuffle_permutation(N: int, k: int) -> Permutation:
         raise ValueError("need N = k*M with k >= 2 and M >= 1")
     m = N - 1
     return Permutation([k * i % m for i in range(m)] + [m], check=False)
-
-
-def enumerate_involutions(n: int):
-    """Yield every involution of n points exactly once.
-
-    Recursive matching: the smallest unmatched point is either fixed or
-    paired with one of the larger unmatched points.  Intended for small n
-    only; the count grows like the telephone numbers.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > 9:
-        raise ValueError("n > 9 is too large for exhaustive enumeration")
-
-    def match(free: tuple[int, ...]):
-        if not free:
-            yield ()
-            return
-        x = free[0]
-        for rest in match(free[1:]):
-            yield rest
-        for pos in range(1, len(free)):
-            y = free[pos]
-            for rest in match(free[1:pos] + free[pos + 1:]):
-                yield ((x, y),) + rest
-
-    for pairs in match(tuple(range(n))):
-        yield Involution.from_pairs(n, pairs)

@@ -56,15 +56,14 @@ class Permutation:
 class Involution(Permutation):
     """A self-inverse permutation.
 
-    The transposition view is derived from the map on first use, so the
-    map stays the single source of truth.
+    The map is the single source of truth; the transposition view is
+    derived from it on each read.
     """
 
     def __init__(self, map_: Iterable[int], check: bool = True):
         super().__init__(map_, check=check)
         if check and not is_involution(self):
             raise ValueError("map is not self-inverse")
-        self._transpositions: tuple[tuple[int, int], ...] | None = None
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Involution":
@@ -79,26 +78,7 @@ class Involution(Permutation):
     @property
     def transpositions(self) -> tuple[tuple[int, int], ...]:
         """Swapped pairs (i, j) with i < j, in increasing order of i."""
-        if self._transpositions is None:
-            self._transpositions = tuple(
-                (i, v) for i, v in enumerate(self.map) if i < v
-            )
-        return self._transpositions
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: the result sends i to p.map[q.map[i]]."""
-    if p.size != q.size:
-        raise ValueError("size mismatch: %d vs %d" % (p.size, q.size))
-    pm = p.map
-    return Permutation([pm[v] for v in q.map], check=False)
-
-
-def inverse(p: Permutation) -> Permutation:
-    m = [0] * p.size
-    for i, v in enumerate(p.map):
-        m[v] = i
-    return Permutation(m, check=False)
+        return tuple((i, v) for i, v in enumerate(self.map) if i < v)
 
 
 def cycle_decompose(p: Permutation) -> tuple[tuple[int, ...], ...]:

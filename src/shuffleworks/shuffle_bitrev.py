@@ -39,28 +39,6 @@ from .perm_core import OpCounter, swap_pairs
 INDEX_LIMIT = 1 << 62
 
 
-def exact_log(N: int, k: int) -> int | None:
-    """The exponent n with N == k**n, or None if there is none."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if N < 1:
-        return None
-    n = 0
-    v = 1
-    while v < N:
-        v *= k
-        n += 1
-    return n if v == N else None
-
-
-def power_table(k: int, n: int) -> tuple[int, ...]:
-    """Powers k**0 .. k**n."""
-    t = [1]
-    for _ in range(n):
-        t.append(t[-1] * k)
-    return tuple(t)
-
-
 @dataclass(frozen=True)
 class ShuffleSpec:
     """Validated parameters of a k-way in-shuffle on N = k*M positions.
@@ -83,9 +61,12 @@ class ShuffleSpec:
             raise ValueError("N=%d is not a multiple of k=%d" % (N, k))
         if N > INDEX_LIMIT:
             raise OverflowError("N=%d exceeds the index arithmetic limit" % N)
-        n = exact_log(N, k)
-        powers = power_table(k, n) if n is not None else ()
-        return cls(N, k, n, powers)
+        powers = [1]
+        while powers[-1] < N:
+            powers.append(powers[-1] * k)
+        if powers[-1] != N:
+            return cls(N, k, None, ())
+        return cls(N, k, len(powers) - 1, tuple(powers))
 
     @property
     def m(self) -> int:

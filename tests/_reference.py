@@ -3,9 +3,14 @@
 rev_digits recomputes a digit reversal from scratch, the check on the
 incremental partner update of revswap_pairs.  parse_cycle_notation reads
 the cycle strings that cycle_notation and the factor command print.
+compose and inverse are the permutation algebra the factoring laws are
+stated in, and enumerate_involutions and brute_force_factorizations the
+exhaustive census that factor_permutation's pairs are counted against;
+the library itself needs none of them.
 """
 
-from shuffleworks.perm_core import Permutation
+from shuffleworks.involution_factor import InvolutionPair
+from shuffleworks.perm_core import Involution, Permutation, is_involution
 from shuffleworks.shuffle_bitrev import ShuffleSpec
 
 
@@ -50,3 +55,63 @@ def parse_cycle_notation(text: str, n: int) -> Permutation:
             raise ValueError("empty cycle in %r" % text)
         cycles.append([int(tok) for tok in part.replace(",", " ").split()])
     return permutation_from_cycles(n, cycles)
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: the result sends i to p.map[q.map[i]]."""
+    if p.size != q.size:
+        raise ValueError("size mismatch: %d vs %d" % (p.size, q.size))
+    pm = p.map
+    return Permutation([pm[v] for v in q.map], check=False)
+
+
+def inverse(p: Permutation) -> Permutation:
+    m = [0] * p.size
+    for i, v in enumerate(p.map):
+        m[v] = i
+    return Permutation(m, check=False)
+
+
+def enumerate_involutions(n: int):
+    """Yield every involution of n points exactly once.
+
+    Recursive matching: the smallest unmatched point is either fixed or
+    paired with one of the larger unmatched points.  Intended for small n
+    only; the count grows like the telephone numbers.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > 9:
+        raise ValueError("n > 9 is too large for exhaustive enumeration")
+
+    def match(free: tuple[int, ...]):
+        if not free:
+            yield ()
+            return
+        x = free[0]
+        for rest in match(free[1:]):
+            yield rest
+        for pos in range(1, len(free)):
+            y = free[pos]
+            for rest in match(free[1:pos] + free[pos + 1:]):
+                yield ((x, y),) + rest
+
+    for pairs in match(tuple(range(n))):
+        yield Involution.from_pairs(n, pairs)
+
+
+def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:
+    """Every ordered involution pair (s, t) with compose(s, t) == p, in order of s.
+
+    Scans the full involution enumeration for s, so p.size must stay small
+    (at most 9).  s is its own inverse, so t = s after p is the only
+    partner of s; the pair counts when that t is an involution.
+    """
+    if p.size > 9:
+        raise ValueError("exhaustive search limited to size <= 9")
+    found = []
+    for s in enumerate_involutions(p.size):
+        t = Involution([s.map[v] for v in p.map], check=False)
+        if is_involution(t):
+            found.append(InvolutionPair(s, t))
+    return found

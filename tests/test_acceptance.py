@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from shuffleworks.involution_factor import brute_force_factorizations, factor_permutation
+from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import build_network, network_permutation
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
 from shuffleworks.perm_core import Involution, Permutation
@@ -33,6 +33,8 @@ from shuffleworks.shuffle_modinv import (
     op_count_profile,
     shuffle_modinv,
 )
+
+from _reference import brute_force_factorizations
 
 
 @pytest.fixture

@@ -22,10 +22,9 @@ import pytest
 from shuffleworks import cli, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
-from shuffleworks.perm_core import compose
 from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_file, parse_record_file
 
-from _reference import parse_cycle_notation
+from _reference import compose, parse_cycle_notation
 
 FIGURE_TOKENS = "a b c d e f 1 2 3 4 5 6"
 FIGURE_SHUFFLED = "a 1 b 2 c 3 d 4 e 5 f 6"
@@ -91,7 +90,7 @@ class _StopAfterFirstChunk:
 def test_interrupted_lines_write_leaves_the_input_whole(tmp_path, capsys, monkeypatch, argv):
     src = tmp_path / "tokens.txt"
     src.write_text(FIGURE_TOKENS)
-    monkeypatch.setattr(cli, "_TEXT_SLICE", 4)
+    monkeypatch.setattr(cli, "_CODE_CHUNK", 4)
 
     def open_failing(file, mode="r", *args, **kwargs):
         fh = builtins.open(file, mode, *args, **kwargs)
@@ -775,7 +774,7 @@ def test_text_write_scratch_is_bounded(tmp_path, monkeypatch, to_stdout):
         monkeypatch.setattr("sys.stdout", stdout)
     tracemalloc.start()
     try:
-        _write(None if to_stdout else str(dst), text, "\n")
+        _write(None if to_stdout else str(dst), [text, "\n"])
         scratch = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1140,7 +1139,7 @@ def test_lines_mapped_crlf_and_lone_cr_separate_tokens(tmp_path, capsys):
 
 @pytest.mark.parametrize("at", [0, 1], ids=["last_byte_checked_first", "first_byte_checked_second"])
 def test_lines_non_ascii_byte_past_the_first_check_step_is_decoded(tmp_path, capsys, at):
-    step = cli._ASCII_STEP
+    step = cli._CODE_CHUNK
     words = ["w%06d" % i for i in range(step // 7 + 2)]
     text = " ".join(words)
     cut = step - 1 + at  # where the \u00e9 starts: its first UTF-8 byte is >= 0x80

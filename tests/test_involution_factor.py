@@ -7,11 +7,12 @@ import pytest
 
 from shuffleworks.involution_factor import (
     InvolutionPair,
-    brute_force_factorizations,
     factor_permutation,
 )
 from shuffleworks.oracle import oracle_apply
-from shuffleworks.perm_core import Permutation, compose, cycle_decompose, is_involution
+from shuffleworks.perm_core import Permutation, cycle_decompose, is_involution
+
+from _reference import brute_force_factorizations, compose
 
 
 def cyclic_shift(n):

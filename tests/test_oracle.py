@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from shuffleworks.oracle import (
-    enumerate_involutions,
     inshuffle_permutation,
     oracle_apply,
     oracle_shuffle,
 )
 from shuffleworks.perm_core import Permutation, is_involution
+
+from _reference import enumerate_involutions
 
 
 def telephone_number(n: int) -> int:

@@ -8,14 +8,12 @@ from shuffleworks.network import SwapNetwork, apply_network
 from shuffleworks.perm_core import (
     Involution,
     Permutation,
-    compose,
     cycle_decompose,
     cycle_notation,
-    inverse,
     is_involution,
 )
 
-from _reference import parse_cycle_notation, permutation_from_cycles
+from _reference import compose, inverse, parse_cycle_notation, permutation_from_cycles
 
 
 def test_permutation_accepts_any_iterable():

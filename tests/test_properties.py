@@ -14,7 +14,6 @@ from shuffleworks.network import (
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import (
     Permutation,
-    compose,
     cycle_decompose,
     cycle_notation,
     is_involution,
@@ -28,7 +27,7 @@ from shuffleworks.shuffle_bitrev import (
 )
 from shuffleworks.shuffle_modinv import j_map, shuffle_modinv
 
-from _reference import parse_cycle_notation, rev_digits
+from _reference import compose, parse_cycle_notation, rev_digits
 
 permutations = st.integers(0, 40).flatmap(
     lambda n: st.permutations(list(range(n))))

@@ -69,3 +69,21 @@ def test_readme_library_surface_names_resolve():
     names = _surface_names()
     assert {"ext_gcd", "j_map", "Involution.from_pairs", "open_records_inplace"} <= set(names)
     assert [name for name in names if not _resolve(name)] == []
+
+
+def _import_parts(path: Path) -> set[str]:
+    """Every part of every dotted name that the imports of the module at path name."""
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            base = getattr(node, "module", None) or ""
+            for alias in node.names:
+                parts.update(("%s.%s" % (base, alias.name)).split("."))
+    return parts - {""}
+
+
+def test_only_the_cli_imports_the_oracle_and_no_module_imports_the_tests():
+    parts = {path.stem: _import_parts(path) for path in Path(shuffleworks.__file__).parent.glob("*.py")}
+    # the package __init__ re-exports the oracle functions as library names
+    assert {stem for stem, names in parts.items() if "oracle" in names} - {"__init__"} == {"cli"}
+    assert [stem for stem, names in parts.items() if names & {"tests", "_reference", "conftest"}] == []

@@ -8,8 +8,6 @@ from shuffleworks.perm_core import OpCounter
 from shuffleworks.shuffle_bitrev import (
     RotationPlan,
     ShuffleSpec,
-    exact_log,
-    power_table,
     revswap_pairs,
     revswap_round,
     rotate_left,
@@ -23,21 +21,6 @@ from shuffleworks.shuffle_bitrev import (
 from _reference import rev_digits
 
 
-def test_exact_log():
-    assert exact_log(1, 2) == 0
-    assert exact_log(8, 2) == 3
-    assert exact_log(81, 3) == 4
-    assert exact_log(12, 2) is None
-    assert exact_log(0, 2) is None
-    with pytest.raises(ValueError):
-        exact_log(8, 1)
-
-
-def test_power_table():
-    assert power_table(3, 4) == (1, 3, 9, 27, 81)
-    assert power_table(2, 0) == (1,)
-
-
 def test_spec_for_length():
     spec = ShuffleSpec.for_length(27, 3)
     assert (spec.N, spec.k, spec.n) == (27, 3, 3)
@@ -45,6 +28,9 @@ def test_spec_for_length():
     spec = ShuffleSpec.for_length(12, 2)
     assert spec.n is None
     assert spec.powers == ()
+    assert ShuffleSpec.for_length(8, 2).n == 3
+    assert ShuffleSpec.for_length(81, 3).powers == (1, 3, 9, 27, 81)
+    assert ShuffleSpec.for_length(0, 2).n is None
 
 
 def test_spec_validation():
