@@ -28,9 +28,23 @@ def test_spec_for_length():
     spec = ShuffleSpec.for_length(12, 2)
     assert spec.n is None
     assert spec.powers == ()
+
+
+def test_exact_log():
+    # n is the exact base-k logarithm of N, or None when N is no power of k
+    assert ShuffleSpec.for_length(2, 2).n == 1
     assert ShuffleSpec.for_length(8, 2).n == 3
-    assert ShuffleSpec.for_length(81, 3).powers == (1, 3, 9, 27, 81)
+    assert ShuffleSpec.for_length(81, 3).n == 4
+    assert ShuffleSpec.for_length(12, 2).n is None
     assert ShuffleSpec.for_length(0, 2).n is None
+    with pytest.raises(ValueError):
+        ShuffleSpec.for_length(8, 1)
+
+
+def test_power_table():
+    # powers lists k**0 .. k**n for N = k**n
+    assert ShuffleSpec.for_length(81, 3).powers == (1, 3, 9, 27, 81)
+    assert ShuffleSpec.for_length(2, 2).powers == (1, 2)
 
 
 def test_spec_validation():
