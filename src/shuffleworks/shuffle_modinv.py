@@ -15,14 +15,16 @@ coefficient of x gives g and (x/g)^-1 mod m/g at once.  As gcd(m-x, m)
 = gcd(x, m) = g and (m-x)/g = -x/g mod m/g, J_r(m-x) = m - J_r(x), so the
 rounds run Euclid only for x in 1..m//2: about N-2 runs per shuffle, not
 2(N-2).  ext_gcd is the scalar reference, which j_map uses.  The rounds
-run Euclid for 256 positions at a time in lockstep int64 lanes, in 14 KiB
-of state, counting a step only where both remainders are non-zero.  The
-OpCounter (from perm_core) still gets ext_gcd's counts for every position
-taken: for x < m/2, ext_gcd(m-x, m) takes one step more than ext_gcd(x,
-m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
-k*(N-1) must be below 2**63, or the rounds raise OverflowError at once.
-A chunk's pairs, then its mirrors', swap by fancy indexing on ndarrays and
-through swap_pairs on lists; modinv_pairs yields them x-sorted for networks.
+run Euclid in lockstep lanes, seven rows of 2 KiB (14 KiB of state),
+counting a step only where both remainders are non-zero.  The lanes are
+int32, 512 to a row, when k*(N-1) < 2**31, and int64, 256 to a row,
+otherwise; k*(N-1) must be below 2**63, or the rounds raise OverflowError
+at once.  The OpCounter (from perm_core) still gets ext_gcd's counts for
+every position taken: for x < m/2, ext_gcd(m-x, m) takes one step more
+than ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes
+2.  A chunk's pairs, then its mirrors', swap by fancy indexing on ndarrays,
+at most 256 records at a time, and through swap_pairs on lists;
+modinv_pairs yields them x-sorted for networks.
 """
 
 from __future__ import annotations
@@ -73,30 +75,35 @@ def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -
     return g * (r * u % (spec.m // g))
 
 
-_LANES = 256  # positions per lockstep Euclid chunk
+_ROW_BYTES = 2048  # bytes per lane row: 256 int64 or 512 int32 positions per lockstep Euclid chunk
+_SWAP_BATCH = 256  # records gathered at a time by one fancy-index swap
 
 
 def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None, descending: bool = False):
-    """Yield (x, J) per r in rs and chunk: x = lo, lo+1, ..., up to 256 of 1..m//2, J = J_r(x).
+    """Yield (x, J) per r in rs and chunk: x = lo, lo+1, ... of 1..m//2, one per lane, J = J_r(x).
 
-    The mirrors m-x pair with m-J.  Chunks come in ascending lo, or
-    descending.  x and J are views that the next chunk overwrites; a caller
-    may turn them into m-x and m-J in place.  Lane i runs ext_gcd(lo+i, m)
-    in rows a, s_a, b, s_b (remainders and cofactors of x), taking a %= b
-    and b %= a in turn.  Once a round's last chunk is out, counter gets
-    ext_gcd's counts for all of 1..m-1.
+    A chunk is one row of lanes: 512 int32 lanes when k*(N-1) < 2**31, 256
+    int64 lanes otherwise.  The mirrors m-x pair with m-J.  Chunks come in
+    ascending lo, or descending.  x and J are views that the next
+    chunk overwrites; a caller may turn them into m-x and m-J in place.
+    Lane i runs ext_gcd(lo+i, m) in rows a, s_a, b, s_b (remainders and
+    cofactors of x), taking a %= b and b %= a in turn.  Once a round's last
+    chunk is out, counter gets ext_gcd's counts for all of 1..m-1.
     """
     m = spec.m
     if spec.k * m >= 1 << 63:
         raise OverflowError("k*(N-1) exceeds the int64 Euclid lanes (N=%d, k=%d)" % (spec.N, spec.k))
-    state, q, tmp = np.empty((4, _LANES), np.int64), np.empty(_LANES, np.int64), np.empty((2, _LANES), np.int64)
-    los = range(1, m // 2 + 1, _LANES)
+    # m < 2**30 in int32: remainders, cofactors, q*s <= 2m, r*u < k*m and g*J < m all fit
+    dtype = np.dtype(np.int32 if spec.k * m < 1 << 31 else np.int64)
+    width = _ROW_BYTES // dtype.itemsize
+    state, q, tmp = np.empty((4, width), dtype), np.empty(width, dtype), np.empty((2, width), dtype)
+    los = range(1, m // 2 + 1, width)
     for r in rs:
         lanes = 0
         for lo in reversed(los) if descending else los:
-            n = min(_LANES, m // 2 + 1 - lo)
+            n = min(width, m // 2 + 1 - lo)
             st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
-            st[0], st[1], st[2], st[3] = np.arange(lo, lo + n), 1, m, 0
+            st[0], st[1], st[2], st[3] = np.arange(lo, lo + n, dtype=dtype), 1, m, 0
             dst, src = st[:2], st[2:]
             with np.errstate(divide="ignore"):  # a finished lane divides by 0, gets q = 0 and stays put
                 while live := np.count_nonzero(st[::2]) - n:  # lanes with a and b both non-zero
@@ -112,7 +119,7 @@ def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None,
             J %= np.floor_divide(m, g, out=qn)
             J *= g
             x = st[0]  # free once the lanes are done
-            x[:] = np.arange(lo, lo + n)
+            x[:] = np.arange(lo, lo + n, dtype=dtype)
             yield x, J
         if counter is not None and m > 1:
             counter.euclid_iterations += 2 * int(lanes) + (m - 1) // 2 - (2 if m % 2 == 0 else 0)
@@ -147,13 +154,15 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     swaps, m = 0, spec.m
     for x, J in _j_chunks(spec, (1, k), counter):
         for _ in range(2):  # x, then m-x
-            keep = J > x
-            xs, ys = x[keep], J[keep]
-            if isinstance(array, np.ndarray):
-                array[xs], array[ys] = array[ys], array[xs]  # pairs within a round are disjoint
-            else:
-                swap_pairs(array, zip(xs.tolist(), ys.tolist()))
-            swaps += len(ys)
+            for i in range(0, len(x), _SWAP_BATCH):  # the records in flight do not grow with the lane count
+                xs, ys = x[i : i + _SWAP_BATCH], J[i : i + _SWAP_BATCH]
+                keep = ys > xs
+                xs, ys = xs[keep].astype(np.intp), ys[keep].astype(np.intp)  # once, not in each indexing
+                if isinstance(array, np.ndarray):
+                    array[xs], array[ys] = array[ys], array[xs]  # pairs within a round are disjoint
+                else:
+                    swap_pairs(array, zip(xs.tolist(), ys.tolist()))
+                swaps += len(ys)
             np.subtract(m, x, out=x)
             np.subtract(m, J, out=J)
     if counter is not None:

@@ -5,7 +5,7 @@ holds them, included) and memmaps take the tiled route of revswap_round,
 lists the scalar pair loop; all must realise the same permutation and
 report the same swap counts.  The tile-edge cases pin the shapes where the
 tile side, the middle digits or the chunking change.  The modular-inverse
-rounds swap by fancy indexing with the int64-lane partners on every
+rounds swap by fancy indexing with the Euclid-lane partners on every
 ndarray, and through the scalar executor on lists.
 """
 

@@ -13,6 +13,7 @@ from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.shuffle_bitrev import ShuffleSpec
 from shuffleworks.shuffle_modinv import (
     OpCounter,
+    _j_chunks,
     ext_gcd,
     j_map,
     modinv_pairs,
@@ -281,6 +282,41 @@ def test_mirror_edges_match_the_oracle_and_the_scalar_counts(N, k, kind, tmp_pat
     assert counter == scalar
 
 
+# N = k*M whose int32 lanes, 512 to a chunk, end just below, at and just
+# past two full chunks, with m = N - 1 odd and even
+WIDE_EDGES = [(N, k) for k in (2, 3, 5, 7) for N in range(k, 2100, k) if (N - 1) // 2 in (1023, 1024, 1025)]
+
+
+def test_wide_edges_take_both_parities_of_m():
+    assert {(N - 1) % 2 for N, _ in WIDE_EDGES} == {0, 1}
+    assert {(N - 1) // 2 for N, _ in WIDE_EDGES} == {1023, 1024, 1025}
+
+
+@pytest.mark.parametrize("kind", ["uint64", "void", "memmap", "list"])
+@pytest.mark.parametrize("N, k", WIDE_EDGES)
+def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_path):
+    spec, scalar = ShuffleSpec.for_length(N, k), OpCounter(rounds=2)
+    widths = {1023: (512, 511), 1024: (512, 512), 1025: (512, 512, 1)}[spec.m // 2]
+    assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, (1,), None)] == [(w, np.dtype(np.int32)) for w in widths]
+    for r in (1, k):
+        counter = OpCounter()
+        got = list(modinv_pairs(r, spec, counter))
+        want, work = _scalar_round(r, spec)
+        assert (got, counter) == (want, work), r
+        scalar.swaps += len(want)
+        scalar.euclid_iterations += work.euclid_iterations
+        scalar.gcd_calls += work.gcd_calls
+    array = _mirror_container(kind, N, tmp_path)
+    want = oracle_shuffle(list(array) if kind == "list" else array.tolist(), k)
+    counter = OpCounter()
+    shuffle_modinv(array, k, counter)
+    assert (array if kind == "list" else array.tolist()) == want
+    assert counter == scalar
+    counted = OpCounter()
+    assert swap_count_modinv(N, k, counted) == scalar.swaps
+    assert counted == scalar
+
+
 def _steps(x, m):
     counter = OpCounter()
     ext_gcd(x, m, counter)
@@ -320,6 +356,23 @@ def test_lanes_are_exact_up_to_the_int64_guard(k):
     with pytest.raises(OverflowError, match="int64"):
         next(modinv_pairs(1, ShuffleSpec.for_length(N + k, k), counter))
     assert counter == OpCounter()
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_lanes_are_exact_at_the_int32_boundary(k):
+    # The largest N with k*(N-1) < 2**31 runs int32 lanes at full magnitude,
+    # 512 to a chunk; the next multiple of k runs int64 lanes, 256 to a chunk.
+    # Either way the first chunk's partners equal Python's exact integers.
+    N = ((1 << 31) - 1) // k + 1
+    N -= N % k
+    assert k * (N - 1) < 1 << 31 <= k * (N + k - 1)
+    for N, dtype, width in ((N, np.int32, 512), (N + k, np.int64, 256)):
+        spec = ShuffleSpec.for_length(N, k)
+        x, _ = next(_j_chunks(spec, (1,), None))
+        assert (x.dtype, len(x)) == (dtype, width), N
+        for r in (1, k):
+            got = list(itertools.takewhile(lambda pair: pair[0] <= width, modinv_pairs(r, spec)))
+            assert got == _scalar_round(r, spec, last=width)[0], (N, r)
 
 
 def test_lane_scratch_does_not_grow_with_n():
