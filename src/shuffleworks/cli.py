@@ -84,8 +84,9 @@ def cmd_shuffle(args) -> int:
     with open(src, "rb", buffering=0) if args.records and from_file else contextlib.nullcontext() as fin:
         # Each mode sets up the array to shuffle and what to do with it
         # afterwards.  Records between files, IN itself included, shuffle
-        # OUT's mapped body, which OUT gets only once the checks below have
-        # passed; until the real header is written last, both readers refuse
+        # OUT's mapped and prefaulted body, which OUT gets only once the
+        # checks below have passed; an existing OUT is overwritten where it
+        # stands.  Until the real header is written last, both readers refuse
         # OUT.  Tokens are 8-byte (start, end) records; onto IN they replace it whole.
         array = None
         if fin is not None and to_file and (onto_src or _mappable(fin, dst)):

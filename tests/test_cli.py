@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shuffleworks import cli, shuffle_bitrev
+from shuffleworks import cli, recordfile, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_file, parse_record_file
@@ -267,6 +267,23 @@ def test_records_copy_checks_before_it_writes(tmp_path, capsys):
             assert src.read_bytes() == blob
 
 
+@pytest.mark.parametrize("out_n", [40, 3], ids=["longer", "shorter"])
+def test_records_copy_overwrites_an_existing_container_where_it_stands(tmp_path, capsys, out_n):
+    blob = record_fixture(n=22, k=2, size=12)
+    src, dst, link = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "link.bin"
+    src.write_bytes(blob)
+    dst.write_bytes(record_fixture(n=out_n, k=3, size=12))
+    dst.chmod(0o640)
+    os.link(dst, link)
+    before = dst.stat()
+    assert run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys) == (0, "", "")
+    after = dst.stat()
+    assert after.st_size == HEADER_SIZE + 22 * 12
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert dst.read_bytes() == link.read_bytes() == _in_place_bytes(tmp_path, blob, capsys)
+    assert src.read_bytes() == blob
+
+
 def _assert_refused(path, capsys):
     """Both record readers exit 2 on path for a bad magic."""
     for argv in (["--in-place", str(path)], [str(path), "-o", str(path.with_suffix(".again"))]):
@@ -275,10 +292,14 @@ def _assert_refused(path, capsys):
 
 
 @mapped_copy
-@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in_place"])
-def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, in_place):
+@pytest.mark.parametrize("in_place,out_before", [(False, None), (False, (27, 3, 4)), (True, None)],
+                         ids=["copy", "copy_onto_a_container", "in_place"])
+def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, in_place, out_before):
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
     src.write_bytes(record_fixture(n=16, k=2, size=8))
+    if out_before is not None:  # a good container of another shape, overwritten where it stands
+        n, k, size = out_before
+        dst.write_bytes(record_fixture(n=n, k=k, size=size))
     first_round = shuffle_bitrev.revswap_round
 
     def stop_after_round_0(array, t, spec):
@@ -326,6 +347,49 @@ def test_records_copy_scratch_is_bounded(tmp_path, capsys):
     assert scratch < 2 << 20
     got = parse_record_file(dst.read_bytes()).records.view(np.uint32).reshape(n, 3)[:, 0]
     assert (got == np.asarray(oracle_shuffle(range(n), 2)) * 3).all()
+
+
+@pytest.mark.parametrize("kernel", ["accepts", "refuses"])
+def test_records_body_prefault_is_asked_for_and_may_be_refused(tmp_path, capsys, monkeypatch, kernel):
+    # A kernel before Linux 5.14 refuses the advice; the pages then fault one by one.
+    asked = []
+    real_madvise = recordfile._madvise
+
+    def madvise(mm, advice):
+        asked.append(advice)
+        if kernel == "refuses":
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        real_madvise(mm, advice)
+
+    monkeypatch.setattr(recordfile, "_madvise", madvise)
+    src, dst, inplace = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "inplace.bin"
+    for k, n, size in ((2, 2 * 1030, 12), (3, 27, 8), (2, 2 ** 10, 8), (5, 55, 1)):
+        blob = record_fixture(n=n, k=k, size=size)
+        rf = parse_record_file(blob)
+        want = rf.header_bytes() + np.asarray(oracle_shuffle(rf.records, k)).tobytes()
+        src.write_bytes(blob)
+        inplace.write_bytes(blob)
+        asked.clear()
+        assert run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys) == (0, "", "")
+        assert run_cli(["shuffle", "--records", "--in-place", str(inplace)], capsys) == (0, "", "")
+        assert dst.read_bytes() == inplace.read_bytes() == want, (k, n, size)
+        if sys.platform.startswith("linux"):
+            assert asked == [23, 23]  # MADV_POPULATE_WRITE, once on each route
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the prefault is asked for on Linux")
+def test_records_body_over_half_of_memory_is_not_prefaulted(tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(recordfile, "_madvise", lambda mm, advice: asked.append(advice))
+    path = tmp_path / "data.bin"
+    path.write_bytes(record_fixture(n=4096, k=2, size=8))
+    real_sysconf = os.sysconf
+    for pages, prefaulted in ((16, True), (15, False)):  # 16 pages of 4 KiB are twice the 32 KiB body
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.get(name)
+                            or real_sysconf(name))
+        asked.clear()
+        recordfile._map_body(str(path), 4096, 8)
+        assert asked == ([23] if prefaulted else []), pages
 
 
 def test_records_in_place_k3_scratch_after_the_first_call(tmp_path, capsys):
