@@ -81,90 +81,33 @@ def cmd_shuffle(args) -> int:
         dst = src  # --in-place is -o IN
     from_file, to_file = src not in (None, "-"), dst not in (None, "-")
     onto_src = from_file and to_file and os.path.exists(dst) and os.path.samefile(src, dst)
-    with open(src, "rb", buffering=0) if args.records and from_file else contextlib.nullcontext() as fin:
-        # Each mode sets up the array to shuffle and what to do with it
-        # afterwards.  Records between files, IN itself included, shuffle
-        # OUT's mapped and prefaulted body, which OUT gets only once the
-        # checks below have passed; an existing OUT is overwritten where it
-        # stands.  Until the real header is written last, both readers refuse
-        # OUT.  Tokens are 8-byte (start, end) records; onto IN they replace it whole.
-        array = None
-        if fin is not None and to_file and (onto_src or _mappable(fin, dst)):
+    if args.records:
+        # Records are shuffled in one array: OUT's mapped body when OUT is a
+        # regular file or none yet, else a buffer written out behind the
+        # header.  OUT is touched only once the checks have passed, and both
+        # readers refuse it until its real header is written last.
+        mapped = to_file and (not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode))
+        with open(src, "rb", buffering=0) if from_file else contextlib.nullcontext(sys.stdin.buffer) as fin:
             N, header_k, size = recordfile.read_header(fin)
-
-            def finish():
-                if onto_src:  # a copy is not synced: msync of a 36 MiB one cost a fifth of its run
-                    array.flush()
-                recordfile.write_header(dst, N, header_k, size)
-        elif args.records:
-            data = _read_binary(fin)
-            rf = recordfile.parse_record_file(data)
-            array = rf.records  # a view of data, which is written back out whole
-            N, header_k, finish = rf.n_records, rf.k, lambda: _write(dst, data)
-        else:
-            codes, edges = _read_tokens(src)
-            array, N, header_k = edges.view("V%d" % (2 * edges.itemsize)), len(edges) // 2, 2
-            finish = lambda: (_replace if onto_src else _write)(dst, _token_text(codes, edges))
-        spec = _check(N, args.k or header_k, args.method, "records" if args.records else "tokens")
-        if array is None:
-            array = recordfile.copy_records(fin, dst, N, size, onto_src)
+            spec = _check(N, args.k or header_k, args.method, "records")
+            array = recordfile.copy_records(fin, dst if mapped else None, N, size, onto_src)
         counter = _shuffle(array, spec, args.method)
-        finish()
+        if mapped:
+            if onto_src:  # a copy is not synced: msync of a 36 MiB one cost a fifth of its run
+                array.flush()
+            recordfile.write_header(dst, N, header_k, size)
+        else:
+            _write(dst, [recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])
+    else:
+        # Tokens are 8-byte (start, end) records; onto IN they replace it whole.
+        codes, edges = _read_tokens(src)
+        spec = _check(len(edges) // 2, args.k or 2, args.method, "tokens")
+        counter = _shuffle(edges.view("V%d" % (2 * edges.itemsize)), spec, args.method)
+        (_replace if onto_src else _write)(dst, _token_text(codes, edges))
     if args.stats:
         print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
               file=sys.stderr)
     return 0
-
-
-def _mappable(fin, dst: str) -> bool:
-    """Whether records can go from the open file fin to dst through a memory map.
-
-    fin must be a regular file and dst a regular file or nothing yet; pipes
-    and devices cannot be mapped.  Outside Linux, sendfile writes only to
-    sockets.
-    """
-    if not (sys.platform.startswith("linux") and stat.S_ISREG(os.fstat(fin.fileno()).st_mode)):
-        return False
-    return not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode)
-
-
-def _read_binary(fh) -> np.ndarray:
-    """The whole of the open binary file fh, or of stdin for None, in one writable uint8 buffer.
-
-    Stdin and pipes state no size, so their header is read and checked
-    first and the buffer is the size it promises; a short body or trailing
-    bytes are refused.  The buffer is not zeroed: a header that promises
-    more than is sent costs address space until the short body is found.
-    """
-    size = os.fstat(fh.fileno()).st_size if fh is not None else 0
-    if size:
-        data = np.empty(size, np.uint8)
-        if _fill(fh, data) != size:
-            raise ParseFailure("%s: short read" % fh.name)
-        return data
-    fh = fh or sys.stdin.buffer
-    head = bytearray(recordfile.HEADER_SIZE)
-    n, _, size = recordfile.check_header(head[:_fill(fh, head)])
-    try:
-        data = np.empty(recordfile.HEADER_SIZE + n * size, np.uint8)
-    except MemoryError as exc:
-        raise ParseFailure("header promises %d records of %d bytes, more than memory holds" % (n, size)) from exc
-    data[:recordfile.HEADER_SIZE] = head
-    got = _fill(fh, data[recordfile.HEADER_SIZE:])
-    if got < n * size:
-        raise recordfile.RecordFormatError("body is %d bytes, header promises %d" % (got, n * size))
-    if fh.read(1):
-        raise recordfile.RecordFormatError("body is more than %d bytes, header promises %d" % (got, got))
-    return data
-
-
-def _fill(fh, buffer) -> int:
-    """Read from fh into buffer until it is full or fh ends; return the bytes read."""
-    got = 0
-    with memoryview(buffer) as view:  # an unbuffered read stops short of 2 GiB on Linux
-        while got < len(view) and (n := fh.readinto(view[got:])):
-            got += n
-    return got
 
 
 _CODE_CHUNK = 1 << 16  # code units per step of the ASCII check, the token split and the text write, at most per gather
@@ -278,12 +221,12 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
 def _write(path: str | int | None, data) -> None:
     """Write data to path (or open file descriptor), or to stdout for None and "-".
 
-    data is a uint8 ndarray of bytes, which goes out whole, or an iterable
-    of strs.  A text stream encodes each str it gets into one bytes copy,
-    so strs go out _CODE_CHUNK characters at a time.
+    data is a list of bytes-like chunks, which go out as they are, or an
+    iterable of strs.  A text stream encodes each str it gets into one
+    bytes copy, so strs go out _CODE_CHUNK characters at a time.
     """
-    binary = isinstance(data, np.ndarray)
-    chunks = (data,) if binary else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
+    binary = isinstance(data, list) and not isinstance(data[0], str)
+    chunks = data if binary else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:

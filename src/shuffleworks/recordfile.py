@@ -13,19 +13,24 @@ Layout, little-endian throughout:
 The body length must match the header exactly, and the arity k must be
 at least 2.
 
-Files are edited through a memory map of their body, prefaulted in one
-call where the kernel can.  `open_records_inplace` maps an existing
-container as it stands.  `copy_records` zeroes the header of a file that
-is either the source container itself or another one, new or overwritten
-where it stands, whose body the kernel copies from it, and maps that
-body; both readers refuse the file until `write_header` gives it the
-real header.
+`shuffle --records` takes every container the same way.  `read_header`
+reads the header from the source's current position; a regular file's
+size is checked against it there, and a stream's body as it is read.
+`copy_records` then puts the body in one array to shuffle: the body of
+the output file, mapped behind a zeroed header and prefaulted in one
+call where the kernel can, or a buffer where there is no such file.
+Unless that file is the source itself, one read loop fills the array,
+and refuses a short body or a byte past it.  Both readers refuse a file
+with a zeroed header until `write_header` gives it the real one; a file
+whose body is refused is cut back to that header.  `open_records_inplace`
+maps an existing container as it stands.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass
@@ -102,24 +107,48 @@ def make_record_file(k: int, record_size: int, payload: bytes) -> RecordFile:
     return RecordFile(len(records), k, record_size, records)
 
 
-def read_header(fh) -> tuple[int, int, int]:
-    """Validate the header of a container file opened at its start against its size; return (n, k, size)."""
-    return check_header(fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+def read_header(src) -> tuple[int, int, int]:
+    """Read and validate the header at src's position; return (n, k, size).
+
+    The body length of a regular file is checked against its size; that of
+    a stream, which states none, is checked as copy_records reads it.
+    """
+    head = bytearray(HEADER_SIZE)
+    return check_header(head[:_fill(src, head)], _bytes_left(src))
+
+
+def _bytes_left(src) -> int | None:
+    """The bytes of the regular file src past its position, or None for a stream."""
+    try:
+        info = os.fstat(src.fileno())
+    except OSError:  # an in-memory stream has no file descriptor
+        return None
+    return info.st_size - src.tell() if stat.S_ISREG(info.st_mode) else None
+
+
+def _fill(src, buffer) -> int:
+    """Read from src into buffer until it is full or src ends; return the bytes read."""
+    got = 0
+    with memoryview(buffer) as view:  # an unbuffered read stops short of 2 GiB on Linux
+        while got < len(view) and (n := src.readinto(view[got:])):
+            got += n
+    return got
 
 
 def _madvise(mm, advice: int) -> None:
     mm.madvise(advice)
 
 
-def _map_body(path: str, n: int, size: int) -> np.memmap:
-    """Map the n records of path writable, on Linux with every page faulted in by one call.
+def _map_body(path: str, n: int, size: int, prefault: bool = True) -> np.memmap:
+    """Map the n records of path writable, on Linux with every page faulted in by one call if prefault.
 
     A body over half of physical memory is left to fault page by page:
     populating it would dirty and evict pages before the rounds read them.
     Kernels before 5.14 refuse the advice, and their pages fault the same way.
     """
     body = np.memmap(path, dtype=record_dtype(size), mode="r+", offset=HEADER_SIZE, shape=(n,))
-    if sys.platform.startswith("linux") and 2 * n * size <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if (prefault and sys.platform.startswith("linux")
+            and 2 * n * size <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
         with contextlib.suppress(OSError):
             _madvise(body._mmap, _MADV_POPULATE_WRITE)
     return body
@@ -133,26 +162,51 @@ def open_records_inplace(path: str) -> tuple[RecordFile, np.memmap]:
     return RecordFile(n, k, size, mm), mm
 
 
-def copy_records(src, path: str, n: int, size: int, onto_src: bool) -> np.memmap:
-    """Make path the n records of the open container src behind a zeroed header; map them.
+def copy_records(src, path: str | None, n: int, size: int, onto_src: bool) -> np.ndarray:
+    """The n records of size bytes after src's position, in one array: path's mapped body, or a buffer for None.
 
-    Onto src itself only the header is zeroed.  Otherwise the kernel copies
-    the body, so no buffer of its size is made.  An existing path is
-    overwritten where it stands, keeping its inode and page cache, and only
-    bytes past the new end are cut.
+    path gets a zeroed header and the container's length; an existing path
+    is overwritten where it stands, keeping its inode and page cache, and
+    only bytes past the new end are cut.  When path is src itself
+    (onto_src), its body is already in place.  Otherwise the body is read
+    from src, and a short body or a byte past its end is refused.  A body
+    refused, or one that cannot be mapped or read, leaves path cut back to
+    its zeroed header.
     """
-    end = HEADER_SIZE + n * size
-    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b", buffering=0) as out:
-        out.write(bytes(HEADER_SIZE))
-        offset = end if onto_src else HEADER_SIZE
-        while offset < end:
-            sent = os.sendfile(out.fileno(), src.fileno(), offset, end - offset)
-            if not sent:
-                raise RecordFormatError("%s: short read" % src.name)
-            offset += sent
-        if os.fstat(out.fileno()).st_size > end:  # on ext4 a cut to the same size still runs its truncate
-            out.truncate(end)
-    return _map_body(path, n, size)
+    if HEADER_SIZE + n * size > sys.maxsize:  # past any file offset and array size
+        raise RecordFormatError("header promises %d records of %d bytes, more than can be addressed" % (n, size))
+    if path is None:
+        try:
+            body = np.empty(n, record_dtype(size))
+        except MemoryError as exc:
+            raise RecordFormatError(
+                "header promises %d records of %d bytes, more than memory holds" % (n, size)) from exc
+        _read_body(src, body)
+        return body
+    try:
+        with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b", buffering=0) as out:
+            out.write(bytes(HEADER_SIZE))
+            if os.fstat(out.fileno()).st_size != HEADER_SIZE + n * size:  # on ext4 a same-size cut still costs
+                out.truncate(HEADER_SIZE + n * size)
+        # a stream's body is only promised, so its pages fault as they are read
+        body = _map_body(path, n, size, prefault=_bytes_left(src) == n * size)
+        if not onto_src:
+            _read_body(src, body)
+    except (OSError, ValueError):
+        if not onto_src:
+            with contextlib.suppress(OSError):
+                os.truncate(path, HEADER_SIZE)
+        raise
+    return body
+
+
+def _read_body(src, body: np.ndarray) -> None:
+    """Fill body from src; refuse a short body or a byte past its end."""
+    got = _fill(src, body.view(np.uint8))
+    if got < body.nbytes:
+        raise RecordFormatError("body is %d bytes, header promises %d" % (got, body.nbytes))
+    if src.read(1):
+        raise RecordFormatError("body is more than %d bytes, header promises %d" % (got, got))
 
 
 def write_header(path: str, n: int, k: int, size: int) -> None:

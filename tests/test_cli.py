@@ -14,6 +14,7 @@ import stat
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,8 +29,6 @@ from _reference import compose, parse_cycle_notation
 
 FIGURE_TOKENS = "a b c d e f 1 2 3 4 5 6"
 FIGURE_SHUFFLED = "a 1 b 2 c 3 d 4 e 5 f 6"
-# --records IN -o OUT maps OUT's body only where sendfile can write to a file
-mapped_copy = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the mapped copy runs on Linux")
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -201,17 +200,24 @@ def test_shuffle_records_file_to_file(tmp_path, capsys):
     assert rf.records.tolist() == oracle_shuffle(list(range(12)), 2)
 
 
+def _cut_after_header(monkeypatch, path, body_len):
+    """Cut the file at path to body_len body bytes once its header is read and checked, as if it shrank meanwhile."""
+    real_read_header = recordfile.read_header
+
+    def read_header(src):
+        found = real_read_header(src)
+        os.truncate(path, HEADER_SIZE + body_len)
+        return found
+
+    monkeypatch.setattr(recordfile, "read_header", read_header)
+
+
 def test_shuffle_records_short_read_exits_2(tmp_path, capsys, monkeypatch):
     src = tmp_path / "in.bin"
     src.write_bytes(record_fixture())
-    real_fstat = os.fstat
-    # the file reads back shorter than its stated size, as if cut while read
-    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
-        (0,) * 6 + (real_fstat(fd).st_size + 8,) + (0,) * 3))
-    code, out, err = run_cli(["shuffle", "--records", str(src), "-o", str(tmp_path / "out.bin")], capsys)
-    assert (code, out) == (2, "")
-    assert "short read" in err
-    assert not (tmp_path / "out.bin").exists()
+    _cut_after_header(monkeypatch, src, 8)
+    code, out, err = run_cli(["shuffle", "--records", str(src)], capsys)
+    assert (code, out, err) == (2, "", "error: body is 8 bytes, header promises 48\n")
 
 
 def _in_place_bytes(tmp_path, blob, capsys):
@@ -291,15 +297,12 @@ def _assert_refused(path, capsys):
         assert code == 2 and "bad magic" in err, (argv, code, err)
 
 
-@mapped_copy
-@pytest.mark.parametrize("in_place,out_before", [(False, None), (False, (27, 3, 4)), (True, None)],
-                         ids=["copy", "copy_onto_a_container", "in_place"])
-def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, in_place, out_before):
+@pytest.mark.parametrize("how", ["copy", "copy_onto_a_container", "in_place", "stdin_to_a_file"])
+def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, how):
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
     src.write_bytes(record_fixture(n=16, k=2, size=8))
-    if out_before is not None:  # a good container of another shape, overwritten where it stands
-        n, k, size = out_before
-        dst.write_bytes(record_fixture(n=n, k=k, size=size))
+    if how == "copy_onto_a_container":  # a good container of another shape, overwritten where it stands
+        dst.write_bytes(record_fixture(n=27, k=3, size=4))
     first_round = shuffle_bitrev.revswap_round
 
     def stop_after_round_0(array, t, spec):
@@ -307,29 +310,29 @@ def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, in_p
             raise RuntimeError("stopped between the rounds")
         return first_round(array, t, spec)
 
-    monkeypatch.setattr(shuffle_bitrev, "revswap_round", stop_after_round_0)
-    with pytest.raises(RuntimeError):
-        main(["shuffle", "--records", *(["--in-place", str(src)] if in_place else [str(src), "-o", str(dst)])])
+    argv = {"in_place": ["--in-place", str(src)], "stdin_to_a_file": ["-o", str(dst)]}.get(
+        how, [str(src), "-o", str(dst)])
+    with _stdin_pipe(monkeypatch, src.read_bytes()) if how == "stdin_to_a_file" else contextlib.nullcontext():
+        monkeypatch.setattr(shuffle_bitrev, "revswap_round", stop_after_round_0)
+        with pytest.raises(RuntimeError):
+            main(["shuffle", "--records", *argv])
     monkeypatch.undo()
-    stopped = src if in_place else dst
+    stopped = src if how == "in_place" else dst
     assert stopped.stat().st_size == src.stat().st_size
     _assert_refused(stopped, capsys)
 
 
-@mapped_copy
 def test_records_copy_short_read_is_refused(tmp_path, capsys, monkeypatch):
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
     src.write_bytes(record_fixture())
-    # the kernel copy finds the end of the file early, as if IN shrank meanwhile
-    monkeypatch.setattr(os, "sendfile", lambda *args: 0)
+    _cut_after_header(monkeypatch, src, 8)
     code, out, err = run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys)
-    assert (code, out) == (2, "")
-    assert "short read" in err
+    assert (code, out, err) == (2, "", "error: body is 8 bytes, header promises 48\n")
     monkeypatch.undo()
+    assert dst.stat().st_size == HEADER_SIZE
     _assert_refused(dst, capsys)
 
 
-@mapped_copy
 def test_records_copy_scratch_is_bounded(tmp_path, capsys):
     # 1 400 006 records of 12 bytes (16.8 MB): rotations, then aligned blocks.
     n = 2 * 700_003
@@ -433,21 +436,54 @@ def _stdin_pipe(monkeypatch, blob):
     assert not feeder.is_alive()
 
 
-def test_records_from_stdin_scratch_is_the_container(tmp_path, capsys, monkeypatch):
-    # one buffer of the container's size: read() and a copy of it held two
+def _traced_main(argv):
+    """main(argv) under tracemalloc; return its exit code and peak of traced memory."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_from_stdin_to_a_file_scratch_is_bounded(tmp_path, capsys, monkeypatch):
+    # the body is read straight into OUT's mapped body, whatever its size
     src, ref, dst = tmp_path / "in.bin", tmp_path / "ref.bin", tmp_path / "out.bin"
     for n in (2 ** 18, 2 ** 20):
         blob = make_record_file(2, 8, np.arange(n, dtype=np.uint64).tobytes()).to_bytes()
         src.write_bytes(blob)
         assert run_cli(["shuffle", "--records", str(src), "-o", str(ref)], capsys) == (0, "", "")
         with _stdin_pipe(monkeypatch, blob):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                code = main(["shuffle", "--records", "-o", str(dst)])
-                scratch = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, scratch = _traced_main(["shuffle", "--records", "-o", str(dst)])
+        assert code == 0
+        assert dst.read_bytes() == ref.read_bytes()
+        assert scratch < 2 << 20, (n, scratch, len(blob))
+
+
+def test_records_from_stdin_to_a_file_are_not_prefaulted(tmp_path, capsys, monkeypatch):
+    # a stream's body is only promised: populating OUT first could fill the disk with zeros
+    asked = []
+    monkeypatch.setattr(recordfile, "_madvise", lambda mm, advice: asked.append(advice))
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(record_fixture(n=2 ** 10, k=2, size=8))
+    with _stdin_pipe(monkeypatch, src.read_bytes()):
+        assert run_cli(["shuffle", "--records", "-o", str(dst)], capsys) == (0, "", "")
+    assert asked == []
+    assert run_cli(["shuffle", "--records", str(src), "-o", str(dst)], capsys) == (0, "", "")
+    assert asked == ([23] if sys.platform.startswith("linux") else [])
+
+
+def test_records_from_stdin_to_stdout_scratch_is_the_container(tmp_path, capsys, monkeypatch):
+    # one buffer of the body's size, written out behind the header
+    src, ref, dst = tmp_path / "in.bin", tmp_path / "ref.bin", tmp_path / "out.bin"
+    for n in (2 ** 18, 2 ** 20):
+        blob = make_record_file(2, 8, np.arange(n, dtype=np.uint64).tobytes()).to_bytes()
+        src.write_bytes(blob)
+        assert run_cli(["shuffle", "--records", str(src), "-o", str(ref)], capsys) == (0, "", "")
+        with _stdin_pipe(monkeypatch, blob), open(dst, "w") as stdout:
+            monkeypatch.setattr("sys.stdout", stdout)
+            code, scratch = _traced_main(["shuffle", "--records"])
         assert code == 0
         assert dst.read_bytes() == ref.read_bytes()
         assert scratch < len(blob) + (1 << 20), (n, scratch, len(blob))
@@ -464,15 +500,56 @@ def test_records_from_stdin_refuse_a_body_the_header_does_not_promise(capsys, mo
                    "error: body is more than 48 bytes, header promises 48\n")
 
 
-def test_records_from_stdin_with_a_header_promising_too_much(capsys, monkeypatch):
-    # the buffer is not zeroed, so asking for it costs no memory before the
-    # body is found short, or it cannot be had
-    for count, size in ((2 ** 32, 1), (2 ** 32, 17), (2 ** 64 - 1, 17)):
-        head = struct.pack("<4sBQII", MAGIC, VERSION, count, 2, size)
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(head + bytes(size))))
-        code, out, err = run_cli(["shuffle", "--records"], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "Traceback" not in err
+def test_records_from_stdin_with_a_header_promising_too_much(tmp_path, capsys, monkeypatch):
+    # A buffer is not zeroed, so asking for it costs no memory before the body
+    # is found short, or it cannot be had.  OUT is sized to the promise but
+    # sparse and not prefaulted, and is cut back to its zeroed header.
+    dst = tmp_path / "out.bin"
+    for to_file in (False, True):
+        for count, size in ((2 ** 32, 1), (2 ** 32, 17), (2 ** 61, 16), (2 ** 64 - 1, 17)):
+            head = struct.pack("<4sBQII", MAGIC, VERSION, count, 2, size)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(head + bytes(size))))
+            code, out, err = run_cli(["shuffle", "--records", *(["-o", str(dst)] if to_file else [])], capsys)
+            row = (to_file, count, size, err)
+            if count % 2:  # the arity is checked before the body is read
+                assert (code, out, err) == (3, "", "error: %d records is not a multiple of k=2\n" % count), row
+                continue
+            short = "error: body is %d bytes, header promises %d\n" % (size, count * size)
+            unheld = "error: header promises %d records of %d bytes, more than memory holds\n" % (count, size)
+            if count * size >= 2 ** 63:  # refused before OUT is touched
+                short = unheld = "error: header promises %d records of %d bytes, more than can be addressed\n" % (
+                    count, size)
+            assert (code, out) == (2, ""), row
+            assert (err == short) if to_file else (err in (short, unheld)), row  # a buffer may not be had
+            if to_file:
+                assert dst.stat().st_size == HEADER_SIZE, row
+                _assert_refused(dst, capsys)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_records_from_a_named_pipe(tmp_path, capsys):
+    # A raw pipe read returns what has been written so far, so the header and
+    # body arrive in pieces shorter than asked for.
+    fifo, src, want, dst = tmp_path / "in.fifo", tmp_path / "in.bin", tmp_path / "want.bin", tmp_path / "out.bin"
+    blob = record_fixture(n=22, k=2, size=3)
+    src.write_bytes(blob)
+    assert run_cli(["shuffle", "--records", "--method", "oracle", str(src), "-o", str(want)], capsys) == (0, "", "")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb", buffering=0) as out:
+            for i in range(0, len(blob), 5):
+                out.write(blob[i:i + 5])
+                time.sleep(0.002)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        assert run_cli(["shuffle", "--records", str(fifo), "-o", str(dst)], capsys) == (0, "", "")
+    finally:
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+    assert dst.read_bytes() == want.read_bytes()
 
 
 def test_shuffle_records_in_place(tmp_path, capsys):
