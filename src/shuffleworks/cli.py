@@ -2,9 +2,9 @@
 
 Subcommands: shuffle, factor, network, profile, selftest.  Data goes to
 stdout, diagnostics to stderr.  Exit codes are part of the interface:
-0 success, 1 selftest failure, 2 unparsable input (k below 2, or a file
-that cannot be read or written), 3 arity mismatch (length vs k, or a
-method that cannot handle the length), 4 index arithmetic overflow.
+0 success, 1 selftest failure, 2 unparsable input (k below 2, a file that
+cannot be read or written, or no memory left), 3 arity mismatch (length vs
+k, or a method that cannot handle the length), 4 index arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -45,32 +45,42 @@ class ArityFailure(ValueError):
     """Input whose shape does not fit the requested operation (exit 3)."""
 
 
+def _route(target, method: str, purpose: str):
+    """Resolve --method for target, a ShuffleSpec or network --perm's Permutation, in this one place.
+
+    Returns (name, run); run(array) shuffles once, in place, looking cli's executors up as it runs.
+    """
+    if isinstance(target, Permutation) or method == "factorization":
+        if method not in ("auto", "factorization"):
+            raise ParseFailure("--perm only makes sense with the factorization method")
+        if not isinstance(target, Permutation):
+            raise ParseFailure("factorization networks need --perm")
+        return "factorization", None
+    if method in ("auto", "bitrev") and target.n is not None:
+        return "bitrev", lambda array: OpCounter(swaps=sum(shuffle_power(array, target)), rounds=2)
+    if method in ("auto", "bitrev") and target.k == 2 and purpose == "shuffle":
+        return "rotations", lambda array: shuffle_general_k2(array)
+    if method == "bitrev":
+        raise ArityFailure(("bitrev needs N = k**n, or k=2 with N even" if purpose == "shuffle" else
+                            "bitrev network needs N = k**n") + " (N=%d, k=%d)" % (target.N, target.k))
+    counter = OpCounter()
+    if method == "oracle":  # every array the CLI shuffles is an ndarray
+        return "oracle", lambda array: np.copyto(array, oracle_shuffle(array, target.k)) or counter
+    return "modinv", lambda array: shuffle_modinv(array, target.k, counter) or counter
+
+
 def _check(N: int, k: int, method: str, what: str) -> ShuffleSpec:
-    """The spec of N elements shuffled k ways; ArityFailure if --method cannot take them."""
+    """The spec of N elements shuffled k ways; ArityFailure if --method has no route for them."""
     if N % k:
         raise ArityFailure("%d %s is not a multiple of k=%d" % (N, what, k))
     spec = ShuffleSpec.for_length(N, k)
-    if method == "bitrev" and spec.n is None and k != 2:
-        raise ArityFailure("bitrev needs N = k**n, or k=2 with N even (N=%d, k=%d)" % (N, k))
+    _route(spec, method, "shuffle")
     return spec
 
 
 def _shuffle(array, spec: ShuffleSpec, method: str) -> OpCounter:
-    """Shuffle array in place by the --method choice _check passed; report the work done.
-
-    auto and bitrev take digit reversal for N = k**n and the rotation
-    reduction for k=2; auto takes modular inverses for everything else.
-    """
-    counter = OpCounter()
-    if method in ("auto", "bitrev") and spec.n is not None:
-        counter = OpCounter(swaps=sum(shuffle_power(array, spec)), rounds=2)
-    elif method in ("auto", "bitrev") and spec.k == 2:
-        counter = shuffle_general_k2(array)
-    elif method == "oracle":
-        array[:] = oracle_shuffle(array, spec.k)
-    else:
-        shuffle_modinv(array, spec.k, counter)
-    return counter
+    """Shuffle array in place by _route's construction for --method; report the work done."""
+    return _route(spec, method, "shuffle")[1](array)
 
 
 def cmd_shuffle(args) -> int:
@@ -100,6 +110,8 @@ def cmd_shuffle(args) -> int:
             _write(dst, [recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])
     else:
         # Tokens are 8-byte (start, end) records; onto IN they replace it whole.
+        if onto_src and not stat.S_ISREG(os.stat(src).st_mode):  # a FIFO or device would become a file
+            raise ParseFailure("%s is not a regular file, so tokens cannot be written onto it" % src)
         codes, edges = _read_tokens(src)
         spec = _check(len(edges) // 2, args.k or 2, args.method, "tokens")
         counter = _shuffle(edges.view("V%d" % (2 * edges.itemsize)), spec, args.method)
@@ -283,9 +295,6 @@ def cmd_network(args) -> int:
         if (args.exp, args.n, args.k) != (None, None, None):
             raise ParseFailure("--perm takes no --exp, --n or --k")
         target = _parse_permutation(args.perm)
-        method = args.method if args.method != "auto" else "factorization"
-        if method != "factorization":
-            raise ParseFailure("--perm only makes sense with the factorization method")
     else:
         k = args.k or 2
         if args.exp is not None and args.n is not None:
@@ -303,14 +312,7 @@ def cmd_network(args) -> int:
         if N < 2 or N % k:
             raise ArityFailure("N=%d is not a positive multiple of k=%d" % (N, k))
         target = ShuffleSpec.for_length(N, k)
-        method = args.method
-        if method == "auto":
-            method = "bitrev" if target.n is not None else "modinv"
-        if method == "bitrev" and target.n is None:
-            raise ArityFailure("bitrev network needs N = k**n (N=%d, k=%d)" % (N, k))
-        if method == "factorization":
-            raise ParseFailure("factorization networks need --perm")
-    net = build_network(method, target)
+    net = build_network(_route(target, args.method, "network")[0], target)
     sys.stdout.write(emit_dot(net) if args.format == "dot" else emit_text(net))
     return 0
 
@@ -354,7 +356,7 @@ def cmd_selftest(args) -> int:
             expected = oracle_shuffle(list(range(N)), k)
             for method in ("bitrev", "modinv"):
                 try:
-                    _check(N, k, method, "elements")
+                    _route(spec, method, "shuffle")
                 except ArityFailure:
                     continue
                 # a list, and ndarrays of a native dtype (as records) and a void one (as tokens)
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["bitrev", "modinv", "auto", "oracle"],
         default="auto",
-        help="bitrev: digit reversal (k**n, or k=2 any even length); modinv: modular inverses; oracle: reference",
+        help="auto: chosen by N and k, as README says; bitrev: digit reversal; modinv: modular inverses; oracle: reference",
     )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--lines", action="store_true", help="whitespace tokens (default)")
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except MemoryError as exc:  # input too large to hold; the exception usually has no text
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         # anything the library rejects, and any file that cannot be read or
         # written, is bad input

@@ -12,6 +12,7 @@ import mmap
 import os
 import stat
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -805,6 +806,20 @@ def test_network_exp_below_one_exits_3(capsys, exp):
     assert err == "error: --exp %s gives no positions; it must be at least 1\n" % exp
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the address space size from /proc")
+def test_network_out_of_memory_exits_2_without_a_traceback():
+    # 2**20 positions take about 225 MiB, so 100 MiB of address space past what the child has mapped runs out
+    child = ("import os, resource, sys; from shuffleworks.cli import main; "
+             "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE') + (100 << 20); "
+             "resource.setrlimit(resource.RLIMIT_AS, (size, size)); "
+             "sys.exit(main(['network', '--k', '2', '--exp', '20']))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr[-2000:]
+
+
 def test_profile_past_the_euclid_lanes_exits_4(capsys):
     # N = 3 * 2**60 passes the index limit, but 3 * (N - 1) does not fit in int64
     code, out, err = run_cli(["profile", "--k", "3", "--m-range", "%d..%d" % (1 << 60, 1 << 60)], capsys)
@@ -1308,6 +1323,31 @@ def test_lines_from_a_named_pipe(tmp_path, capsys):
     finally:
         feeder.join(timeout=60)
     assert not feeder.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("argv", [["--in-place", "IN"], ["IN", "-o", "IN"]], ids=["in_place", "output_is_input"])
+def test_lines_onto_a_named_pipe_are_refused_before_it_is_read(tmp_path, capsys, argv):
+    # tokens onto IN go into a new file renamed over it, which would leave a regular file where the pipe was
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def feed():  # a run that reads the pipe gets its text rather than waiting for a writer
+        with open(fifo, "w") as out:
+            out.write("a b c d")
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        code, out, err = run_cli(["shuffle", *(str(fifo) if a == "IN" else a for a in argv)], capsys)
+    finally:
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets a feeder still waiting for a reader write
+        feeder.join(timeout=60)
+        os.close(reader)
+    assert not feeder.is_alive()
+    assert (code, out) == (2, "")
+    assert err == "error: %s is not a regular file, so tokens cannot be written onto it\n" % fifo
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_lines_in_an_encoding_that_is_not_ascii_compatible_are_decoded(tmp_path, capsys, monkeypatch):
