@@ -10,6 +10,7 @@ k, or a method that cannot handle the length), 4 index arithmetic overflow.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import io
@@ -122,94 +123,90 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-_CODE_CHUNK = 1 << 16  # code units per step of the ASCII check, the token split and the text write, at most per gather
+_CODE_CHUNK = 1 << 16  # bytes per step of the token split and the text write, at most per gather; at least 4
 _TOKEN_CHUNK = 1 << 13  # tokens per step of the output gather
 # Whether a code point is in a token: str.split's separators lie below U+3001, so 0x3001 stands for wider codes.
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("U1"))  # code points as 1-character strs
-_CODECS = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}  # by code unit size; each gives a code point one unit
-# Bytes below 0x80, then escapes that make ISO 2022, HZ and UTF-7 read such bytes as other characters.
-_ASCII_PROBE = bytes(range(0x80)) + b"\x1b$B!!\x1b(B~{!!~}+AOk-"
 
 
 def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """The text at path (or stdin) as codes, and the offsets where its str.split tokens start and end.
+    """The text at path (or stdin) as UTF-8 bytes, and the byte offsets where its str.split tokens start and end.
 
-    The codes are code points: those of a regular, non-empty ASCII file
-    are its own bytes, mapped read-only (_read_codes).  The edges alternate
-    start and end, int32 below 2**31 code units, so that a token takes 8
-    bytes: one pass over _CODE_CHUNK code units at a time counts them and
-    a second stores them, so only the result is held whole.
+    The edges alternate start and end, int32 below 2**31 bytes, so that a
+    token takes 8 bytes: one pass over the text counts them and a second
+    stores them, so only the result is held whole.  A pass takes at most
+    _CODE_CHUNK bytes at a time, up to where a character starts.  Bytes of
+    a chunk all below 0x80 are its code points.  Any other chunk is decoded
+    with errors, which checks a mapped file, and its code points are put on
+    their lead bytes.
     """
-    codes = _read_codes(path)
+    codes, errors = _read_codes(path)
 
-    def changes(lo):  # whether each code unit of the chunk at lo starts or ends a token
-        chunk = codes[max(lo - 1, 0):lo + _CODE_CHUNK]
-        in_token = np.take(_IN_TOKEN, chunk if chunk.itemsize == 1 else np.minimum(chunk, len(_IN_TOKEN) - 1))
-        return np.diff(in_token, prepend=False) if lo == 0 else in_token[1:] != in_token[:-1]
+    def chunks():  # each chunk's offset, whether each character starts or ends a token, and its lead bytes
+        lo, in_token = 0, False
+        while lo < len(codes):
+            hi = lo + _CODE_CHUNK
+            for _ in range(3):  # back off continuation bytes (10xxxxxx) onto a lead byte
+                if hi < len(codes) and (codes[hi] & 0xC0) == 0x80:
+                    hi -= 1
+            chunk, leads = codes[lo:hi], None
+            if chunk.max() < 0x80:
+                points = chunk
+            else:
+                try:
+                    points = np.frombuffer(str(chunk, "utf-8", errors).encode("utf-32-le", "surrogatepass"), "<u4")
+                except UnicodeDecodeError as exc:
+                    raise ParseFailure("invalid UTF-8 at byte %d: %s" % (lo + exc.start, exc.reason)) from None
+                leads = (chunk & 0xC0) != 0x80
+            tokens = np.empty(len(points) + 1, bool)  # after the previous chunk's last character
+            tokens[0] = in_token
+            np.take(_IN_TOKEN, points, out=tokens[1:], mode="clip")  # a code point past the table is in a token
+            yield lo, tokens[1:] != tokens[:-1], leads
+            lo, in_token = hi, tokens[-1]
 
-    n = sum(np.count_nonzero(changes(lo)) for lo in range(0, len(codes), _CODE_CHUNK))
+    n = sum(np.count_nonzero(changes) for _, changes, _ in chunks())
     edges = np.empty(n + n % 2, np.int32 if len(codes) < 1 << 31 else np.int64)
     edges[n:] = len(codes)  # a token that runs to the end of the text
     at = 0
-    for lo in range(0, len(codes), _CODE_CHUNK):
-        found = np.flatnonzero(changes(lo))
+    for lo, changes, leads in chunks():
+        if leads is not None:  # each character's change goes onto its lead byte
+            leads[leads] = changes
+            changes = leads
+        found = np.flatnonzero(changes)
         edges[at:at + len(found)] = found + lo
         at += len(found)
     return codes, edges
 
 
-def _read_codes(path: str | None) -> np.ndarray:
-    """The code points of the text at path (or stdin) as 1-, 2- or 4-byte code units.
+def _read_codes(path: str | None) -> tuple[np.ndarray, str]:
+    """The text at path (or stdin) as uint8 UTF-8 bytes, and the errors handler that decodes them.
 
-    A regular, non-empty file whose bytes all lie below 0x80, read in an
-    encoding that takes each such byte as its own code point (as UTF-8 and
-    Latin-1 do, and UTF-16 and UTF-7 do not), is mapped read-only and is
-    its own uint8 codes.  Other text is decoded from the same handle as
-    open() would decode it, and held as the narrowest units that give each
-    character one: uint8 (latin-1) below U+0100, "<u2" (utf-16-le) in the
-    BMP with no lone surrogates, "<u4" (utf-32-le) otherwise.
+    When open() would decode as UTF-8, a regular, non-empty file is mapped
+    read-only as its own bytes, to be decoded strictly.  Other text is
+    decoded as open() would and encoded once, with surrogatepass so that
+    lone surrogates (a surrogateescape stream's undecodable bytes) return.
     """
     if path in (None, "-"):
-        return _code_units(sys.stdin.read())
-    encoding = locale.getpreferredencoding(False)  # what open() would use
-    with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size and _ascii_compatible(encoding):  # a FIFO reads once
-            codes = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
-            if all(codes[lo:lo + _CODE_CHUNK].max() < 0x80 for lo in range(0, len(codes), _CODE_CHUNK)):
-                return codes
-        with io.TextIOWrapper(fh, encoding) as text:
-            return _code_units(text.read())
-
-
-def _ascii_compatible(encoding: str) -> bool:
-    """Whether text in encoding always decodes each byte below 0x80 as its own code point."""
-    try:
-        return _ASCII_PROBE.decode(encoding) == _ASCII_PROBE.decode("ascii")
-    except UnicodeDecodeError:
-        return False
-
-
-def _code_units(text: str) -> np.ndarray:
-    """text as the narrowest code units of _CODECS that hold each of its characters in one."""
-    for size, codec in _CODECS.items():
-        try:
-            data = text.encode(codec, "surrogatepass" if size == 4 else "strict")
-        except UnicodeEncodeError:  # a character past U+00FF, or a lone surrogate
-            continue
-        if len(data) == size * len(text):  # no character took a UTF-16 surrogate pair
-            return np.frombuffer(data, "<u%d" % size)
+        text = sys.stdin.read()
+    else:
+        encoding = locale.getpreferredencoding(False)  # what open() would use
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size and codecs.lookup(encoding).name == "utf-8":
+                return np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8), "strict"
+            with io.TextIOWrapper(fh, encoding) as stream:  # a FIFO reads once, from this handle
+                text = stream.read()
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8), "surrogatepass"
 
 
 def _token_text(codes: np.ndarray, edges: np.ndarray):
-    """The tokens at edges in codes as strs, each followed by a space and the last by a newline.
+    """The tokens at edges in the UTF-8 bytes codes as strs, each followed by a space and the last by a newline.
 
-    At most _TOKEN_CHUNK tokens and _CODE_CHUNK code units go through one
-    buffer at a time, decoded by the codec of the code unit size; a longer
-    token is decoded on its own.  Each slice of edges is widened to int64
-    before any arithmetic on it.
+    At most _TOKEN_CHUNK tokens and _CODE_CHUNK bytes go through one
+    buffer at a time; a longer token is decoded on its own.  Each slice
+    of edges is widened to int64 before any arithmetic on it.
     """
-    codec, n, i = _CODECS[codes.itemsize], len(edges) // 2, 0
+    n, i = len(edges) // 2, 0
     index = np.empty(_CODE_CHUNK, np.int64)
     while i < n:
         start = edges[2 * i:2 * (i + _TOKEN_CHUNK):2].astype(np.int64)
@@ -218,16 +215,16 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
         take = int(np.searchsorted(stop, _CODE_CHUNK, "right"))
         i += max(take, 1)
         if not take:
-            yield from (str(codes[start[0]:end[0]], codec, "surrogatepass"), " " if i < n else "\n")
+            yield from (str(codes[start[0]:end[0]], "utf-8", "surrogatepass"), " " if i < n else "\n")
             continue
         start, end, stop = start[:take], end[:take], stop[:take]
-        steps = index[:stop[-1]]  # from the code unit each buffer position takes to the next one's
+        steps = index[:stop[-1]]  # from the byte each buffer position takes to the next one's
         steps.fill(1)
         steps[0], steps[stop[:-1]] = start[0], start[1:] - end[:-1]
         out = codes.take(np.cumsum(steps, out=steps), mode="clip")  # the last separator may lie past codes
         out[stop - 1] = ord(" ")
         out[-1] = ord(" " if i < n else "\n")
-        yield str(out, codec, "surrogatepass")
+        yield str(out, "utf-8", "surrogatepass")
 
 
 def _write(path: str | int | None, data) -> None:

@@ -8,8 +8,8 @@ import hashlib
 import importlib
 import io
 import locale
-import mmap
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -1246,35 +1246,12 @@ def _scratch_of_in_place(src, text):
 
 
 def test_lines_mapped_in_place_scratch_is_8_bytes_a_token(tmp_path):
-    # an ASCII file is mapped as its own codes, so the scratch is the int32 edges
-    for N in (2 ** 17, 2 ** 19):
-        scratch = _scratch_of_in_place(tmp_path / "in.txt", " ".join("w%07d" % i for i in range(N)))
-        assert scratch < 8 * N + 1.25 * (1 << 20), (N, scratch, 8 * N)
-
-
-@pytest.mark.parametrize("fmt, width, sizes", [("\u00e9%07d", 1, (2 ** 17, 2 ** 19)), ("\u4e2d%07d", 2, (2 ** 19,))],
-                         ids=["latin1", "bmp"])
-def test_lines_decoded_scratch_is_the_text_in_its_narrowest_codes(tmp_path, fmt, width, sizes):
-    # the decoded str and its codes are held at once, each as wide as the
-    # narrowest code unit, so 4-byte codes would not fit the bound for Latin-1 text
-    for N in sizes:
-        text = " ".join(fmt % i for i in range(N))
-        scratch = _scratch_of_in_place(tmp_path / "in.txt", text)
-        assert scratch < 2.5 * width * len(text) + 8 * N + (2 << 20), (N, scratch, len(text))
-
-
-@pytest.mark.parametrize("text, dtype", [
-    ("ascii only", np.uint8), ("\u00e9t\u00e9\xa0na\u00efve", np.uint8), ("\u4e2d\u6587\u3000x", "<u2"),
-    ("\U0001f600 x", "<u4"), ("a\udcff b", "<u4")])
-def test_lines_codes_are_the_narrowest_that_hold_each_character(tmp_path, monkeypatch, text, dtype):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    assert cli._read_codes(None).dtype == np.dtype(dtype)
-    if not text.endswith("\udcff b"):  # a lone surrogate cannot be written to a file
-        src = tmp_path / "in.txt"
-        src.write_text(text)
-        codes = cli._read_codes(str(src))
-        assert codes.dtype == np.dtype(dtype)
-        assert isinstance(getattr(codes.base, "obj", None), mmap.mmap) == text.isascii()  # a view of the map
+    # a UTF-8 file is mapped as its own bytes, so the scratch is the int32
+    # edges, whatever the characters' widths
+    for fmt, constant in (("w%07d", 1.25), ("\u00e9%07d", 1.5), ("\u4e2d%07d", 1.5), ("\U0001f600%07d", 1.5)):
+        for N in (2 ** 17, 2 ** 19):
+            scratch = _scratch_of_in_place(tmp_path / "in.txt", " ".join(fmt % i for i in range(N)))
+            assert scratch < 8 * N + constant * (1 << 20), (fmt, N, scratch, 8 * N)
 
 
 def _lines_to_stdout(path, capsys, k=2):
@@ -1304,6 +1281,36 @@ def test_lines_non_ascii_byte_past_the_first_check_step_is_decoded(tmp_path, cap
     src.write_bytes(text.encode("utf-8"))
     assert src.read_bytes().index(b"\xc3") == cut
     assert _lines_to_stdout(src, capsys) == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+
+
+# Files that are not UTF-8, each wrong past the first bytes of the first 16-byte chunk.
+INVALID_UTF8 = {
+    "stray_ff_in_a_later_chunk": "\u00e9 a b c ".encode() * 4 + b"\xff x y",
+    "cut_off_at_eof": b"a b c d " * 3 + "\u4e2d".encode()[:2],
+    "encoded_surrogate": b"a b c d " * 3 + b"\xed\xa0\x80 e f",
+    "lead_byte_before_an_ascii_chunk": b"a b c d e f g h" + b"\xc3" + b" i j k l m n o p",
+}
+
+
+@pytest.mark.parametrize("argv", [["--in-place", "IN"], ["IN", "-o", "OUT"]], ids=["in_place", "copy"])
+@pytest.mark.parametrize("case", sorted(INVALID_UTF8))
+def test_lines_invalid_utf8_file_exits_2_naming_the_offset_and_leaves_in_whole(tmp_path, capsys, monkeypatch,
+                                                                                argv, case):
+    monkeypatch.setattr(cli, "_CODE_CHUNK", 16)
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    blob = INVALID_UTF8[case]
+    with pytest.raises(UnicodeDecodeError) as exc:
+        blob.decode("utf-8")
+    offset = exc.value.start
+    assert offset >= 15, case  # past the first chunk's first bytes
+    src = tmp_path / "in.txt"
+    src.write_bytes(blob)
+    paths = {"IN": str(src), "OUT": str(tmp_path / "out.txt")}
+    code, out, err = run_cli(["shuffle", *(paths.get(a, a) for a in argv)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and re.search(r"\b%d\b" % offset, err), (offset, err)
+    assert src.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["in.txt"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -8,6 +8,7 @@ traceback, whatever the header, the body length and the flags.
 
 import contextlib
 import io
+import locale
 import os
 import struct
 import tempfile
@@ -82,7 +83,7 @@ def test_cli_survives_malformed_containers_and_flag_mixes(h, f):
 
 
 # ASCII, Latin-1, the rest of the BMP, astral planes and every separator:
-# lines mode keeps ASCII text as bytes and anything wider as code points.
+# lines mode holds any text as its UTF-8 bytes, one to four a character.
 text_chars = st.one_of(
     st.characters(max_codepoint=0x7f),
     st.characters(min_codepoint=0x80, max_codepoint=0xff),
@@ -96,15 +97,23 @@ text_chars = st.one_of(
 @given(text=st.text(text_chars, max_size=60), k=st.integers(2, 4),
        method=st.sampled_from(["auto", "modinv", "oracle"]), small_chunks=st.booleans())
 def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks):
-    # small chunks put chunk edges inside tokens and make tokens longer than the output buffer
-    chunks = mock.patch.multiple(cli, _CODE_CHUNK=8, _TOKEN_CHUNK=3) if small_chunks else contextlib.nullcontext()
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with chunks, mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        code = main(["shuffle", "--k", str(k), "--method", method])
+    # small chunks put chunk edges inside tokens, characters and separators,
+    # and make tokens longer than the output buffer
     tokens = text.split()
-    if len(tokens) % k:
-        assert (code, stdout.getvalue()) == (3, ""), stderr.getvalue()
-    else:
-        assert (code, stderr.getvalue()) == (0, "")
-        assert stdout.getvalue() == (" ".join(oracle_shuffle(tokens, k)) + "\n" if tokens else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.txt")
+        with open(src, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        # stdin is decoded, and a non-empty regular file is mapped as its own bytes
+        for source in ([], [src]):
+            chunks = mock.patch.multiple(cli, _CODE_CHUNK=8, _TOKEN_CHUNK=3) if small_chunks else contextlib.nullcontext()
+            utf8 = mock.patch.object(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with chunks, utf8, mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(["shuffle", "--k", str(k), "--method", method, *source])
+            if len(tokens) % k:
+                assert (code, stdout.getvalue()) == (3, ""), (source, stderr.getvalue())
+            else:
+                assert (code, stderr.getvalue()) == (0, ""), source
+                assert stdout.getvalue() == (" ".join(oracle_shuffle(tokens, k)) + "\n" if tokens else ""), source
