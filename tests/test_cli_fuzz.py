@@ -100,10 +100,11 @@ def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks
     # small chunks put chunk edges inside tokens, characters and separators,
     # and make tokens longer than the output buffer
     tokens = text.split()
+    surrogates = any("\ud800" <= c <= "\udfff" for c in text)  # no valid UTF-8 file holds one
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "in.txt")
         with open(src, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            fh.write(text.encode("utf-8", "surrogatepass"))
         # stdin is decoded, and a non-empty regular file is mapped as its own bytes
         for source in ([], [src]):
             chunks = mock.patch.multiple(cli, _CODE_CHUNK=8, _TOKEN_CHUNK=3) if small_chunks else contextlib.nullcontext()
@@ -112,7 +113,10 @@ def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks
             with chunks, utf8, mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
                 code = main(["shuffle", "--k", str(k), "--method", method, *source])
-            if len(tokens) % k:
+            if source and surrogates:
+                assert (code, stdout.getvalue()) == (2, ""), stderr.getvalue()
+                assert "invalid UTF-8 at byte" in stderr.getvalue()
+            elif len(tokens) % k:
                 assert (code, stdout.getvalue()) == (3, ""), (source, stderr.getvalue())
             else:
                 assert (code, stderr.getvalue()) == (0, ""), source
