@@ -123,10 +123,12 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-_CODE_CHUNK = 1 << 16  # bytes per step of the token split and the text write, at most per gather; at least 4
-_TOKEN_CHUNK = 1 << 13  # tokens per step of the output gather
-# Whether a code point is in a token: str.split's separators lie below U+3001, so 0x3001 stands for wider codes.
-_IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("U1"))  # code points as 1-character strs
+_CODE_CHUNK = 1 << 16  # bytes per step of the token split and the text write, four times a gather step's; at least 4
+_TOKEN_CHUNK = 1 << 11  # tokens per step of the output gather
+# str.split's separators past U+007F lie below U+4000: two or three UTF-8 bytes, led by C2, E1, E2 or E3
+# and then 80, 81, 85, 9A or A0.
+_WIDE_SPACE = np.zeros(0x4000, bool)  # whether a code point is one
+_WIDE_SPACE[[0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
 
 
 def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -135,56 +137,71 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
     The edges alternate start and end, int32 below 2**31 bytes, so that a
     token takes 8 bytes: one pass over the text counts them and a second
     stores them, so only the result is held whole.  A pass takes at most
-    _CODE_CHUNK bytes at a time, up to where a character starts.  Bytes of
-    a chunk all below 0x80 are its code points.  Any other chunk is decoded
-    with errors, which checks a mapped file, and its code points are put on
-    their lead bytes.
+    _CODE_CHUNK bytes at a time, up to where a character starts, and sorts
+    them into separators' bytes and tokens' bytes by value.  A byte below
+    0x80 is a separator when str.split splits on it; a byte at or above it
+    is in a token, unless it is part of a multi-byte separator, which is
+    looked for at the lead bytes it can start with.  UTF-8 is self-
+    synchronising, so that is exact.  The first pass checks a mapped
+    file's non-ASCII chunks strictly.
     """
-    codes, errors = _read_codes(path)
+    codes, unchecked = _read_codes(path)
 
-    def chunks():  # each chunk's offset, whether each character starts or ends a token, and its lead bytes
-        lo, in_token = 0, False
+    def chunks(check):  # each chunk's offset, and whether each byte starts or ends a token
+        lo, before = 0, True  # whether the byte before the chunk is a separator's
         while lo < len(codes):
             hi = lo + _CODE_CHUNK
-            for _ in range(3):  # back off continuation bytes (10xxxxxx) onto a lead byte
-                if hi < len(codes) and (codes[hi] & 0xC0) == 0x80:
-                    hi -= 1
-            chunk, leads = codes[lo:hi], None
-            if chunk.max() < 0x80:
-                points = chunk
-            else:
-                try:
-                    points = np.frombuffer(str(chunk, "utf-8", errors).encode("utf-32-le", "surrogatepass"), "<u4")
-                except UnicodeDecodeError as exc:
-                    raise ParseFailure("invalid UTF-8 at byte %d: %s" % (lo + exc.start, exc.reason)) from None
-                leads = (chunk & 0xC0) != 0x80
-            tokens = np.empty(len(points) + 1, bool)  # after the previous chunk's last character
-            tokens[0] = in_token
-            np.take(_IN_TOKEN, points, out=tokens[1:], mode="clip")  # a code point past the table is in a token
-            yield lo, tokens[1:] != tokens[:-1], leads
-            lo, in_token = hi, tokens[-1]
+            # back off continuation bytes (10xxxxxx) onto a lead byte; four in a row are invalid, and are
+            # left where they are for the check to find
+            for cut in range(hi, hi - 4, -1):
+                if cut >= len(codes) or (codes[cut] & 0xC0) != 0x80:
+                    hi = cut
+                    break
+            chunk = codes[lo:hi]
+            spaces = np.empty(len(chunk) + 1, bool)
+            spaces[0], space = before, spaces[1:]
+            # str.split's ASCII separators are 9-13 and 28-32, the bytes whose uint8 differences from 9 or 28,
+            # which wrap round below 0, are below 5
+            np.less(np.minimum(chunk - 9, chunk - 28), 5, out=space)
+            if chunk.max() >= 0x80:
+                if check:
+                    try:
+                        str(chunk, "utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseFailure("invalid UTF-8 at byte %d: %s" % (lo + exc.start, exc.reason)) from None
+                at = np.flatnonzero((chunk == 0xC2) | (chunk - 0xE1 < 3))  # where a separator past U+007F may start
+                second = chunk[at + 1]
+                at = at[(second - 0x80 < 2) | (second == 0x85) | (second == 0x9A) | (second == 0xA0)]
+                lead, second = chunk[at].astype(np.uint16), chunk[at + 1].astype(np.uint16)
+                two = lead == 0xC2
+                last = at + 2 - two  # where the character ends
+                point = np.where(two, second, (lead & 0xF) << 12 | (second & 0x3F) << 6 | chunk[last] & 0x3F)
+                found = _WIDE_SPACE[point]
+                at, last = at[found], last[found]
+                space[at] = space[at + 1] = space[last] = True  # continuation bytes take their lead byte's class
+            yield lo, spaces[1:] != spaces[:-1]
+            lo, before = hi, spaces[-1]
 
-    n = sum(np.count_nonzero(changes) for _, changes, _ in chunks())
+    n = sum(np.count_nonzero(changes) for _, changes in chunks(unchecked))
     edges = np.empty(n + n % 2, np.int32 if len(codes) < 1 << 31 else np.int64)
     edges[n:] = len(codes)  # a token that runs to the end of the text
     at = 0
-    for lo, changes, leads in chunks():
-        if leads is not None:  # each character's change goes onto its lead byte
-            leads[leads] = changes
-            changes = leads
+    for lo, changes in chunks(False):
         found = np.flatnonzero(changes)
-        edges[at:at + len(found)] = found + lo
+        edges[at:at + len(found)] = found
+        edges[at:at + len(found)] += lo  # found + lo would be a second int64 array
         at += len(found)
+        del found  # before the next chunk's is made
     return codes, edges
 
 
-def _read_codes(path: str | None) -> tuple[np.ndarray, str]:
-    """The text at path (or stdin) as uint8 UTF-8 bytes, and the errors handler that decodes them.
+def _read_codes(path: str | None) -> tuple[np.ndarray, bool]:
+    """The text at path (or stdin) as uint8 UTF-8 bytes, and whether they are yet to be checked as UTF-8.
 
     When open() would decode as UTF-8, a regular, non-empty file is mapped
-    read-only as its own bytes, to be decoded strictly.  Other text is
-    decoded as open() would and encoded once, with surrogatepass so that
-    lone surrogates (a surrogateescape stream's undecodable bytes) return.
+    read-only as its own bytes, unchecked.  Other text is decoded as open()
+    would and encoded once, with surrogatepass so that lone surrogates (a
+    surrogateescape stream's undecodable bytes) return.
     """
     if path in (None, "-"):
         text = sys.stdin.read()
@@ -193,35 +210,37 @@ def _read_codes(path: str | None) -> tuple[np.ndarray, str]:
         with open(path, "rb") as fh:
             info = os.fstat(fh.fileno())
             if stat.S_ISREG(info.st_mode) and info.st_size and codecs.lookup(encoding).name == "utf-8":
-                return np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8), "strict"
+                return np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), np.uint8), True
             with io.TextIOWrapper(fh, encoding) as stream:  # a FIFO reads once, from this handle
                 text = stream.read()
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8), "surrogatepass"
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8), False
 
 
 def _token_text(codes: np.ndarray, edges: np.ndarray):
     """The tokens at edges in the UTF-8 bytes codes as strs, each followed by a space and the last by a newline.
 
-    At most _TOKEN_CHUNK tokens and _CODE_CHUNK bytes go through one
-    buffer at a time; a longer token is decoded on its own.  Each slice
-    of edges is widened to int64 before any arithmetic on it.
+    At most _TOKEN_CHUNK tokens and _CODE_CHUNK // 4 bytes go through one
+    buffer at a time; a longer token is decoded on its own.  A token and
+    the separator after it end at stop in the buffer, so buffer position q
+    takes codes[end - stop + q + 1]: the token's end - stop, repeated over
+    its bytes, plus a ramp of q + 1.
     """
     n, i = len(edges) // 2, 0
-    index = np.empty(_CODE_CHUNK, np.int64)
+    ramp = np.arange(1, _CODE_CHUNK // 4 + 1, dtype=np.int64)  # q + 1
     while i < n:
-        start = edges[2 * i:2 * (i + _TOKEN_CHUNK):2].astype(np.int64)
-        end = edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2].astype(np.int64)
-        stop = np.cumsum(end - start + 1)  # where each token and its separator end in the buffer
-        take = int(np.searchsorted(stop, _CODE_CHUNK, "right"))
+        start, end = edges[2 * i:2 * (i + _TOKEN_CHUNK):2], edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2]
+        length = np.subtract(end, start, dtype=np.int64)
+        length += 1  # each token and its separator
+        stop = np.cumsum(length)
+        take = int(np.searchsorted(stop, len(ramp), "right"))
         i += max(take, 1)
         if not take:
             yield from (str(codes[start[0]:end[0]], "utf-8", "surrogatepass"), " " if i < n else "\n")
             continue
-        start, end, stop = start[:take], end[:take], stop[:take]
-        steps = index[:stop[-1]]  # from the byte each buffer position takes to the next one's
-        steps.fill(1)
-        steps[0], steps[stop[:-1]] = start[0], start[1:] - end[:-1]
-        out = codes.take(np.cumsum(steps, out=steps), mode="clip")  # the last separator may lie past codes
+        stop = stop[:take]
+        index = np.repeat(end[:take] - stop, length[:take])
+        index += ramp[:len(index)]
+        out = codes.take(index, mode="clip")  # the last separator may lie past codes
         out[stop - 1] = ord(" ")
         out[-1] = ord(" " if i < n else "\n")
         yield str(out, "utf-8", "surrogatepass")

@@ -1155,15 +1155,20 @@ SEPARATORS = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(map(chr, ran
               + "\u2028\u2029\u202f\u205f\u3000")
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_lines_split_on_every_whitespace_and_keep_tokens_as_text(k, capsys, monkeypatch):
-    assert set(SEPARATORS) == {c for c in map(chr, range(0x110000)) if c.isspace()}
-    # tokens numpy would read as numbers, booleans, lists or None if it
-    # were asked to guess their type
+def _dense_text():
+    """Tokens numpy would read as numbers, booleans, lists or None if it were asked to
+    guess their type, between runs of one to three of every separator in turn."""
     words = ["nan", "1e5", "True", "[0]", "None", "-0", "inf", "0x1f", "b''", "()"]
     tokens = [words[i % len(words)] + ("" if i < len(words) else str(i)) for i in range(6 * len(SEPARATORS))]
     text = SEPARATORS[-1] + "".join(t + SEPARATORS[i % len(SEPARATORS)] * (1 + i % 3) for i, t in enumerate(tokens))
     assert text.split() == tokens
+    return text
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lines_split_on_every_whitespace_and_keep_tokens_as_text(k, capsys, monkeypatch):
+    assert set(SEPARATORS) == {c for c in map(chr, range(0x110000)) if c.isspace()}
+    text = _dense_text()
     code, out, _ = run_cli(["shuffle", "--k", str(k)], capsys, stdin=text, monkeypatch=monkeypatch)
     assert code == 0
     assert out == " ".join(oracle_shuffle(text.split(), k)) + "\n"
@@ -1171,32 +1176,76 @@ def test_lines_split_on_every_whitespace_and_keep_tokens_as_text(k, capsys, monk
     assert (code, out) == (0, "")
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_lines_split_a_mapped_file_on_every_whitespace_across_step_ends(k, tmp_path, capsys, monkeypatch):
+    # The dense text, then each separator of two or three UTF-8 bytes once
+    # for each of its bytes, placed so that a split step's end, _CODE_CHUNK
+    # bytes past the step's start, falls just before that byte.  The next
+    # step starts at the separator, whether the end fell there or backed off.
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    step, dense = cli._CODE_CHUNK, _dense_text()
+    filler = (dense * (step // len(dense) + 2)).encode()
+    blob, lo, placed = bytearray(dense.encode()), 0, []
+    for sep in (c.encode() for c in SEPARATORS if c > "\x7f"):
+        for j in range(len(sep)):
+            at = lo + step - j  # where sep starts, so that the step ends before its byte j
+            blob += filler[:at - len(blob) - 1].decode("utf-8", "ignore").encode()  # whole characters
+            blob += b"x" * (at - len(blob)) + sep
+            placed.append((at, sep))
+            lo = at
+    assert len(placed) == 2 * 2 + 17 * 3
+    assert all(blob[at:at + len(sep)] == sep for at, sep in placed)
+    text = blob.decode("utf-8")
+    text += " t" * (-len(text.split()) % 6)
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    assert _lines_to_stdout(src, capsys, k) == " ".join(oracle_shuffle(text.split(), k)) + "\n"
+
+
+def test_lines_split_only_on_separators_among_characters_sharing_their_lead_bytes(tmp_path, capsys, monkeypatch):
+    # every character UTF-8 writes with a lead byte C2, E1, E2 or E3, each inside a token of its own
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    text = " ".join("a%sb" % chr(c) for c in [*range(0x80, 0xC0), *range(0x1000, 0x4000)])
+    text += " t" * (len(text.split()) % 2)
+    assert {0xC2, 0xE1, 0xE2, 0xE3} <= set(text.encode())
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    expected = " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    assert _lines_to_stdout(src, capsys) == expected
+    assert run_cli(["shuffle"], capsys, stdin=text, monkeypatch=monkeypatch) == (0, expected, "")
+
+
 @pytest.mark.parametrize("argv", [["IN", "-o", "OUT"], ["--in-place", "IN"]], ids=["copy", "in_place"])
 def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeypatch, argv):
-    # tracing starts once the tokens are shuffled, so the peak is what
-    # writing them out costs on top of the tokens themselves
-    real = cli._shuffle
+    # the peak from the end of the shuffle to the end of the run, above what
+    # is held when the shuffle ends (the edges, 8 bytes a token): what writing
+    # the tokens out costs, the gather's index, ramp and buffers and the text
+    # stream's encoding
+    real, held = cli._shuffle, []
 
-    def shuffle_then_trace(*args):
+    def shuffle_then_reset_peak(*args):
         counter = real(*args)
-        tracemalloc.start()
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
         return counter
 
-    monkeypatch.setattr(cli, "_shuffle", shuffle_then_trace)
+    monkeypatch.setattr(cli, "_shuffle", shuffle_then_reset_peak)
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
     paths = {"IN": str(src), "OUT": str(dst)}
     for N in (2 ** 17, 2 ** 19):
         text = " ".join("w%07d" % i for i in range(N))
         src.write_text(text)
+        gc.collect()
+        tracemalloc.start()
         try:
             code = main(["shuffle", "--k", "2", *(paths.get(a, a) for a in argv)])
-            scratch = tracemalloc.get_traced_memory()[1]
+            scratch = tracemalloc.get_traced_memory()[1] - held[-1]
         finally:
             tracemalloc.stop()
         assert code == 0
         assert (dst if "OUT" in argv else src).read_text() == " ".join(oracle_shuffle(text.split(), 2)) + "\n"
         # the joined text is 1.1 MiB at 2**17 tokens and 4.5 MiB at 2**19
-        assert scratch < 2 << 20, (N, scratch)
+        assert scratch < 0.75 * (1 << 20), (N, scratch)
 
 
 def test_lines_pass_undecodable_stdin_bytes_through(monkeypatch):
@@ -1252,6 +1301,23 @@ def test_lines_mapped_in_place_scratch_is_8_bytes_a_token(tmp_path):
         for N in (2 ** 17, 2 ** 19):
             scratch = _scratch_of_in_place(tmp_path / "in.txt", " ".join(fmt % i for i in range(N)))
             assert scratch < 8 * N + constant * (1 << 20), (fmt, N, scratch, 8 * N)
+
+
+def test_lines_split_scratch_of_one_byte_tokens_is_under_three_quarters_of_a_mib(tmp_path, monkeypatch):
+    # every other byte starts or ends a token, so a 64 KiB step finds 64 Ki
+    # edges: 512 KiB as int64 offsets, held once at a time
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    src = tmp_path / "in.txt"
+    src.write_text(" ".join("abcdefghij"[i % 10] for i in range(2 ** 20)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        codes, edges = cli._read_tokens(str(src))
+        scratch = tracemalloc.get_traced_memory()[1] - edges.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 2 ** 21 and bytes(codes[edges[0]:edges[1]]) == b"a"
+    assert scratch < 0.75 * (1 << 20), scratch
 
 
 def _lines_to_stdout(path, capsys, k=2):
@@ -1311,6 +1377,25 @@ def test_lines_invalid_utf8_file_exits_2_naming_the_offset_and_leaves_in_whole(t
     assert err.startswith("error: ") and re.search(r"\b%d\b" % offset, err), (offset, err)
     assert src.read_bytes() == blob
     assert os.listdir(tmp_path) == ["in.txt"]
+
+
+def test_lines_invalid_utf8_run_of_continuation_bytes_across_a_step_end_is_named_where_it_is(tmp_path, capsys,
+                                                                                             monkeypatch):
+    # a four-byte character, then a stray continuation byte on which a
+    # 16-byte step ends: backing off three bytes would cut the character
+    # and blame its lead byte, 4 bytes early
+    monkeypatch.setattr(cli, "_CODE_CHUNK", 16)
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    blob = b"abc def ghi " + "\U0001f600".encode() + b"\x80 x y"
+    with pytest.raises(UnicodeDecodeError) as exc:
+        blob.decode("utf-8")
+    assert exc.value.start == 16
+    src = tmp_path / "in.txt"
+    src.write_bytes(blob)
+    code, out, err = run_cli(["shuffle", "--in-place", str(src)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid UTF-8 at byte 16: invalid start byte\n"
+    assert src.read_bytes() == blob
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

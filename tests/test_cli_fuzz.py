@@ -82,14 +82,20 @@ def test_cli_survives_malformed_containers_and_flag_mixes(h, f):
     assert "Traceback" not in stderr.getvalue()
 
 
-# ASCII, Latin-1, the rest of the BMP, astral planes and every separator:
-# lines mode holds any text as its UTF-8 bytes, one to four a character.
+# Characters that are not whitespace but share a lead byte or a neighbouring
+# code point with a separator.
+NEAR_MISSES = "\x84\x86\xa1\u1679\u1681\u180e\u200b\u2027\u202a\u2030\u205e\u2060\u3001\ufeff"
+
+# ASCII, Latin-1, the rest of the BMP, astral planes, every separator and
+# its near misses: lines mode holds any text as its UTF-8 bytes, one to four
+# a character.
 text_chars = st.one_of(
     st.characters(max_codepoint=0x7f),
     st.characters(min_codepoint=0x80, max_codepoint=0xff),
     st.characters(min_codepoint=0x100, max_codepoint=0xffff),
     st.characters(min_codepoint=0x10000),
     st.sampled_from(SEPARATORS),
+    st.sampled_from(NEAR_MISSES),
 )
 
 
@@ -99,6 +105,7 @@ text_chars = st.one_of(
 def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks):
     # small chunks put chunk edges inside tokens, characters and separators,
     # and make tokens longer than the output buffer
+    assert not any(c.isspace() for c in NEAR_MISSES)
     tokens = text.split()
     surrogates = any("\ud800" <= c <= "\udfff" for c in text)  # no valid UTF-8 file holds one
     with tempfile.TemporaryDirectory() as tmp:
