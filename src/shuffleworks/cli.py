@@ -61,7 +61,7 @@ def _route(target, method: str, purpose: str):
         return "bitrev", lambda array: OpCounter(swaps=sum(shuffle_power(array, target)), rounds=2)
     if method in ("auto", "bitrev") and target.k == 2 and purpose == "shuffle":
         return "rotations", lambda array: shuffle_general_k2(array)
-    if method == "bitrev":
+    if method == "bitrev" and target.N:  # no positions, nothing to reverse: auto's route does nothing too
         raise ArityFailure(("bitrev needs N = k**n, or k=2 with N even" if purpose == "shuffle" else
                             "bitrev network needs N = k**n") + " (N=%d, k=%d)" % (target.N, target.k))
     counter = OpCounter()
@@ -103,9 +103,7 @@ def cmd_shuffle(args) -> int:
             spec = _check(N, args.k or header_k, args.method, "records")
             array = recordfile.copy_records(fin, dst if mapped else None, N, size, onto_src)
         counter = _shuffle(array, spec, args.method)
-        if mapped:
-            if onto_src:  # a copy is not synced: msync of a 36 MiB one cost a fifth of its run
-                array.flush()
+        if mapped:  # no msync: the header, written last through the same page cache, guards the body
             recordfile.write_header(dst, N, header_k, size)
         else:
             _write(dst, [recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])

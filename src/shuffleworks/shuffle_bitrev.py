@@ -19,9 +19,12 @@ numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
 split into (hi, mid, lo), and a round becomes swaps of small k**b x k**b
 tiles between mid and its reversal, each tile digit-reversed on both axes
-and transposed.  Tile pairs are gathered a fixed number of bytes at a time,
-and the mid values paired with their reversals a bounded batch at a time,
-so the scratch memory of a round does not grow with N.  The route
+and transposed.  A step gathers one side's tiles with their rows (runs of
+k**b contiguous elements) in reversed order and scatters the transposed
+gather into the partner's reversed rows: an element is read and written
+once a round.  Tile pairs go a fixed number of bytes at a time, and mid
+values pair with their reversals a bounded batch at a time, so the
+scratch memory of a round does not grow with N.  The route
 produces the same permutation as the scalar loop and reports the same
 swap count, from its closed form.
 """
@@ -175,15 +178,14 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     # Split the t reversed digits of a position into (hi, mid, lo) with b
     # digits in hi and lo.  Reversal maps (hi, mid, lo) to
     # (rev lo, rev mid, rev hi), so the k**b x k**b tile at mid trades places
-    # with the tile at rev mid, reversed on both axes and transposed.  That
-    # tile transform is one fixed permutation of the k**(2b) tile elements.
+    # with the tile at rev mid, reversed on both axes and transposed:
+    # out[i, j] = tile[rev j, rev i], that is out[rev i] = tile[rev].T[i].
     step = max(1, _CHUNK_BYTES // array.itemsize)
     b = 1
     while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step):
         b += 1
     kb = k ** b
     revb = _rev(np.arange(kb), k, b)
-    tile_perm = (revb[None, :] * kb + revb[:, None]).ravel()
     n_mids = spec.powers[t - 2 * b]
     # axes (block, mid, hi, lo)
     x = array.view(np.ndarray).reshape(blocks, kb, n_mids, kb).transpose(0, 2, 1, 3)
@@ -197,11 +199,10 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
         for h in range(0, blocks, blocks_per_step):
             xs = x[h:h + blocks_per_step]
             for c in range(0, mids.size, mids_per_step):
-                mine, theirs = mids[c:c + mids_per_step], revs[c:c + mids_per_step]
-                here = xs[:, mine]
-                there = xs[:, theirs]
-                xs[:, theirs] = here.reshape(*here.shape[:2], -1).take(tile_perm, axis=2).reshape(here.shape)
-                xs[:, mine] = there.reshape(*there.shape[:2], -1).take(tile_perm, axis=2).reshape(there.shape)
+                mine, theirs = mids[c:c + mids_per_step, None], revs[c:c + mids_per_step, None]
+                here = xs[:, mine, revb]
+                xs[:, mine, revb] = xs[:, theirs, revb].swapaxes(-1, -2)
+                xs[:, theirs, revb] = here.swapaxes(-1, -2)
     return _round_swaps(spec, t)
 
 

@@ -10,6 +10,7 @@ import io
 import locale
 import os
 import re
+import signal
 import stat
 import struct
 import subprocess
@@ -321,6 +322,50 @@ def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, how)
     stopped = src if how == "in_place" else dst
     assert stopped.stat().st_size == src.stat().st_size
     _assert_refused(stopped, capsys)
+
+
+# Runs `shuffle --records --in-place PATH` with owner.name wrapped so that the process SIGKILLs itself before the
+# first call runs ("before") or once it returns ("after"): no except or finally block runs, as with a real kill.
+KILLED_CHILD = """
+import os, signal, sys
+from shuffleworks import cli, recordfile, shuffle_bitrev
+owner_name, name, when, path = sys.argv[1:]
+owner = {"recordfile": recordfile, "shuffle_bitrev": shuffle_bitrev}[owner_name]
+real = getattr(owner, name)
+def killed(*args, **kwargs):
+    if when == "before":
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(*args, **kwargs)
+    os.kill(os.getpid(), signal.SIGKILL)
+setattr(owner, name, killed)
+sys.exit(cli.main(["shuffle", "--records", "--in-place", path]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("owner, name, when", [
+    ("recordfile", "write_header", "before"),
+    ("shuffle_bitrev", "revswap_round", "after"),
+], ids=["before_header", "after_round_0"])
+def test_killed_records_in_place_is_refused(tmp_path, capsys, owner, name, when):
+    # nothing syncs the mapped body, so these rest on the zeroed header alone
+    path = tmp_path / "in.bin"
+    before = np.arange(2 ** 16, dtype=np.uint64)
+    path.write_bytes(make_record_file(2, 8, before.tobytes()).to_bytes())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", KILLED_CHILD, owner, name, when, str(path)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
+    body = np.fromfile(path, dtype=np.uint64, offset=HEADER_SIZE)
+    assert path.stat().st_size == HEADER_SIZE + before.nbytes
+    if when == "before":  # the body is shuffled in full; only the header is missing
+        assert np.array_equal(body, oracle_shuffle(before, 2))
+    else:
+        assert not np.array_equal(body, before) and not np.array_equal(body, oracle_shuffle(before, 2))
+    with open(path, "rb") as fh, pytest.raises(recordfile.RecordFormatError):
+        recordfile.read_header(fh)
+    code, out, err = run_cli(["shuffle", "--records", str(path)], capsys)
+    assert (code, out) == (2, "") and "bad magic" in err, err
 
 
 def test_records_copy_short_read_is_refused(tmp_path, capsys, monkeypatch):
@@ -1024,31 +1069,31 @@ bitrev 2 copy 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
 bitrev 2 inplace 0 0 efbeffdf324f2821 swaps=0 rounds=2 euclid_iters=0
 bitrev 2 inplace 8 0 303b2d27e7ec9ca6 swaps=4 rounds=2 euclid_iters=0
 bitrev 2 inplace 22 0 dfe98f6a8f2f6991 swaps=11 rounds=4 euclid_iters=0
-bitrev 3 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 bitrev 3 lines 27 0 12fcd0b0bb0b67ae swaps=18 rounds=2 euclid_iters=0
 bitrev 3 lines 33 3 - error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
-bitrev 3 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 copy 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
 bitrev 3 copy 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
 bitrev 3 copy 33 3 - error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
-bitrev 3 inplace 0 3 78ad0561023a3557 error: bitrev needs N = k**n, or k=2 with N even (N=0, k=3)
+bitrev 3 inplace 0 0 78ad0561023a3557 swaps=0 rounds=2 euclid_iters=0
 bitrev 3 inplace 27 0 080220b9f84179bf swaps=18 rounds=2 euclid_iters=0
 bitrev 3 inplace 33 3 b98918f96f4ee969 error: bitrev needs N = k**n, or k=2 with N even (N=33, k=3)
-bitrev 4 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 bitrev 4 lines 64 0 777cb8d77a9c046d swaps=48 rounds=2 euclid_iters=0
 bitrev 4 lines 44 3 - error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
-bitrev 4 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 copy 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
 bitrev 4 copy 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
 bitrev 4 copy 44 3 - error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
-bitrev 4 inplace 0 3 68a17c9ae0f1463e error: bitrev needs N = k**n, or k=2 with N even (N=0, k=4)
+bitrev 4 inplace 0 0 68a17c9ae0f1463e swaps=0 rounds=2 euclid_iters=0
 bitrev 4 inplace 64 0 d0df9bfefcc6cc70 swaps=48 rounds=2 euclid_iters=0
 bitrev 4 inplace 44 3 ea8d11dd49d72ae9 error: bitrev needs N = k**n, or k=2 with N even (N=44, k=4)
-bitrev 5 lines 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0
 bitrev 5 lines 125 0 706b067e8cda86f7 swaps=100 rounds=2 euclid_iters=0
 bitrev 5 lines 55 3 - error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
-bitrev 5 copy 0 3 - error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 copy 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
 bitrev 5 copy 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
 bitrev 5 copy 55 3 - error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
-bitrev 5 inplace 0 3 e05c9cffabbed03f error: bitrev needs N = k**n, or k=2 with N even (N=0, k=5)
+bitrev 5 inplace 0 0 e05c9cffabbed03f swaps=0 rounds=2 euclid_iters=0
 bitrev 5 inplace 125 0 d6d6dcaaa62b3350 swaps=100 rounds=2 euclid_iters=0
 bitrev 5 inplace 55 3 5ee2ce41d836d800 error: bitrev needs N = k**n, or k=2 with N even (N=55, k=5)
 modinv 2 lines 0 0 e3b0c44298fc1c14 swaps=0 rounds=2 euclid_iters=0

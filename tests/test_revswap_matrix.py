@@ -139,16 +139,19 @@ def largest_tile_side(k):
     return b
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_every_digit_count_past_the_largest_tile(k):
+@pytest.mark.parametrize("dtype", ["uint32", "uint8", "uint64", "V3", "V12"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_digit_count_past_the_largest_tile(k, dtype):
     b = largest_tile_side(k)
     n = 2 * b + 3
     spec = ShuffleSpec.for_length(k ** n, k)
+    size = np.dtype(dtype).itemsize
+    start = np.random.default_rng(n).integers(0, 256, spec.N * size, dtype=np.uint8).view(dtype)
     for t in range(n + 1):
-        array = np.arange(spec.N, dtype=np.uint32)
+        array = start.copy()
         partner = reversal_reference(spec.N, k, t)
         count = revswap_round(array, t, spec)
-        assert np.array_equal(array, partner), (k, t)
+        assert np.array_equal(array, start[partner]), (k, t)
         assert count == int(np.count_nonzero(partner > np.arange(spec.N))), (k, t)
 
 
@@ -207,6 +210,20 @@ def test_shuffle_power_scratch_is_bounded(n, size):
         tracemalloc.stop()
     assert peak < array.nbytes // 4, peak
     assert np.array_equal(array, want)
+
+
+@pytest.mark.parametrize("n, dtype", [(18, "uint64"), (22, "uint64"), (20, "V12")])
+def test_shuffle_power_scratch_is_a_few_chunks(n, dtype):
+    # a step gathers one side of its tile pairs, _CHUNK_BYTES, while the other side's passes through
+    spec = ShuffleSpec.for_length(2 ** n, 2)
+    array = np.zeros(spec.N, dtype=dtype)
+    tracemalloc.start()
+    try:
+        assert shuffle_power(array, spec) == swap_counts(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _CHUNK_BYTES, peak
 
 
 def test_tiled_round_scratch_does_not_grow_with_n():

@@ -28,7 +28,7 @@ SHUFFLE = {
     (12, 2): {"auto": "rotations", "bitrev": "rotations", "modinv": "modinv", "oracle": "oracle"},
     (12, 3): {"auto": "modinv", "bitrev": 3, "modinv": "modinv", "oracle": "oracle"},
     (0, 2): {"auto": "rotations", "bitrev": "rotations", "modinv": "modinv", "oracle": "oracle"},
-    (0, 3): {"auto": "modinv", "bitrev": 3, "modinv": "modinv", "oracle": "oracle"},
+    (0, 3): {"auto": "modinv", "bitrev": "modinv", "modinv": "modinv", "oracle": "oracle"},  # nothing to reverse
 }
 NETWORK = {
     (8, 2): {"auto": "bitrev", "bitrev": "bitrev", "modinv": "modinv", "factorization": 2},
