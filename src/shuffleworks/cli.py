@@ -49,7 +49,8 @@ class ArityFailure(ValueError):
 def _route(target, method: str, purpose: str):
     """Resolve --method for target, a ShuffleSpec or network --perm's Permutation, in this one place.
 
-    Returns (name, run); run(array) shuffles once, in place, looking cli's executors up as it runs.
+    Returns (name, run); run(array) shuffles once, in place, looking cli's executors up as it runs, and
+    returns an OpCounter of its own.
     """
     if isinstance(target, Permutation) or method == "factorization":
         if method not in ("auto", "factorization"):
@@ -64,24 +65,16 @@ def _route(target, method: str, purpose: str):
     if method == "bitrev" and target.N:  # no positions, nothing to reverse: auto's route does nothing too
         raise ArityFailure(("bitrev needs N = k**n, or k=2 with N even" if purpose == "shuffle" else
                             "bitrev network needs N = k**n") + " (N=%d, k=%d)" % (target.N, target.k))
-    counter = OpCounter()
     if method == "oracle":  # every array the CLI shuffles is an ndarray
-        return "oracle", lambda array: np.copyto(array, oracle_shuffle(array, target.k)) or counter
-    return "modinv", lambda array: shuffle_modinv(array, target.k, counter) or counter
+        return "oracle", lambda array: np.copyto(array, oracle_shuffle(array, target.k)) or OpCounter()
+    return "modinv", lambda array: shuffle_modinv(array, target.k, OpCounter())
 
 
-def _check(N: int, k: int, method: str, what: str) -> ShuffleSpec:
-    """The spec of N elements shuffled k ways; ArityFailure if --method has no route for them."""
+def _check(N: int, k: int, method: str, what: str):
+    """_route's run for N elements shuffled k ways by --method; ArityFailure if there is none."""
     if N % k:
         raise ArityFailure("%d %s is not a multiple of k=%d" % (N, what, k))
-    spec = ShuffleSpec.for_length(N, k)
-    _route(spec, method, "shuffle")
-    return spec
-
-
-def _shuffle(array, spec: ShuffleSpec, method: str) -> OpCounter:
-    """Shuffle array in place by _route's construction for --method; report the work done."""
-    return _route(spec, method, "shuffle")[1](array)
+    return _route(ShuffleSpec.for_length(N, k), method, "shuffle")[1]
 
 
 def cmd_shuffle(args) -> int:
@@ -100,9 +93,9 @@ def cmd_shuffle(args) -> int:
         mapped = to_file and (not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode))
         with open(src, "rb", buffering=0) if from_file else contextlib.nullcontext(sys.stdin.buffer) as fin:
             N, header_k, size = recordfile.read_header(fin)
-            spec = _check(N, args.k or header_k, args.method, "records")
+            run = _check(N, args.k or header_k, args.method, "records")
             array = recordfile.copy_records(fin, dst if mapped else None, N, size, onto_src)
-        counter = _shuffle(array, spec, args.method)
+        counter = run(array)
         if mapped:  # no msync: the header, written last through the same page cache, guards the body
             recordfile.write_header(dst, N, header_k, size)
         else:
@@ -112,8 +105,8 @@ def cmd_shuffle(args) -> int:
         if onto_src and not stat.S_ISREG(os.stat(src).st_mode):  # a FIFO or device would become a file
             raise ParseFailure("%s is not a regular file, so tokens cannot be written onto it" % src)
         codes, edges = _read_tokens(src)
-        spec = _check(len(edges) // 2, args.k or 2, args.method, "tokens")
-        counter = _shuffle(edges.view("V%d" % (2 * edges.itemsize)), spec, args.method)
+        run = _check(len(edges) // 2, args.k or 2, args.method, "tokens")
+        counter = run(edges.view("V%d" % (2 * edges.itemsize)))
         (_replace if onto_src else _write)(dst, _token_text(codes, edges))
     if args.stats:
         print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
@@ -245,40 +238,65 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
 
 
 def _write(path: str | int | None, data) -> None:
-    """Write data to path (or open file descriptor), or to stdout for None and "-".
+    """Write data to path (or open file descriptor, left open), or to stdout for None and "-".
 
     data is a list of bytes-like chunks, which go out as they are, or an
     iterable of strs.  A text stream encodes each str it gets into one
-    bytes copy, so strs go out _CODE_CHUNK characters at a time.
+    bytes copy, so strs go out _CODE_CHUNK characters at a time.  A file
+    encodes them with surrogateescape, so the lone surrogates that a
+    surrogateescape stdin makes of undecodable bytes go out as those bytes,
+    as they do on a UTF-8 mode stdout.
     """
     binary = isinstance(data, list) and not isinstance(data[0], str)
     chunks = data if binary else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
     else:
-        with open(path, "wb" if binary else "w") as fh:
+        with open(path, "wb" if binary else "w", errors=None if binary else "surrogateescape",
+                  closefd=not isinstance(path, int)) as fh:
             fh.writelines(chunks)
 
 
 def _replace(path: str, data) -> None:
     """_write data into a new file beside path, then rename it over path.
 
-    An interrupted run leaves path as it was.  The new file takes the
-    permission bits of the file path names and replaces that file, so a
-    symlink at path stays a link; other hard links keep the old contents.
+    The new file is made with O_TMPFILE, so it has no name until it is
+    whole; it is then linked in under a temporary name and renamed over
+    path.  A run that fails or is killed leaves path as it was, and leaves
+    nothing beside it unless it is killed between the link and the rename.
+    Where O_TMPFILE is missing or refused, the file is named from the
+    start, and a kill leaves it.  It takes the permission bits of the file
+    path names and replaces that file, so a symlink at path stays a link;
+    other hard links keep the old contents.
     """
     real = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real))
+    folder = os.path.dirname(real)
+    try:
+        fd, tmp = os.open(folder, os.O_TMPFILE | os.O_WRONLY, 0o600), None
+    except (AttributeError, OSError):  # not Linux, or a file system without it
+        fd, tmp = tempfile.mkstemp(dir=folder)
     try:
         _write(fd, data)
-        os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+        os.fchmod(fd, stat.S_IMODE(os.stat(real).st_mode))
+        if tmp is None:
+            name, dirfd = "tmp" + os.urandom(4).hex(), os.open(folder, os.O_PATH)  # O_PATH needs no read permission
+            try:  # with a dir_fd, link follows the /proc link to the open file
+                os.link("/proc/self/fd/%d" % fd, name, dst_dir_fd=dirfd, follow_symlinks=True)
+            finally:
+                os.close(dirfd)
+            tmp = os.path.join(folder, name)
         os.replace(tmp, real)
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         raise
+    finally:
+        os.close(fd)
 
 
-def _parse_permutation(text: str) -> Permutation:
+def _parse_permutation(arg: str | None) -> Permutation:
+    """The permutation in arg, a one-line image list, or on stdin for None and "-"."""
+    text = sys.stdin.read() if arg in (None, "-") else arg
     try:
         values = [int(tok) for tok in text.split()]
     except ValueError as exc:
@@ -290,18 +308,19 @@ def _parse_permutation(text: str) -> Permutation:
 
 
 def cmd_factor(args) -> int:
-    text = args.perm if args.perm not in (None, "-") else sys.stdin.read()
-    p = _parse_permutation(text)
-    if args.enumerate:
-        if len(cycle_decompose(p)) != 1:
-            raise ParseFailure("--enumerate needs a single-cycle permutation")
-        pairs = [factor_permutation(p, axis) for axis in range(p.size)]
-    else:
-        pairs = [factor_permutation(p)]
-    for pair in pairs:
+    p = _parse_permutation(args.perm)
+    if args.enumerate and len(cycle_decompose(p)) != 1:
+        raise ParseFailure("--enumerate needs a single-cycle permutation")
+    for axis in range(p.size if args.enumerate else 1):  # each pair printed as it is made
+        pair = factor_permutation(p, axis)
         print("S: " + cycle_notation(pair.s))
         print("T: " + cycle_notation(pair.t))
     return 0
+
+
+# The least one swap of a network holds: a pair tuple and its two ints, 56 + 2 * 28 = 112 bytes on 64-bit
+# CPython.  Two rounds hold about one swap per position, and --exp 20 peaks near 225 bytes a position.
+_SWAP_BYTES = sys.getsizeof((1 << 29, 1 << 29)) + 2 * sys.getsizeof(1 << 29)
 
 
 def cmd_network(args) -> int:
@@ -326,7 +345,12 @@ def cmd_network(args) -> int:
         if N < 2 or N % k:
             raise ArityFailure("N=%d is not a positive multiple of k=%d" % (N, k))
         target = ShuffleSpec.for_length(N, k)
-    net = build_network(_route(target, args.method, "network")[0], target)
+    method = _route(target, args.method, "network")[0]
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if method != "factorization" and target.N * _SWAP_BYTES > memory:  # it cannot be built
+        raise MemoryError("out of memory: a network of N=%d positions holds about N swaps of at least %d bytes, "
+                          "more than the %d bytes of physical memory" % (target.N, _SWAP_BYTES, memory))
+    net = build_network(method, target)
     sys.stdout.write(emit_dot(net) if args.format == "dot" else emit_text(net))
     return 0
 
@@ -370,13 +394,13 @@ def cmd_selftest(args) -> int:
             expected = oracle_shuffle(list(range(N)), k)
             for method in ("bitrev", "modinv"):
                 try:
-                    _route(spec, method, "shuffle")
+                    run = _route(spec, method, "shuffle")[1]
                 except ArityFailure:
                     continue
                 # a list, and ndarrays of a native dtype (as records) and a void one (as tokens)
                 values = np.arange(N, dtype=np.int64)
                 for kind, got in (("list", values.tolist()), ("int64", values.copy()), ("void", values.view("V8"))):
-                    _shuffle(got, spec, method)
+                    run(got)
                     got = got if kind == "list" else got.view(np.int64).tolist()
                     results.append((got == expected, "%s N=%d k=%d %s" % (method, N, k, kind)))
             ok = all(

@@ -144,8 +144,8 @@ def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
             yield from zip(x[keep].tolist(), J[keep].tolist())
 
 
-def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
-    """In-place k-way in-shuffle of any N = k*M elements.
+def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter | None:
+    """In-place k-way in-shuffle of any N = k*M elements; return counter, filled with the work done.
 
     Two rounds of independent swaps: positions pair along J_1, then along
     J_k.  Positions 0 and N-1 are never touched.
@@ -168,6 +168,7 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> None:
     if counter is not None:
         counter.swaps += swaps
         counter.rounds += 2
+    return counter
 
 
 def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:

@@ -9,6 +9,7 @@ import importlib
 import io
 import locale
 import os
+import random
 import re
 import signal
 import stat
@@ -24,7 +25,10 @@ import pytest
 
 from shuffleworks import cli, recordfile, shuffle_bitrev
 from shuffleworks.cli import _write, main
+from shuffleworks.involution_factor import factor_permutation
+from shuffleworks.network import build_network, emit_text
 from shuffleworks.oracle import oracle_shuffle
+from shuffleworks.perm_core import Permutation, cycle_notation
 from shuffleworks.recordfile import HEADER_SIZE, MAGIC, VERSION, make_record_file, parse_record_file
 
 from _reference import compose, parse_cycle_notation
@@ -116,6 +120,23 @@ def test_lines_in_place_through_a_symlink_keeps_the_link_and_mode(tmp_path, caps
     assert src.read_text() == FIGURE_SHUFFLED + "\n"
     assert stat.S_IMODE(src.stat().st_mode) == 0o640
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "tokens.txt"]
+
+
+@pytest.mark.parametrize("argv", [["--in-place", "IN"], ["IN", "-o", "IN"]], ids=["in_place", "output_is_input"])
+def test_lines_onto_in_without_o_tmpfile_go_through_a_named_file(tmp_path, capsys, monkeypatch, argv):
+    src = tmp_path / "tokens.txt"
+    src.write_text(FIGURE_TOKENS)
+    src.chmod(0o640)
+    monkeypatch.delattr(os, "O_TMPFILE", raising=False)
+    made = []
+    real = cli.tempfile.mkstemp
+    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or real(**kwargs))
+    code, out, _ = run_cli(["shuffle", "--k", "2", *(str(src) if a == "IN" else a for a in argv)], capsys)
+    assert (code, out) == (0, "")
+    assert made == [{"dir": os.path.realpath(tmp_path)}]
+    assert src.read_text() == FIGURE_SHUFFLED + "\n"
+    assert stat.S_IMODE(src.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["tokens.txt"]
 
 
 def test_shuffle_lines_to_output_file(tmp_path, capsys, monkeypatch):
@@ -324,38 +345,46 @@ def test_interrupted_records_copy_is_refused(tmp_path, capsys, monkeypatch, how)
     _assert_refused(stopped, capsys)
 
 
-# Runs `shuffle --records --in-place PATH` with owner.name wrapped so that the process SIGKILLs itself before the
-# first call runs ("before") or once it returns ("after"): no except or finally block runs, as with a real kill.
+# Runs cli.main(argv) with module.name wrapped so that the process SIGKILLs itself at the n-th call, before the
+# call runs ("before") or once it returns ("after"): no except or finally block runs, as with a real kill.
 KILLED_CHILD = """
-import os, signal, sys
-from shuffleworks import cli, recordfile, shuffle_bitrev
-owner_name, name, when, path = sys.argv[1:]
-owner = {"recordfile": recordfile, "shuffle_bitrev": shuffle_bitrev}[owner_name]
+import importlib, os, signal, sys
+from shuffleworks import cli
+module, name, n, when, *argv = sys.argv[1:]
+owner, calls = importlib.import_module(module), []
 real = getattr(owner, name)
 def killed(*args, **kwargs):
-    if when == "before":
+    calls.append(None)
+    if len(calls) == int(n) and when == "before":
         os.kill(os.getpid(), signal.SIGKILL)
-    real(*args, **kwargs)
-    os.kill(os.getpid(), signal.SIGKILL)
+    result = real(*args, **kwargs)
+    if len(calls) == int(n):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return result
 setattr(owner, name, killed)
-sys.exit(cli.main(["shuffle", "--records", "--in-place", path]))
+sys.exit(cli.main(argv))
 """
 
 
+def _killed(module, name, n, when, argv, stdin=b""):
+    """Run main(argv) in a child that module.name kills at its n-th call; stdin goes in through a pipe."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", KILLED_CHILD, module, name, str(n), when, *map(str, argv)],
+                          env=env, input=stdin, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:].decode(errors="replace")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-@pytest.mark.parametrize("owner, name, when", [
-    ("recordfile", "write_header", "before"),
-    ("shuffle_bitrev", "revswap_round", "after"),
+@pytest.mark.parametrize("module, name, when", [
+    ("shuffleworks.recordfile", "write_header", "before"),
+    ("shuffleworks.shuffle_bitrev", "revswap_round", "after"),
 ], ids=["before_header", "after_round_0"])
-def test_killed_records_in_place_is_refused(tmp_path, capsys, owner, name, when):
+def test_killed_records_in_place_is_refused(tmp_path, capsys, module, name, when):
     # nothing syncs the mapped body, so these rest on the zeroed header alone
     path = tmp_path / "in.bin"
     before = np.arange(2 ** 16, dtype=np.uint64)
     path.write_bytes(make_record_file(2, 8, before.tobytes()).to_bytes())
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", KILLED_CHILD, owner, name, when, str(path)], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
-    assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
+    _killed(module, name, 1, when, ["shuffle", "--records", "--in-place", path])
     body = np.fromfile(path, dtype=np.uint64, offset=HEADER_SIZE)
     assert path.stat().st_size == HEADER_SIZE + before.nbytes
     if when == "before":  # the body is shuffled in full; only the header is missing
@@ -366,6 +395,50 @@ def test_killed_records_in_place_is_refused(tmp_path, capsys, owner, name, when)
         recordfile.read_header(fh)
     code, out, err = run_cli(["shuffle", "--records", str(path)], capsys)
     assert (code, out) == (2, "") and "bad magic" in err, err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("name, n, when", [
+    ("_fill", 2, "before"),  # OUT has its zeroed header and length; the body is not read yet
+    ("copy_records", 1, "after"),  # OUT holds IN's body, not shuffled
+    ("write_header", 1, "before"),  # OUT holds the shuffled body
+], ids=["before_the_body_is_read", "after_the_copy", "before_header"])
+@pytest.mark.parametrize("how", ["copy", "stdin_to_a_file"])
+def test_killed_records_copy_is_refused(tmp_path, capsys, how, name, n, when):
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    blob = make_record_file(2, 8, np.arange(2 ** 16, dtype=np.uint64).tobytes()).to_bytes()
+    src.write_bytes(blob)
+    if how == "copy":
+        _killed("shuffleworks.recordfile", name, n, when, ["shuffle", "--records", src, "-o", dst])
+    else:
+        _killed("shuffleworks.recordfile", name, n, when, ["shuffle", "--records", "-o", dst], stdin=blob)
+    assert src.read_bytes() == blob
+    assert dst.stat().st_size == len(blob)
+    _assert_refused(dst, capsys)
+
+
+def _has_o_tmpfile(folder):
+    try:
+        os.close(os.open(folder, os.O_TMPFILE | os.O_WRONLY, 0o600))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("module, name, n", [
+    ("numpy", "repeat", 2),  # the output gather's second step: the first has gone to the new file
+    ("os", "link", 1),  # the new file is whole, and still has no name
+], ids=["after_the_first_write", "before_the_link"])
+def test_killed_lines_in_place_leaves_the_input_whole_and_nothing_beside_it(tmp_path, module, name, n):
+    if not _has_o_tmpfile(tmp_path):
+        pytest.skip("no O_TMPFILE here: the new file has a name from the start, which a kill leaves")
+    src = tmp_path / "in.txt"
+    text = " ".join("w%07d" % i for i in range(5000))
+    src.write_text(text)
+    _killed(module, name, n, "before", ["shuffle", "--in-place", src])
+    assert src.read_text() == text
+    assert os.listdir(tmp_path) == ["in.txt"]
 
 
 def test_records_copy_short_read_is_refused(tmp_path, capsys, monkeypatch):
@@ -774,6 +847,61 @@ def test_factor_rejects_non_permutations(capsys):
         assert code == 2, bad
 
 
+def test_factor_enumerate_prints_each_factorization_as_it_is_made(monkeypatch):
+    # a 300-point cycle: its 600 output lines hold 0.75 MB, and its 300 factorizations held at once 1.5 MiB
+    order = list(range(300))
+    random.Random(7).shuffle(order)
+    perm = [0] * len(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        perm[a] = b
+    want = hashlib.sha256()
+    for axis in range(len(perm)):
+        pair = factor_permutation(Permutation(perm), axis)
+        want.update(("S: %s\nT: %s\n" % (cycle_notation(pair.s), cycle_notation(pair.t))).encode())
+
+    class Digest:  # an output that holds nothing of what it is given
+        def __init__(self):
+            self.sha = hashlib.sha256()
+
+        def write(self, text):
+            self.sha.update(text.encode())
+            return len(text)
+
+    got = Digest()
+    monkeypatch.setattr("sys.stdout", got)
+    text = " ".join(map(str, perm))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["factor", "--enumerate", text])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert got.sha.digest() == want.digest()
+    assert peak < 0.5 * (1 << 20), peak
+
+
+def test_network_perm_from_stdin(capsys, monkeypatch):
+    # 2**16 positions are 379 KB of text, past what Linux takes as one argument (128 KiB)
+    perm = list(range(2 ** 16))
+    random.Random(11).shuffle(perm)
+    code, out, err = run_cli(["network", "--perm", "-"], capsys, stdin=" ".join(map(str, perm)) + "\n",
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == emit_text(build_network("factorization", Permutation(perm)))
+
+
+def test_network_that_cannot_fit_in_memory_exits_2_before_it_is_built(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("build_network ran")
+
+    monkeypatch.setattr(cli, "build_network", never)
+    code, out, err = run_cli(["network", "--k", "2", "--exp", "40"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+
+
 def test_network_text_header(capsys):
     code, out, _ = run_cli(["network", "--k", "2", "--exp", "4"], capsys)
     assert code == 0
@@ -945,6 +1073,32 @@ def test_selftest_reports_a_fault_in_the_tiled_route(capsys, monkeypatch):
     assert fails and all(line.startswith("FAIL bitrev ") for line in fails)
     assert {line.split()[-1] for line in fails} == {"int64", "void"}
     assert "0 failures" not in out
+
+
+def test_each_shuffle_and_selftest_case_routes_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = cli._route
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_route", counted)
+    src = tmp_path / "in.bin"
+    src.write_bytes(record_fixture(n=12, k=3, size=4))
+    runs = [(["shuffle", "--k", k, "--method", method], None) for k in ("2", "3") for method in ("auto", "oracle")]
+    runs += [(["shuffle", "--records", str(src), "-o", str(tmp_path / "out.bin")], None),
+             (["shuffle", "--records", "--in-place", str(src)], None)]
+    for argv, _ in runs:
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(map(str, range(12)))))
+        assert main(argv) == 0
+        assert len(calls) == 1, (argv, calls)
+    capsys.readouterr()
+    calls.clear()
+    assert main(["selftest", "--max-n", "12"]) == 0
+    cases = [(N, k) for N in range(2, 13) for k in (2, 3, 4, 5) if N % k == 0]
+    assert sorted(calls) == sorted((method, "shuffle") for _ in cases for method in ("bitrev", "modinv"))
 
 
 def test_unknown_method_is_an_argparse_error(capsys):
@@ -1266,15 +1420,19 @@ def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeyp
     # is held when the shuffle ends (the edges, 8 bytes a token): what writing
     # the tokens out costs, the gather's index, ramp and buffers and the text
     # stream's encoding
-    real, held = cli._shuffle, []
+    real, held = cli._check, []
 
-    def shuffle_then_reset_peak(*args):
-        counter = real(*args)
-        held.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return counter
+    def check_then_reset_peak_after_the_run(*args):
+        run = real(*args)
 
-    monkeypatch.setattr(cli, "_shuffle", shuffle_then_reset_peak)
+        def run_then_reset_peak(array):
+            counter = run(array)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return counter
+        return run_then_reset_peak
+
+    monkeypatch.setattr(cli, "_check", check_then_reset_peak_after_the_run)
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
     paths = {"IN": str(src), "OUT": str(dst)}
     for N in (2 ** 17, 2 ** 19):
@@ -1303,6 +1461,19 @@ def test_lines_pass_undecodable_stdin_bytes_through(monkeypatch):
     assert main(["shuffle"]) == 0
     assert sink.getvalue() == b"a\xff c b d\n"
     assert err.getvalue() == ""
+
+
+def test_lines_output_file_gets_the_bytes_stdout_gets(tmp_path, monkeypatch):
+    # the lone surrogate a surrogateescape stdin makes of b"\xff" goes out as that byte, to a file as to stdout;
+    # OUT is truncated before the first token is encoded, so a refusal would have lost its old contents
+    dst = tmp_path / "out.txt"
+    dst.write_bytes(b"old contents")
+    sink = io.BytesIO()
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(sink, "utf-8", "surrogateescape", write_through=True))
+    for argv in (["shuffle"], ["shuffle", "-o", str(dst)]):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a\xff b c d"), "utf-8", "surrogateescape"))
+        assert main(argv) == 0, argv
+    assert dst.read_bytes() == sink.getvalue() == b"a\xff c b d\n"
 
 
 def test_lines_in_place_scratch_is_the_text_and_16_bytes_a_token(tmp_path, capsys):
