@@ -13,7 +13,9 @@ O(log N) words of state (the counter digits plus the table of powers of
 k).  Lists run its pairs through perm_core.swap_pairs, and build_network
 stores them as the rounds of the swap network.  Lengths that are not
 powers of k are handled for k=2 by rotating power-of-two segment pairs
-into adjacency and shuffling each aligned block.
+into adjacency and shuffling each aligned block.  A rotation trades
+blocks forward a chunk at a time until one side fits in a chunk, then
+slides the other side over it, so it holds at most two chunks.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
@@ -287,11 +289,19 @@ def rotation_cost(M: int) -> int:
 
 
 def rotate_left(array, start: int, length: int, shift: int) -> int:
-    """Rotate array[start:start+length] left by shift using three reversals.
+    """Rotate array[start:start+length] left by shift with forward copies only.
 
     Returns the number of elements displaced (length, or 0 for the trivial
-    shifts 0 and length).  Each reversal swaps mirrored chunks of at most
-    _CHUNK_BYTES, so the scratch does not grow with the window.
+    shifts 0 and length).  The window [A B], A the first shift elements,
+    becomes [B A].  While both sides are longer than a chunk (_CHUNK_BYTES
+    of elements), the shorter side trades places, a chunk at a time, with
+    the end of the longer side next to it, which puts that end in its
+    final place (Gries and Mills).  Once a side fits in a chunk it is
+    copied out, the other side slides over its place a chunk at a time,
+    and the copy goes in behind; swapping on down to the last element would
+    take a step per shift, like subtractive Euclid.  At most two chunks are
+    in flight, whatever the window, and no copy runs backwards: numpy moves
+    a reversed void record one at a time.
     """
     if length < 0 or start < 0 or start + length > len(array):
         raise ValueError("window out of range")
@@ -299,17 +309,34 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
         raise ValueError("shift %d outside 0..%d" % (shift, length))
     if shift in (0, length) or length < 2:
         return 0
-    # list slots are 8-byte pointers
-    chunk = max(1, _CHUNK_BYTES // (array.itemsize if isinstance(array, np.ndarray) else 8))
-    mid, end = start + shift, start + length
-    for lo, hi in ((start, mid), (mid, end), (start, end)):
-        while hi - lo > 1:
-            c = min(chunk, (hi - lo) // 2)
-            left = array[lo:lo + c][::-1].copy()
-            array[lo:lo + c] = array[hi - c:hi][::-1]
-            array[hi - c:hi] = left
-            lo += c
-            hi -= c
+    if isinstance(array, np.ndarray):
+        chunk, held = max(1, _CHUNK_BYTES // array.itemsize), np.ndarray.copy
+    else:  # list slots are 8-byte pointers, and a list slice is already a copy
+        chunk, held = _CHUNK_BYTES // 8, lambda part: part
+    lo, mid, hi = start, start + shift, start + length
+    while (n := min(mid - lo, hi - mid)) > chunk:
+        for p in range(mid - n, mid, chunk):  # [mid - n, mid) trades places with [mid, mid + n)
+            c = min(chunk, mid - p)
+            part = held(array[p:p + c])
+            array[p:p + c] = array[p + n:p + n + c]
+            array[p + n:p + n + c] = part
+        if n == mid - lo:  # the start of B is in place, and A follows it
+            lo, mid = mid, mid + n
+        else:  # the end of A is in place, and B precedes it
+            mid, hi = mid - n, hi - n
+    a, b = mid - lo, hi - mid
+    if 0 < a <= b:  # A fits in a chunk: B slides left over it
+        part = held(array[lo:mid])
+        for p in range(lo, hi - a, chunk):
+            c = min(chunk, hi - a - p)
+            array[p:p + c] = array[p + a:p + a + c]
+        array[hi - a:hi] = part
+    elif 0 < b < a:  # B fits: A slides right over it, from its end
+        part = held(array[mid:hi])
+        for p in range(mid, lo, -chunk):
+            c = min(chunk, p - lo)
+            array[p - c + b:p + b] = array[p - c:p]
+        array[lo:lo + b] = part
     return length
 
 

@@ -79,13 +79,13 @@ _ROW_BYTES = 2048  # bytes per lane row: 256 int64 or 512 int32 positions per lo
 _SWAP_BATCH = 256  # records gathered at a time by one fancy-index swap
 
 
-def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None, descending: bool = False):
+def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None):
     """Yield (x, J) per r in rs and chunk: x = lo, lo+1, ... of 1..m//2, one per lane, J = J_r(x).
 
     A chunk is one row of lanes: 512 int32 lanes when k*(N-1) < 2**31, 256
     int64 lanes otherwise.  The mirrors m-x pair with m-J.  Chunks come in
-    ascending lo, or descending.  x and J are views that the next
-    chunk overwrites; a caller may turn them into m-x and m-J in place.
+    ascending lo.  x and J are views that the next chunk overwrites; a
+    caller may turn them into m-x and m-J in place.
     Lane i runs ext_gcd(lo+i, m) in rows a, s_a, b, s_b (remainders and
     cofactors of x), taking a %= b and b %= a in turn.  Once a round's last
     chunk is out, counter gets ext_gcd's counts for all of 1..m-1.
@@ -100,7 +100,7 @@ def _j_chunks(spec: ShuffleSpec, rs: tuple[int, ...], counter: OpCounter | None,
     los = range(1, m // 2 + 1, width)
     for r in rs:
         lanes = 0
-        for lo in reversed(los) if descending else los:
+        for lo in los:
             n = min(width, m // 2 + 1 - lo)
             st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
             st[0], st[1], st[2], st[3] = np.arange(lo, lo + n, dtype=dtype), 1, m, 0
@@ -130,18 +130,19 @@ def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
     """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
 
     Positions 0 and N-1 are never paired.  r must be 1 or k, which are
-    coprime to m = N - 1.  The pairs with x <= m/2 come from the chunks in
-    ascending order; the rest are (m-x, m-J_r(x)) for the x with J_r(x) < x,
-    from a second walk in descending order.  The Euclid work of every J_r
-    value taken goes to counter.
+    coprime to m = N - 1.  One walk of the chunks yields the pairs with
+    x <= m/2 as it goes and keeps the rest, (m-x, m-J_r(x)) for the x with
+    J_r(x) < x, which come after them in reverse.  The Euclid work of every
+    J_r value taken goes to counter.
     """
-    m = spec.m
-    for descending, counted in ((False, None), (True, counter)):
-        for x, J in _j_chunks(spec, (r,), counted, descending):
-            if descending:
-                x, J = m - x[::-1], m - J[::-1]
-            keep = J > x
-            yield from zip(x[keep].tolist(), J[keep].tolist())
+    m, mirrors = spec.m, []
+    for x, J in _j_chunks(spec, (r,), counter):
+        keep = J > x
+        yield from zip(x[keep].tolist(), J[keep].tolist())
+        back = J < x
+        mirrors.append((np.subtract(m, x[back]), np.subtract(m, J[back])))
+    for x, J in reversed(mirrors):
+        yield from zip(x[::-1].tolist(), J[::-1].tolist())
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter | None:

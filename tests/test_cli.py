@@ -1451,6 +1451,19 @@ def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeyp
         assert scratch < 0.75 * (1 << 20), (N, scratch)
 
 
+@pytest.mark.parametrize("runs", [[(20000, 98)], [(3001, 1), (301, 200), (5000, 1), (1, 200), (97, 200)]],
+                         ids=["98_bytes", "runs_of_1_and_200_bytes"])
+def test_lines_gather_steps_sized_by_bytes_per_token_keep_every_byte(runs, tmp_path, capsys):
+    # a step takes as many tokens as fill 1.25 buffers at the text's mean
+    # bytes per token; runs far from that mean fill a step's buffer or not
+    tokens = [("%0*d" % (size, i))[-size:] for count, size in runs for i in range(count)]
+    assert len(tokens) % 2 == 0
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(" ".join(tokens) + "\n")
+    assert run_cli(["shuffle", "--k", "2", str(src), "-o", str(dst)], capsys) == (0, "", "")
+    assert dst.read_bytes() == (" ".join(oracle_shuffle(tokens, 2)) + "\n").encode()
+
+
 def test_lines_pass_undecodable_stdin_bytes_through(monkeypatch):
     # a stream decoding with surrogateescape turns b"\xff" into "\udcff";
     # the bytes expected are what the str-token route printed

@@ -1,5 +1,6 @@
 """Swap-network construction, text and DOT rendering, round-trip parsing."""
 
+import importlib
 import random
 
 import pytest
@@ -62,6 +63,20 @@ def test_network_rounds_are_the_pair_sources():
         spec = ShuffleSpec.for_length(N, k)
         rounds = build_network("modinv", spec).rounds
         assert rounds == tuple(tuple(modinv_pairs(r, spec)) for r in (1, k))
+        assert rounds == tuple(
+            tuple((x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x) for r in (1, k))
+
+
+def test_modinv_network_walks_the_lanes_once_per_round(monkeypatch):
+    # the mirrors of a round come from the walk that yields its direct pairs
+    lanes, walks = importlib.import_module("shuffleworks.shuffle_modinv"), []
+    walk = lanes._j_chunks
+    monkeypatch.setattr(lanes, "_j_chunks", lambda spec, rs, *rest: walks.append(rs) or walk(spec, rs, *rest))
+    for k, N in ((2, 30), (3, 3 * 12001), (7, 7 * 150)):
+        walks.clear()
+        spec = ShuffleSpec.for_length(N, k)
+        rounds = build_network("modinv", spec).rounds
+        assert walks == [(1,), (k,)], (k, N)
         assert rounds == tuple(
             tuple((x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x) for r in (1, k))
 

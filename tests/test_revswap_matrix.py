@@ -9,6 +9,7 @@ rounds swap by fancy indexing with the Euclid-lane partners on every
 ndarray, and through the scalar executor on lists.
 """
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,8 @@ from shuffleworks.shuffle_bitrev import (
     swap_counts,
 )
 from shuffleworks.shuffle_modinv import OpCounter, shuffle_modinv, swap_count_modinv
+
+shuffle_bitrev = importlib.import_module("shuffleworks.shuffle_bitrev")
 
 # One power of each k whose two rounds split into tiles with and without
 # middle digits.
@@ -107,18 +110,60 @@ def test_rotation_scratch_does_not_grow_with_the_window(kind):
             array = np.arange(N, dtype=np.uint64)
         else:
             array = np.frombuffer(data, dtype=np.dtype((np.void, 12))).copy()
-        start, length, shift = 3, N - 5, N // 3
+        start, length = 3, N - 5
         want = as_list(array)
-        want[start:start + length] = want[start + shift:start + length] + want[start:start + shift]
-        tracemalloc.start()
-        try:
-            assert rotate_left(array, start, length, shift) == length
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert as_list(array) == want, (kind, N)
-        # three mirrored chunks in flight at most, whatever the window
-        assert peak < 4 * _CHUNK_BYTES, (kind, N, peak)
+        for shift in (N // 3, 3, length - 3):
+            want[start:start + length] = want[start + shift:start + length] + want[start:start + shift]
+            tracemalloc.start()
+            try:
+                assert rotate_left(array, start, length, shift) == length
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert as_list(array) == want, (kind, N, shift)
+            # two chunks in flight at most, whatever the window
+            assert peak < 4 * _CHUNK_BYTES, (kind, N, shift, peak)
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 8])
+@pytest.mark.parametrize("kind", ["list", "ndarray", "void", "memmap"])
+def test_rotation_equals_slicing_for_every_shift(kind, chunk_bytes, monkeypatch, tmp_path):
+    # A chunk of 64 bytes holds 8 uint64 or 5 twelve-byte records, and one
+    # of 8 bytes a single element: wider sides trade places a chunk at a
+    # time before the narrower one is copied out and the other slides.  A
+    # one-element chunk swaps element by element, so its windows stop at 100.
+    monkeypatch.setattr(shuffle_bitrev, "_CHUNK_BYTES", chunk_bytes)
+    top = 200 if chunk_bytes == 64 else 100
+    array = container(kind, top + 2, 2, 8 if kind == "ndarray" else 12, tmp_path)
+    want = as_list(array)
+    for length in range(top + 1):
+        for shift in range(length + 1):
+            start = shift % 3  # the window starts at 0, 1 or 2 and may end at the array's end
+            assert rotate_left(array, start, length, shift) == (length if 0 < shift < length else 0)
+            want[start:start + length] = want[start + shift:start + length] + want[start:start + shift]
+        assert as_list(array) == want, (kind, chunk_bytes, length)
+
+
+class _CountedWrites(np.ndarray):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        type(self).writes += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("shift", [3, -3, _CHUNK_BYTES // 8 + 1, -(_CHUNK_BYTES // 8 + 1)])
+def test_rotation_writes_scale_with_the_window_over_the_chunk(shift):
+    # One side a few elements long slides the other over it in whole chunks;
+    # swapping sides on down to the last one would take length/3 steps.
+    length, chunk = 1 << 20, _CHUNK_BYTES // 8
+    shift %= length
+    array = np.arange(length + 2, dtype=np.uint64).view(_CountedWrites)
+    _CountedWrites.writes = 0
+    assert rotate_left(array, 1, length, shift) == length
+    assert _CountedWrites.writes <= 4 * -(-length // chunk) + 4, _CountedWrites.writes
+    window = np.arange(1, length + 1, dtype=np.uint64)
+    assert np.array_equal(array.view(np.ndarray), np.concatenate([[0], np.roll(window, -shift), [length + 1]]))
 
 
 def reversal_reference(N, k, t):
