@@ -115,7 +115,7 @@ def cmd_shuffle(args) -> int:
 
 
 _CODE_CHUNK = 1 << 16  # bytes per step of the token split and the text write, four times a gather step's; at least 4
-_TOKEN_CHUNK = 1 << 11  # tokens per step of the output gather, at most
+_TOKEN_CHUNK = 1 << 11  # tokens per step of the output gather
 # str.split's separators past U+007F lie below U+4000: two or three UTF-8 bytes, led by C2, E1, E2 or E3
 # and then 80, 81, 85, 9A or A0.
 _WIDE_SPACE = np.zeros(0x4000, bool)  # whether a code point is one
@@ -210,18 +210,16 @@ def _read_codes(path: str | None) -> tuple[np.ndarray, bool]:
 def _token_text(codes: np.ndarray, edges: np.ndarray):
     """The tokens at edges in the UTF-8 bytes codes as strs, each followed by a space and the last by a newline.
 
-    At most _CODE_CHUNK // 4 bytes go through one buffer at a time, and a
-    longer token is decoded on its own.  A step looks at 1.25 buffers'
-    worth of tokens at the text's mean bytes per token, and at most
-    _TOKEN_CHUNK of them.  A token and the separator after it end at stop
-    in the buffer, so buffer position q takes codes[end - stop + q + 1]:
-    the token's end - stop, repeated over its bytes, plus a ramp of q + 1.
+    At most _TOKEN_CHUNK tokens and _CODE_CHUNK // 4 bytes go through one
+    buffer at a time; a longer token is decoded on its own.  A token and
+    the separator after it end at stop in the buffer, so buffer position q
+    takes codes[end - stop + q + 1]: the token's end - stop, repeated over
+    its bytes, plus a ramp of q + 1.
     """
     n, i = len(edges) // 2, 0
     ramp = np.arange(1, _CODE_CHUNK // 4 + 1, dtype=np.int64)  # q + 1
-    width = min(_TOKEN_CHUNK, 5 * len(ramp) * n // (4 * max(len(codes), 1)) + 1)
     while i < n:
-        start, end = edges[2 * i:2 * (i + width):2], edges[2 * i + 1:2 * (i + width):2]
+        start, end = edges[2 * i:2 * (i + _TOKEN_CHUNK):2], edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2]
         length = np.subtract(end, start, dtype=np.int64)
         length += 1  # each token and its separator
         stop = np.cumsum(length)

@@ -24,7 +24,8 @@ every position taken: for x < m/2, ext_gcd(m-x, m) takes one step more
 than ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes
 2.  A chunk's pairs, then its mirrors', swap by fancy indexing on ndarrays,
 at most 256 records at a time, and through swap_pairs on lists;
-modinv_pairs yields them x-sorted for networks.
+modinv_pairs yields them x-sorted for networks, holding a round's mirror
+pairs until its walk ends.
 """
 
 from __future__ import annotations
@@ -132,8 +133,10 @@ def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
     Positions 0 and N-1 are never paired.  r must be 1 or k, which are
     coprime to m = N - 1.  One walk of the chunks yields the pairs with
     x <= m/2 as it goes and keeps the rest, (m-x, m-J_r(x)) for the x with
-    J_r(x) < x, which come after them in reverse.  The Euclid work of every
-    J_r value taken goes to counter.
+    J_r(x) < x, which come after them in reverse.  So the kept mirrors
+    live until the walk ends: memory linear in N, about 1.3 bytes per
+    position with int32 lanes (tracemalloc) and twice that with int64.  The
+    Euclid work of every J_r value taken goes to counter.
     """
     m, mirrors = spec.m, []
     for x, J in _j_chunks(spec, (r,), counter):

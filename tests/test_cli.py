@@ -1453,9 +1453,10 @@ def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("runs", [[(20000, 98)], [(3001, 1), (301, 200), (5000, 1), (1, 200), (97, 200)]],
                          ids=["98_bytes", "runs_of_1_and_200_bytes"])
-def test_lines_gather_steps_sized_by_bytes_per_token_keep_every_byte(runs, tmp_path, capsys):
-    # a step takes as many tokens as fill 1.25 buffers at the text's mean
-    # bytes per token; runs far from that mean fill a step's buffer or not
+def test_lines_gather_of_long_and_mixed_tokens_keeps_every_byte(runs, tmp_path, capsys):
+    # a gather step takes _TOKEN_CHUNK tokens while they fit its buffer;
+    # long tokens fill the buffer first, and runs of 1- and 200-byte
+    # tokens cross steps of either kind
     tokens = [("%0*d" % (size, i))[-size:] for count, size in runs for i in range(count)]
     assert len(tokens) % 2 == 0
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"

@@ -74,11 +74,8 @@ def test_modinv_network_walks_the_lanes_once_per_round(monkeypatch):
     monkeypatch.setattr(lanes, "_j_chunks", lambda spec, rs, *rest: walks.append(rs) or walk(spec, rs, *rest))
     for k, N in ((2, 30), (3, 3 * 12001), (7, 7 * 150)):
         walks.clear()
-        spec = ShuffleSpec.for_length(N, k)
-        rounds = build_network("modinv", spec).rounds
+        build_network("modinv", ShuffleSpec.for_length(N, k))
         assert walks == [(1,), (k,)], (k, N)
-        assert rounds == tuple(
-            tuple((x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x) for r in (1, k))
 
 
 def test_networks_realise_the_inshuffle():
