@@ -43,7 +43,6 @@ from .shuffle_modinv import (
     ext_gcd,
     j_map,
     modinv_pairs,
-    op_count_profile,
     shuffle_modinv,
     swap_count_modinv,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "j_map",
     "modinv_pairs",
     "network_permutation",
-    "op_count_profile",
     "oracle_apply",
     "oracle_shuffle",
     "parse_text",

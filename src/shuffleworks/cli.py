@@ -35,7 +35,7 @@ from .perm_core import (
     cycle_notation,
 )
 from .shuffle_bitrev import INDEX_LIMIT, ShuffleSpec, shuffle_general_k2, shuffle_power
-from .shuffle_modinv import j_map, op_count_profile, shuffle_modinv
+from .shuffle_modinv import j_map, shuffle_modinv, swap_count_modinv
 
 
 class ParseFailure(ValueError):
@@ -50,7 +50,7 @@ def _route(target, method: str, purpose: str):
     """Resolve --method for target, a ShuffleSpec or network --perm's Permutation, in this one place.
 
     Returns (name, run); run(array) shuffles once, in place, looking cli's executors up as it runs, and
-    returns an OpCounter of its own.
+    returns the OpCounter that the executor filled.
     """
     if isinstance(target, Permutation) or method == "factorization":
         if method not in ("auto", "factorization"):
@@ -59,7 +59,7 @@ def _route(target, method: str, purpose: str):
             raise ParseFailure("factorization networks need --perm")
         return "factorization", None
     if method in ("auto", "bitrev") and target.n is not None:
-        return "bitrev", lambda array: OpCounter(swaps=sum(shuffle_power(array, target)), rounds=2)
+        return "bitrev", lambda array: shuffle_power(array, target)
     if method in ("auto", "bitrev") and target.k == 2 and purpose == "shuffle":
         return "rotations", lambda array: shuffle_general_k2(array)
     if method == "bitrev" and target.N:  # no positions, nothing to reverse: auto's route does nothing too
@@ -311,10 +311,13 @@ def cmd_factor(args) -> int:
     p = _parse_permutation(args.perm)
     if args.enumerate and len(cycle_decompose(p)) != 1:
         raise ParseFailure("--enumerate needs a single-cycle permutation")
+    pair = factor_permutation(p)
+    s, t = cycle_notation(pair.s), cycle_notation(pair.t)
     for axis in range(p.size if args.enumerate else 1):  # each pair printed as it is made
-        pair = factor_permutation(p, axis)
-        print("S: " + cycle_notation(pair.s))
-        print("T: " + cycle_notation(pair.t))
+        if axis:  # on one cycle, T about an axis is S about the axis before it
+            s, t = cycle_notation(factor_permutation(p, axis).s), s
+        print("S: " + s)
+        print("T: " + t)
     return 0
 
 
@@ -357,13 +360,13 @@ def cmd_network(args) -> int:
 
 def cmd_profile(args) -> int:
     lo, hi = _parse_range(args.m_range)
-    step = args.step
-    if step < 1:
+    if args.step < 1:
         raise ParseFailure("--step must be positive")
-    rows = op_count_profile(range(lo, hi + 1, step), args.k)
-    print("N,euclid_iterations,gcd_calls,swaps")
-    for row in rows:
-        print("%d,%d,%d,%d" % row)
+    rows = []  # all made before the header is printed, so a size that fails prints nothing
+    for N in range(args.k * lo, args.k * hi + 1, args.k * args.step):
+        report = swap_count_modinv(N, args.k)
+        rows.append("%d,%d,%d,%d\n" % (N, report.euclid_iterations, report.gcd_calls, report.swaps))
+    sys.stdout.write("N,euclid_iterations,gcd_calls,swaps\n" + "".join(rows))
     return 0
 
 

@@ -208,18 +208,15 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     return _round_swaps(spec, t)
 
 
-def shuffle_power(array, spec: ShuffleSpec) -> tuple[int, int]:
-    """In-place in-shuffle of N = k**n elements via two reversal rounds.
+def shuffle_power(array, spec: ShuffleSpec) -> OpCounter:
+    """In-place in-shuffle of N = k**n elements via two reversal rounds; return their report.
 
-    Returns the swap counts of the two rounds.
+    revswap_round checks the array before each round and returns that
+    round's swaps; the report holds both rounds' swaps.
     """
-    if spec.n is None or spec.n < 1:
-        raise ValueError("need N = k**n with n >= 1")
-    if len(array) != spec.N:
-        raise ValueError("array length %d != N=%d" % (len(array), spec.N))
-    first = revswap_round(array, spec.n - 1, spec)
-    second = revswap_round(array, spec.n, spec)
-    return first, second
+    if spec.n is None:
+        raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
+    return OpCounter(swaps=revswap_round(array, spec.n - 1, spec) + revswap_round(array, spec.n, spec), rounds=2)
 
 
 def swap_counts(spec: ShuffleSpec) -> tuple[int, int]:
@@ -362,7 +359,7 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     for m in plan.segment_sizes:
         spec = ShuffleSpec.for_length(2 * m, 2)
         if isinstance(array, np.ndarray):
-            report.swaps += sum(shuffle_power(array[base:base + 2 * m], spec))
+            report.swaps += shuffle_power(array[base:base + 2 * m], spec).swaps
         else:
             for t in (spec.n - 1, spec.n):
                 report.swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))

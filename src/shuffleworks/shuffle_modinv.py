@@ -148,15 +148,19 @@ def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
         yield from zip(x[::-1].tolist(), J[::-1].tolist())
 
 
-def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter | None:
-    """In-place k-way in-shuffle of any N = k*M elements; return counter, filled with the work done.
+def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter:
+    """In-place k-way in-shuffle of any N = k*M elements; return its report: counter, or a new one.
 
     Two rounds of independent swaps: positions pair along J_1, then along
-    J_k.  Positions 0 and N-1 are never touched.
+    J_k.  Positions 0 and N-1 are never touched.  A memmap is swapped
+    through a plain ndarray view of it, whose indexing skips memmap's.
     """
     spec = ShuffleSpec.for_length(len(array), k)
+    report = OpCounter() if counter is None else counter
+    if isinstance(array, np.ndarray):
+        array = array.view(np.ndarray)
     swaps, m = 0, spec.m
-    for x, J in _j_chunks(spec, (1, k), counter):
+    for x, J in _j_chunks(spec, (1, k), report):
         for _ in range(2):  # x, then m-x
             for i in range(0, len(x), _SWAP_BATCH):  # the records in flight do not grow with the lane count
                 xs, ys = x[i : i + _SWAP_BATCH], J[i : i + _SWAP_BATCH]
@@ -169,34 +173,15 @@ def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter
                 swaps += len(ys)
             np.subtract(m, x, out=x)
             np.subtract(m, J, out=J)
-    if counter is not None:
-        counter.swaps += swaps
-        counter.rounds += 2
-    return counter
+    report.swaps += swaps
+    report.rounds += 2
+    return report
 
 
-def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> int:
-    """Swaps the two rounds of shuffle_modinv would perform, no data moved.
-
-    counter receives the same tally shuffle_modinv would give it.
-    """
+def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> OpCounter:
+    """The report shuffle_modinv would return on N elements, no data moved: counter, or a new one, filled."""
+    report = OpCounter() if counter is None else counter
     spec = ShuffleSpec.for_length(N, k)
-    total = sum(int(np.count_nonzero(J != x)) for x, J in _j_chunks(spec, (1, k), counter))
-    if counter is not None:
-        counter.swaps += total
-        counter.rounds += 2
-    return total
-
-
-def op_count_profile(m_values, k: int) -> list[tuple[int, int, int, int]]:
-    """Index-arithmetic cost per shuffle size, with no data movement.
-
-    Returns one row (N, euclid_iterations, gcd_calls, swaps) per M in
-    m_values, covering both swap rounds.
-    """
-    rows = []
-    for M in m_values:
-        counter = OpCounter()
-        swap_count_modinv(k * M, k, counter)
-        rows.append((k * M, counter.euclid_iterations, counter.gcd_calls, counter.swaps))
-    return rows
+    report.swaps += sum(int(np.count_nonzero(J != x)) for x, J in _j_chunks(spec, (1, k), report))
+    report.rounds += 2
+    return report

@@ -18,9 +18,10 @@ import pytest
 from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import build_network, network_permutation
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
-from shuffleworks.perm_core import Involution, Permutation
+from shuffleworks.perm_core import Involution, OpCounter, Permutation
 from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
+    revswap_round,
     rotate_left,
     rotation_cost,
     rotation_plan,
@@ -30,8 +31,8 @@ from shuffleworks.shuffle_bitrev import (
 )
 from shuffleworks.shuffle_modinv import (
     j_map,
-    op_count_profile,
     shuffle_modinv,
+    swap_count_modinv,
 )
 
 from _reference import brute_force_factorizations
@@ -98,12 +99,15 @@ def test_criterion_03_closed_form_swap_counts(check):
             while N <= 1 << 16:
                 spec = ShuffleSpec.for_length(N, k)
                 arr = np.arange(N, dtype=np.int64)
-                measured = shuffle_power(arr, spec)
+                measured = tuple(revswap_round(arr, t, spec) for t in (spec.n - 1, spec.n))
                 predicted = swap_counts(spec)
                 if measured != predicted:
                     problems.append("k=%d N=%d measured %s predicted %s"
                                     % (k, N, measured, predicted))
-                total = sum(measured)
+                report = shuffle_power(np.arange(N, dtype=np.int64), spec)
+                if report != OpCounter(swaps=sum(predicted), rounds=2):
+                    problems.append("k=%d N=%d report %s predicted %s" % (k, N, report, predicted))
+                total = report.swaps
                 if total > N + 2 * math.isqrt(N):
                     problems.append("k=%d N=%d total %d above N+2*sqrt(N)" % (k, N, total))
                 N *= k
@@ -323,7 +327,10 @@ def test_criterion_11_euclid_iteration_bound(check):
             set(range(1, 257))
             | {1 << j for j in range(8, 16)}
             | {1000, 3000, 10000, 20000, 32749, 32768})
-        rows = op_count_profile(sweep, 2)
+        rows = []
+        for M in sweep:
+            report = swap_count_modinv(2 * M, 2)
+            rows.append((2 * M, report.euclid_iterations, report.gcd_calls, report.swaps))
         out = os.path.join(tempfile.gettempdir(), "shuffleworks_euclid_profile.csv")
         with open(out, "w") as fh:
             fh.write("N,euclid_iterations,gcd_calls,swaps\n")

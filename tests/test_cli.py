@@ -102,11 +102,14 @@ def test_interrupted_lines_write_leaves_the_input_whole(tmp_path, capsys, monkey
         return _StopAfterFirstChunk(fh) if "w" in mode else fh
 
     monkeypatch.setattr(cli, "open", open_failing, raising=False)
-    code, out, err = run_cli(["shuffle", "--k", "2", *(str(src) if a == "IN" else a for a in argv)], capsys)
-    assert (code, out) == (2, "")
-    assert "No space left" in err
-    assert src.read_text() == FIGURE_TOKENS
-    assert os.listdir(tmp_path) == ["tokens.txt"]
+    for o_tmpfile in (True, False):  # without O_TMPFILE the new file has a name from the start, and must go
+        if not o_tmpfile:
+            monkeypatch.delattr(os, "O_TMPFILE", raising=False)
+        code, out, err = run_cli(["shuffle", "--k", "2", *(str(src) if a == "IN" else a for a in argv)], capsys)
+        assert (code, out) == (2, ""), o_tmpfile
+        assert "No space left" in err
+        assert src.read_text() == FIGURE_TOKENS
+        assert os.listdir(tmp_path) == ["tokens.txt"], o_tmpfile
 
 
 def test_lines_in_place_through_a_symlink_keeps_the_link_and_mode(tmp_path, capsys):
@@ -835,6 +838,21 @@ def test_factor_enumerate_relabels_arbitrary_cycles(capsys):
         assert compose(s, t).map == target
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 39])
+def test_factor_enumerate_prints_factor_permutation_at_every_axis(n, capsys):
+    # a random cycle on n points; --enumerate reuses each S as the next axis's T
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    perm = [0] * n
+    for a, b in zip(order, order[1:] + order[:1]):
+        perm[a] = b
+    want = ""
+    for axis in range(n):
+        pair = factor_permutation(Permutation(perm), axis)
+        want += "S: %s\nT: %s\n" % (cycle_notation(pair.s), cycle_notation(pair.t))
+    assert run_cli(["factor", "--enumerate", " ".join(map(str, perm))], capsys) == (0, want, "")
+
+
 def test_factor_enumerate_needs_a_single_cycle(capsys):
     code, _, err = run_cli(["factor", "--enumerate", "1 0 3 2"], capsys)
     assert code == 2
@@ -1009,6 +1027,7 @@ def test_profile_single_row(capsys):
     n, iters, calls, swaps = map(int, lines[1].split(","))
     assert n == 27
     assert swaps == 20
+    assert run_cli(["profile", "--k", "3", "--m-range", "9"], capsys)[:2] == (0, out)  # one M, without ".."
 
 
 def test_profile_sweep_swaps_bounded_by_n(capsys):

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import re
 
 import pytest
 
@@ -160,28 +161,30 @@ def test_text_round_trip_is_byte_stable():
         assert emit_text(parsed) == text
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "N=4 method=x swaps=0\n",
-        "# shuffleworks-net v1\n",
-        "# shuffleworks-net v1\nN=4 swaps=0\nround 0:\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0:\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1) (1 2)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 0: (0 1) (1 2)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 2)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (4 5)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 1)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nswaps (0 1)\n",
-        "# shuffleworks-net v1\nN=-3 method=x swaps=0\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 7: (0 1)\n",
-        "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 1: (0 1)\nround 0: (2 3)\n",
-    ],
-)
+# each malformed text and the start of its refusal, which tells the branch that refused it
+MALFORMED = {
+    "": "missing format line",
+    "N=4 method=x swaps=0\n": "missing format line",
+    "# shuffleworks-net v1\n": "missing header line",
+    "# shuffleworks-net v1\nN=4 swaps=0\nround 0:\n": "malformed header",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0:\n": "header declares 1 swaps, body has 0",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1) (1 2)\n": "round 0 has overlapping swaps",
+    "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 0: (0 1) (1 2)\n": "round 0 has overlapping swaps",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 2)\n": "swap (2 2) out of range",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (4 5)\n": "swap (4 5) out of range",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (2 1)\n": "swap (2 1) out of range",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1\n": "unclosed swap '0 1'",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nswaps (0 1)\n": "expected round 0, got 'swaps (0 1)'",
+    "# shuffleworks-net v1\nN=-3 method=x swaps=0\n": "negative network size N=-3",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 7: (0 1)\n": "expected round 0, got 'round 7",
+    "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 1: (0 1)\nround 0: (2 3)\n": "expected round 0, got 'round 1",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1)\n": "malformed swap '0 1'",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_parse_text_rejects_malformed_input(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^" + re.escape(MALFORMED[text])):
         parse_text(text)
 
 

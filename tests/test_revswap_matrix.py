@@ -9,6 +9,7 @@ rounds swap by fancy indexing with the Euclid-lane partners on every
 ndarray, and through the scalar executor on lists.
 """
 
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -73,8 +74,11 @@ def test_shuffle_power_matches_oracle(kind, k, size, tmp_path):
     spec = ShuffleSpec.for_length(k ** POWERS[k], k)
     array = container(kind, spec.N, k, size, tmp_path)
     want = oracle_shuffle(as_list(array), k)
-    assert shuffle_power(array, spec) == swap_counts(spec)
+    assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
     assert as_list(array) == want
+    # the shuffle again, a round at a time
+    assert tuple(revswap_round(array, t, spec) for t in (spec.n - 1, spec.n)) == swap_counts(spec)
+    assert as_list(array) == oracle_shuffle(want, k)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -95,9 +99,32 @@ def test_shuffle_modinv_matches_oracle(kind, k, size, tmp_path):
     array = container(kind, N, k, size, tmp_path)
     want = oracle_shuffle(as_list(array), k)
     counter = OpCounter()
-    shuffle_modinv(array, k, counter)
+    assert shuffle_modinv(array, k, counter) is counter
     assert as_list(array) == want
-    assert counter.swaps == swap_count_modinv(N, k)
+    assert counter == swap_count_modinv(N, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("size", ["0", "k**3", "11*k"])
+def test_every_shuffle_and_count_returns_the_report_it_filled(size, k):
+    # the sizes of the CLI's golden --stats matrix; whole reports are compared, not single fields
+    N = {"0": 0, "k**3": k ** 3, "11*k": 11 * k}[size]
+    report = swap_count_modinv(N, k)
+    assert shuffle_modinv(list(range(N)), k) == report
+    counter = OpCounter()
+    assert swap_count_modinv(N, k, counter) is counter
+    assert shuffle_modinv(list(range(N)), k, counter) is counter
+    assert counter == OpCounter(**{name: 2 * value for name, value in dataclasses.asdict(report).items()})
+    spec = ShuffleSpec.for_length(N, k)
+    if spec.n is not None:
+        for array in (list(range(N)), np.arange(N, dtype=np.uint64)):
+            assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
+            assert tuple(revswap_round(array, t, spec) for t in (spec.n - 1, spec.n)) == swap_counts(spec)
+    if k == 2 and N:
+        plan = shuffle_bitrev.rotation_plan(N // 2)
+        swaps = sum(sum(swap_counts(ShuffleSpec.for_length(2 * m, 2))) for m in plan.segment_sizes)
+        assert shuffle_general_k2(list(range(N))) == OpCounter(
+            swaps=swaps, moved=shuffle_bitrev.rotation_cost(N // 2), rounds=2 + len(plan.rotations))
 
 
 @pytest.mark.parametrize("kind", ["list", "ndarray", "void"])
@@ -221,8 +248,10 @@ def test_mids_span_several_chunks():
     mids = (2 ** 5 + 2 ** 3) // 2  # middle values up to their reversal
     assert mids * tile_bytes > 2 * _CHUNK_BYTES
     array = np.arange(spec.N, dtype=np.uint64)
-    assert shuffle_power(array, spec) == swap_counts(spec)
+    assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
     assert np.array_equal(array, oracle_shuffle(np.arange(spec.N, dtype=np.uint64), 2))
+    assert tuple(revswap_round(array, t, spec) for t in (spec.n - 1, spec.n)) == swap_counts(spec)
+    assert np.array_equal(array, oracle_shuffle(oracle_shuffle(np.arange(spec.N, dtype=np.uint64), 2), 2))
 
 
 def test_small_digit_counts_on_many_blocks_stay_chunked():
@@ -264,11 +293,12 @@ def test_shuffle_power_scratch_is_a_few_chunks(n, dtype):
     array = np.zeros(spec.N, dtype=dtype)
     tracemalloc.start()
     try:
-        assert shuffle_power(array, spec) == swap_counts(spec)
+        assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * _CHUNK_BYTES, peak
+    assert tuple(revswap_round(array, t, spec) for t in (spec.n - 1, spec.n)) == swap_counts(spec)
 
 
 def test_tiled_round_scratch_does_not_grow_with_n():

@@ -130,9 +130,12 @@ def test_revswap_round_validation():
 
 
 def test_shuffle_power_three_cubed():
+    spec = ShuffleSpec.for_length(27, 3)
     arr = list(range(27))
-    counts = shuffle_power(arr, ShuffleSpec.for_length(27, 3))
-    assert counts == (9, 9)
+    assert shuffle_power(arr, spec) == OpCounter(swaps=18, rounds=2)
+    assert arr == oracle_shuffle(list(range(27)), 3)
+    arr = list(range(27))
+    assert [revswap_round(arr, t, spec) for t in (2, 3)] == [9, 9]
     assert arr == oracle_shuffle(list(range(27)), 3)
 
 
@@ -155,9 +158,13 @@ def test_shuffle_power_matches_oracle_and_closed_forms():
         while N <= 4096:
             spec = ShuffleSpec.for_length(N, k)
             arr = list(range(N))
-            measured = shuffle_power(arr, spec)
+            report = shuffle_power(arr, spec)
             assert arr == oracle_shuffle(list(range(N)), k), (k, N)
-            assert measured == swap_counts(spec), (k, N)
+            assert report == OpCounter(swaps=sum(swap_counts(spec)), rounds=2), (k, N)
+            arr = list(range(N))
+            rounds = tuple(revswap_round(arr, t, spec) for t in (spec.n - 1, spec.n))
+            assert arr == oracle_shuffle(list(range(N)), k), (k, N)
+            assert rounds == swap_counts(spec), (k, N)
             N *= k
 
 

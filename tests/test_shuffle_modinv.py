@@ -17,7 +17,6 @@ from shuffleworks.shuffle_modinv import (
     ext_gcd,
     j_map,
     modinv_pairs,
-    op_count_profile,
     shuffle_modinv,
     swap_count_modinv,
 )
@@ -159,13 +158,13 @@ def test_shuffle_counts_swaps():
 
 def test_swap_count_without_data_movement():
     # shuffle, count and network all read the same pairs and do the same Euclid work
-    assert swap_count_modinv(27, 3) == 20
+    assert swap_count_modinv(27, 3).swaps == 20
     for k, N in ((2, 24), (3, 36), (5, 55), (2, 30), (3, 81), (4, 64), (4, 100), (5, 125)):
         counter = OpCounter()
         arr = list(range(N))
         shuffle_modinv(arr, k, counter)
         counted = OpCounter()
-        assert swap_count_modinv(N, k, counted) == counter.swaps, (k, N)
+        assert swap_count_modinv(N, k, counted) is counted, (k, N)
         assert counted == counter, (k, N)
         assert build_network("modinv", ShuffleSpec.for_length(N, k)).total_swaps == counter.swaps
 
@@ -180,13 +179,13 @@ def test_single_group_sizes_are_fixed():
         assert counter.swaps == 0
 
 
-def test_op_count_profile_rows():
-    rows = op_count_profile(range(1, 6), 3)
-    assert [row[0] for row in rows] == [3, 6, 9, 12, 15]
-    for N, iters, calls, swaps in rows:
-        assert iters >= calls >= 0
-        assert iters >= N - 2  # one quotient step minimum per interior position
-        assert 0 <= swaps <= N
+def test_swap_count_reports_per_size():
+    for N in (3, 6, 9, 12, 15):
+        report = swap_count_modinv(N, 3)
+        assert report.rounds == 2
+        assert report.euclid_iterations >= report.gcd_calls >= 0
+        assert report.euclid_iterations >= N - 2  # one quotient step minimum per interior position
+        assert 0 <= report.swaps <= N
 
 
 def test_j_map_matches_the_two_step_definition():
@@ -271,7 +270,7 @@ def test_mirror_edges_match_the_oracle_and_the_scalar_counts(N, k, kind, tmp_pat
     shuffle_modinv(array, k, counter)
     assert (array if kind == "list" else array.tolist()) == want
     counted = OpCounter()
-    assert swap_count_modinv(N, k, counted) == counter.swaps
+    assert swap_count_modinv(N, k, counted) is counted
     assert counted == counter
     spec, scalar = ShuffleSpec.for_length(N, k), OpCounter(rounds=2)
     for r in (1, k):
@@ -313,7 +312,7 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
     assert (array if kind == "list" else array.tolist()) == want
     assert counter == scalar
     counted = OpCounter()
-    assert swap_count_modinv(N, k, counted) == scalar.swaps
+    assert swap_count_modinv(N, k, counted) is counted
     assert counted == scalar
 
 
