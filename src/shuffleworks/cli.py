@@ -99,7 +99,8 @@ def cmd_shuffle(args) -> int:
         if mapped:  # no msync: the header, written last through the same page cache, guards the body
             recordfile.write_header(dst, N, header_k, size)
         else:
-            _write(dst, [recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])
+            with open(dst, "wb") if to_file else contextlib.nullcontext(sys.stdout.buffer) as fout:
+                fout.writelines([recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])
     else:
         # Tokens are 8-byte (start, end) records; onto IN they replace it whole.
         if onto_src and not stat.S_ISREG(os.stat(src).st_mode):  # a FIFO or device would become a file
@@ -238,22 +239,19 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
 
 
 def _write(path: str | int | None, data) -> None:
-    """Write data to path (or open file descriptor, left open), or to stdout for None and "-".
+    """Write the strs of data to path (or open file descriptor, left open), or to stdout for None and "-".
 
-    data is a list of bytes-like chunks, which go out as they are, or an
-    iterable of strs.  A text stream encodes each str it gets into one
-    bytes copy, so strs go out _CODE_CHUNK characters at a time.  A file
-    encodes them with surrogateescape, so the lone surrogates that a
-    surrogateescape stdin makes of undecodable bytes go out as those bytes,
-    as they do on a UTF-8 mode stdout.
+    A text stream encodes each str it gets into one bytes copy, so strs go
+    out _CODE_CHUNK characters at a time.  A file encodes them with
+    surrogateescape, so the lone surrogates that a surrogateescape stdin
+    makes of undecodable bytes go out as those bytes, as they do on a
+    UTF-8 mode stdout.
     """
-    binary = isinstance(data, list) and not isinstance(data[0], str)
-    chunks = data if binary else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
+    chunks = (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
     if path in (None, "-"):
-        (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
+        sys.stdout.writelines(chunks)
     else:
-        with open(path, "wb" if binary else "w", errors=None if binary else "surrogateescape",
-                  closefd=not isinstance(path, int)) as fh:
+        with open(path, "w", errors="surrogateescape", closefd=not isinstance(path, int)) as fh:
             fh.writelines(chunks)
 
 

@@ -26,15 +26,14 @@ def factor_permutation(p: Permutation, axis: int = 0) -> InvolutionPair:
     """Factor an arbitrary permutation into two involutions.
 
     Each cycle c of length L, listed from its smallest element, is the
-    cyclic shift on its own points, factored by the mirror pairings about
-    axis and axis - 1: s sends c[a] to c[(axis - a) mod L] and t sends c[a]
-    to c[(axis - 1 - a) mod L].  Disjoint cycles keep the unions involutions.
-    On a single cycle of n points, axes 0..n-1 give its n factorizations.
+    cyclic shift on its own points; s mirrors it about axis, sending c[a] to
+    c[(axis - a) mod L], and t, s after p, mirrors it about axis - 1.  As s
+    is its own inverse, t and then s give p.  Disjoint cycles keep the unions
+    involutions; on one cycle of n points, axes 0..n-1 give its n factorizations.
     """
-    s_map, t_map = list(range(p.size)), list(range(p.size))
+    s_map = list(range(p.size))
     for c in cycle_decompose(p):
         L = len(c)
         for a, x in enumerate(c):
             s_map[x] = c[(axis - a) % L]
-            t_map[x] = c[(axis - 1 - a) % L]
-    return InvolutionPair(Involution(s_map, check=False), Involution(t_map, check=False))
+    return InvolutionPair(Involution(s_map, check=False), Involution([s_map[v] for v in p.map], check=False))

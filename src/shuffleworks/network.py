@@ -10,6 +10,7 @@ two rounds too.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .involution_factor import factor_permutation
@@ -18,6 +19,7 @@ from .shuffle_bitrev import ShuffleSpec, revswap_pairs
 from .shuffle_modinv import modinv_pairs
 
 TEXT_FORMAT_LINE = "# shuffleworks-net v1"
+_SWAP = re.compile(r"\(\s*([0-9]+)\s+([0-9]+)")  # one swap up to its ")": two unsigned decimal integers
 
 Swap = tuple[int, int]
 
@@ -122,13 +124,10 @@ def parse_text(text: str) -> SwapNetwork:
         *tokens, tail = body.split(")")
         if tail.strip():
             raise ValueError("unclosed swap %r in round %d" % (tail.strip(), len(rounds)))
-        for token in tokens:
-            token = token.strip()
-            if not token:
-                continue
-            if not token.startswith("("):
+        for token in map(str.strip, tokens):
+            if not (swap := _SWAP.fullmatch(token)):
                 raise ValueError("malformed swap %r" % token)
-            i, j = map(int, token[1:].split())
+            i, j = int(swap[1]), int(swap[2])
             if not 0 <= i < j < n_positions:
                 raise ValueError("swap (%d %d) out of range in round %d" % (i, j, len(rounds)))
             swaps.append((i, j))

@@ -70,6 +70,8 @@ class Involution(Permutation):
         """Build the involution with the given transpositions on n points."""
         m = list(range(n))
         for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("pair (%d %d) out of range 0..%d" % (i, j, n - 1))
             if i == j or m[i] != i or m[j] != j:
                 raise ValueError("position reused by pair (%d %d)" % (i, j))
             m[i], m[j] = j, i

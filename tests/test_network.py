@@ -159,6 +159,8 @@ def test_text_round_trip_is_byte_stable():
         parsed = parse_text(text)
         assert parsed == net
         assert emit_text(parsed) == text
+        head, rounds = text.split("round 1:")
+        assert parse_text(head + "\n  \nround 1:" + rounds) == net  # blank lines between rounds are skipped
 
 
 # each malformed text and the start of its refusal, which tells the branch that refused it
@@ -179,6 +181,12 @@ MALFORMED = {
     "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 7: (0 1)\n": "expected round 0, got 'round 7",
     "# shuffleworks-net v1\nN=4 method=x swaps=2\nround 1: (0 1)\nround 0: (2 3)\n": "expected round 0, got 'round 1",
     "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: 0 1)\n": "malformed swap '0 1'",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1))\n": "malformed swap ''",
+    "# shuffleworks-net v1\nN=4 method=x swaps=0\nround 0: )\n": "malformed swap ''",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (+1 2)\n": "malformed swap '(+1 2'",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0)\n": "malformed swap '(0'",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (0 1 2)\n": "malformed swap '(0 1 2'",
+    "# shuffleworks-net v1\nN=4 method=x swaps=1\nround 0: (a b)\n": "malformed swap '(a b'",
 }
 
 

@@ -128,6 +128,10 @@ def test_involution_from_pairs():
         Involution.from_pairs(5, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Involution.from_pairs(5, [(2, 2)])
+    with pytest.raises(ValueError, match=r"^pair \(0 5\) out of range"):
+        Involution.from_pairs(3, [(0, 5)])
+    with pytest.raises(ValueError, match=r"^pair \(-1 2\) out of range"):
+        Involution.from_pairs(3, [(-1, 2)])
 
 
 def test_apply_pair_matches_composition():

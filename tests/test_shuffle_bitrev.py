@@ -127,6 +127,10 @@ def test_revswap_round_validation():
         revswap_round(list(range(4)), 3, spec)
     with pytest.raises(ValueError):
         revswap_round(list(range(12)), 2, ShuffleSpec.for_length(12, 2))
+    with pytest.raises(ValueError, match="digit count 3 out of range"):
+        revswap_round(np.arange(4), 3, spec)
+    with pytest.raises(ValueError, match="N=12 is not a power of k=2"):
+        list(revswap_pairs(1, ShuffleSpec.for_length(12, 2)))
 
 
 def test_shuffle_power_three_cubed():
