@@ -320,7 +320,7 @@ def cmd_factor(args) -> int:
 
 
 # The least one swap of a network holds: a pair tuple and its two ints, 56 + 2 * 28 = 112 bytes on 64-bit
-# CPython.  Two rounds hold about one swap per position, and --exp 20 peaks near 225 bytes a position.
+# CPython.  Two rounds hold about one swap per position, and --exp 20 peaks near 213 bytes a position.
 _SWAP_BYTES = sys.getsizeof((1 << 29, 1 << 29)) + 2 * sys.getsizeof(1 << 29)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .involution_factor import factor_permutation
 from .perm_core import Involution, Permutation, swap_pairs
@@ -88,8 +89,7 @@ def emit_text(net: SwapNetwork) -> str:
         "N=%d method=%s swaps=%d" % (net.n_positions, net.label, net.total_swaps),
     ]
     for r, round_ in enumerate(net.rounds):
-        body = " ".join("(%d %d)" % (i, j) for i, j in round_)
-        lines.append("round %d:%s" % (r, " " + body if body else ""))
+        lines.append("round %d:" % r + " (%d %d)" * len(round_) % tuple(chain.from_iterable(round_)))
     return "\n".join(lines) + "\n"
 
 

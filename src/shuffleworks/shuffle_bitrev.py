@@ -6,16 +6,17 @@ digits, then with the reversal of all n digits.  Chaining the two
 reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
-On lists each round has one pair source, revswap_pairs.  It visits
-positions in counter order and updates each partner index in O(1) from
-the carry length of the increment, so a round costs O(N) time and
-O(log N) words of state (the counter digits plus the table of powers of
-k).  Lists run its pairs through perm_core.swap_pairs, and build_network
-stores them as the rounds of the swap network.  Lengths that are not
-powers of k are handled for k=2 by rotating power-of-two segment pairs
-into adjacency and shuffling each aligned block.  A rotation trades
-blocks forward a chunk at a time until one side fits in a chunk, then
-slides the other side over it, so it holds at most two chunks.
+On lists each round has one pair source, revswap_pairs.  It updates
+each partner index in O(1) from the carry length of the increment, and
+evaluates that recurrence as a prefix sum over aligned chunks of at most
+_TILE_ELEMS positions, so a round costs O(N) time and O(chunk) state
+(one chunk's carry-length steps, partners and pairs).  Lists run its
+pairs through perm_core.swap_pairs, and build_network stores them as the
+rounds of the swap network.  Lengths that are not powers of k are
+handled for k=2 by rotating power-of-two segment pairs into adjacency
+and shuffling each aligned block.  A rotation trades blocks forward a
+chunk at a time until one side fits in a chunk, then slides the other
+side over it, so it holds at most two chunks.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
@@ -33,7 +34,6 @@ swap count, from its closed form.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,53 +82,50 @@ def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = 
     """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round.
 
     rev reverses the t least significant base-k digits of the n-digit
-    positions.  Positions go up one at a time, and each partner follows
-    from the previous one in O(1) given how many digits the increment
-    changed.  ruler says how that number is found: "popcnt" reads it off
-    the lowest set bit (k=2 only), "counter" steps a base-k digit counter,
-    and None picks popcnt for k=2 and the counter otherwise.  Arguments
-    are checked when iteration starts.
+    positions.  Each partner follows from the previous one in O(1) given
+    how many digits the increment changed, and that recurrence is a prefix
+    sum, evaluated with np.cumsum over aligned chunks of _TILE_ELEMS
+    positions or fewer.  ruler is checked ("popcnt" needs k=2, None and
+    "counter" take any k) but changes nothing: every ruler runs the same
+    chunk table.  Arguments are checked when iteration starts.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
     if not 0 <= t <= spec.n:
         raise ValueError("digit count %d out of range" % t)
-    if ruler is None:
-        ruler = "popcnt" if spec.k == 2 else "counter"
-    if ruler not in ("counter", "popcnt"):
+    if ruler not in (None, "counter", "popcnt"):
         raise ValueError("ruler must be 'counter' or 'popcnt'")
     if ruler == "popcnt" and spec.k != 2:
         raise ValueError("the popcnt ruler only applies to k=2")
     if t <= 1:
         return  # reversing one digit or none moves nothing
-    N, pw = spec.N, spec.powers
-    if ruler == "popcnt":
-        # the increment to i changes as many bits as i's lowest set bit spans
-        changed = map(int.bit_length, map(operator.and_, range(1, N), range(-1, -N, -1)))
-    else:
-        changed = _digit_counter(spec.k, spec.n)
+    k, pw = spec.k, spec.powers
     # An increment that changes c <= t digits zeroes c-1 trailing digits k-1
     # and bumps the next one, which shifts the reversal by step[c].  With
-    # c > t the low t digits of i are all zero and i is its own partner.
-    step = [0] + [pw[t - c + 1] + pw[t - c] - pw[t] for c in range(1, t + 1)]
-    j = 0
-    for i, c in zip(range(1, N), changed):
-        j = i if c > t else j + step[c]
-        if i < j:
-            yield base + i, base + j
-
-
-def _digit_counter(k: int, n: int):
-    """Yield the number of digits each increment of an n-digit base-k counter changes."""
-    digits = [0] * n  # digits[p] is the coefficient of k**p
-    top = k - 1
-    while True:
-        p = 0
-        while digits[p] == top:
-            digits[p] = 0
-            p += 1
-        digits[p] += 1
-        yield p + 1
+    # c > t the low t digits of i-1 were all k-1, their own reversal, and
+    # those of i are all 0, so the partner moves from i-1 to i: step[t+1] = 1.
+    step = np.array([0] + [pw[t - c + 1] + pw[t - c] - pw[t] for c in range(1, t + 1)] + [1])
+    b = 0
+    while b < spec.n and pw[b + 1] <= _TILE_ELEMS:
+        b += 1
+    # The increment to offset o > 0 of a chunk of k**b changes one digit more
+    # than o has trailing zeros, in every chunk alike.  d[0] is the chunk's
+    # first partner: base, then the last partner plus the step into the chunk.
+    changed = np.ones(pw[b], dtype=np.intp)
+    for p in range(1, b):
+        changed[::pw[p]] += 1
+    d = step[np.minimum(changed, t + 1)]
+    d[0] = base
+    offsets = np.arange(pw[b]) + base
+    for first in range(0, spec.N, pw[b]):
+        if first:
+            c, q = b + 1, first // pw[b]
+            while c <= t and q % k == 0:
+                c, q = c + 1, q // k
+            d[0] = j[-1] + step[min(c, t + 1)]
+        i, j = offsets + first, np.cumsum(d)
+        keep = i < j
+        yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
 def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
@@ -152,7 +149,8 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
 # and fewer for records so large that a chunk holds fewer.  A round pairs at
-# most this many mid values with their reversals at a time.
+# most this many mid values with their reversals at a time, and
+# revswap_pairs takes at most this many positions a chunk.
 _TILE_ELEMS = 1 << 12
 # Bytes gathered from one side of the tile pairs per step; the step's scratch
 # is a few times this, independent of the array length.
@@ -343,7 +341,8 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     Runs the full rotation plan first, then shuffles each aligned
     power-of-two block with the two reversal rounds.  The report counts
     the elements the rotations displace as moved, the block swaps, and
-    one round per rotation on top of the two swap rounds.
+    one round per rotation on top of the two swap rounds.  ruler goes to
+    revswap_pairs, which checks it and is not changed by it.
     """
     N = len(array)
     if N % 2:

@@ -1,7 +1,9 @@
 """Position-by-position references that the tests compare the library against.
 
 rev_digits recomputes a digit reversal from scratch, the check on the
-incremental partner update of revswap_pairs.  parse_cycle_notation reads
+incremental partner update of revswap_pairs, and emit_text_per_pair
+renders a network one swap at a time, the check on emit_text's one
+format call a round.  parse_cycle_notation reads
 the cycle strings that cycle_notation and the factor command print.
 compose and inverse are the permutation algebra the factoring laws are
 stated in, and enumerate_involutions and brute_force_factorizations the
@@ -10,6 +12,7 @@ the library itself needs none of them.
 """
 
 from shuffleworks.involution_factor import InvolutionPair
+from shuffleworks.network import TEXT_FORMAT_LINE
 from shuffleworks.perm_core import Involution, Permutation, is_involution
 from shuffleworks.shuffle_bitrev import ShuffleSpec
 
@@ -29,6 +32,18 @@ def rev_digits(i: int, t: int, spec: ShuffleSpec) -> int:
         low, digit = divmod(low, k)
         rev = rev * k + digit
     return head * spec.powers[t] + rev
+
+
+def emit_text_per_pair(net) -> str:
+    """The network text format, each swap rendered by its own format call."""
+    lines = [
+        TEXT_FORMAT_LINE,
+        "N=%d method=%s swaps=%d" % (net.n_positions, net.label, net.total_swaps),
+    ]
+    for r, round_ in enumerate(net.rounds):
+        body = " ".join("(%d %d)" % p for p in round_)
+        lines.append("round %d:%s" % (r, " " + body if body else ""))
+    return "\n".join(lines) + "\n"
 
 
 def permutation_from_cycles(n: int, cycles) -> Permutation:

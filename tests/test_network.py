@@ -21,7 +21,7 @@ from shuffleworks.perm_core import Involution, Permutation
 from shuffleworks.shuffle_bitrev import ShuffleSpec, revswap_pairs
 from shuffleworks.shuffle_modinv import j_map, modinv_pairs
 
-from _reference import rev_digits
+from _reference import emit_text_per_pair, rev_digits
 
 
 def test_parse_text_names_the_overlapping_round():
@@ -150,6 +150,23 @@ def test_emit_text_keeps_empty_rounds_visible():
     assert emit_text(net) == (
         TEXT_FORMAT_LINE + "\nN=3 method=factorization swaps=0\nround 0:\nround 1:\n"
     )
+
+
+def test_emit_text_equals_the_per_pair_rendering():
+    # one format call a round gives the bytes of one call a swap, on rounds
+    # of many chunks of pairs, of mirrored modinv pairs, empty rounds and N = 2
+    nets = [
+        build_network("bitrev", ShuffleSpec.for_length(2 ** 12, 2)),
+        build_network("bitrev", ShuffleSpec.for_length(3 ** 7, 3)),
+        build_network("modinv", ShuffleSpec.for_length(3 * 401, 3)),
+        build_network("factorization", Permutation(range(5))),
+        build_network("factorization", Permutation([1, 0, 2])),
+        build_network("bitrev", ShuffleSpec.for_length(2, 2)),
+        build_network("modinv", ShuffleSpec.for_length(2, 2)),
+        build_network("factorization", Permutation([1, 0])),
+    ]
+    for net in nets:
+        assert emit_text(net) == emit_text_per_pair(net), (net.label, net.n_positions)
 
 
 def test_text_round_trip_is_byte_stable():

@@ -1,8 +1,12 @@
 """Digit-reversal shuffle: reversal arithmetic, swap rounds, rotation reduction."""
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shuffleworks import shuffle_bitrev
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.perm_core import OpCounter
 from shuffleworks.shuffle_bitrev import (
@@ -105,6 +109,47 @@ def test_revswap_pairs_match_rev_digits():
                 shifted = [(i + 5, j + 5) for i, j in want]
                 assert list(revswap_pairs(t, spec, base=5)) == shifted, (k, n, t)
             n += 1
+
+
+def _check_pairs(spec, t):
+    want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
+    assert list(revswap_pairs(t, spec)) == want, (spec.k, spec.n, t)
+    assert list(revswap_pairs(t, spec, base=5)) == [(i + 5, j + 5) for i, j in want], (spec.k, spec.n, t)
+
+
+@pytest.mark.parametrize("chunk_digits", [1, 2])
+def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
+    # chunks of k or k**2 positions, so every size but the smallest crosses
+    # chunk edges, and chunk starts carry into every digit above the chunk
+    for k in (2, 3, 4, 5):
+        monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", k ** chunk_digits)
+        n = 1
+        while k ** n <= 2 ** 10:
+            for t in range(n + 1):
+                _check_pairs(ShuffleSpec.for_length(k ** n, k), t)
+            n += 1
+
+
+def test_revswap_pairs_over_several_real_chunks():
+    for k, n in ((2, 14), (3, 9)):
+        spec = ShuffleSpec.for_length(k ** n, k)
+        assert spec.N > 2 * shuffle_bitrev._TILE_ELEMS
+        for t in (n - 1, n):
+            _check_pairs(spec, t)
+
+
+def test_revswap_pairs_scratch_does_not_grow_with_n():
+    # draining a round holds a chunk's table and pairs, not the round:
+    # the last round of 2**20 positions holds 524 288 - 512 pairs
+    for n in (16, 20):
+        spec = ShuffleSpec.for_length(2 ** n, 2)
+        tracemalloc.start()
+        try:
+            collections.deque(revswap_pairs(n, spec), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
 
 
 def test_revswap_round_small_counts():
