@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 
 def _check_index_map(map_: tuple[int, ...]) -> None:
     n = len(map_)
@@ -136,6 +138,22 @@ def swap_pairs(array, pairs: Iterable[tuple[int, int]]) -> int:
     for i, j in pairs:
         array[i], array[j] = array[j], array[i]
         swaps += 1
+    return swaps
+
+
+def swap_chunks(array, chunks) -> int:
+    """Swap the disjoint pairs of a round, given as chunks (i, j) of index arrays; return the count.
+
+    The one round executor: ndarrays swap by fancy indexing through a
+    plain view, which skips a memmap's indexing; lists use swap_pairs.
+    """
+    if not isinstance(array, np.ndarray):
+        return sum(swap_pairs(array, zip(i.tolist(), j.tolist())) for i, j in chunks)
+    array, swaps = array.view(np.ndarray), 0
+    for i, j in chunks:
+        array[i], array[j] = array[j], array[i]
+        swaps += len(i)
+        del i, j  # freed before the next chunk is made
     return swaps
 
 

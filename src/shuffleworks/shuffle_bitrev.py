@@ -6,17 +6,17 @@ digits, then with the reversal of all n digits.  Chaining the two
 reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
-On lists each round has one pair source, revswap_pairs.  It updates
+On lists each round has one pair source, _revswap_chunks.  It updates
 each partner index in O(1) from the carry length of the increment, and
 evaluates that recurrence as a prefix sum over aligned chunks of at most
 _TILE_ELEMS positions, so a round costs O(N) time and O(chunk) state
 (one chunk's carry-length steps, partners and pairs).  Lists run its
-pairs through perm_core.swap_pairs, and build_network stores them as the
-rounds of the swap network.  Lengths that are not powers of k are
-handled for k=2 by rotating power-of-two segment pairs into adjacency
-and shuffling each aligned block.  A rotation trades blocks forward a
-chunk at a time until one side fits in a chunk, then slides the other
-side over it, so it holds at most two chunks.
+index chunks through perm_core.swap_chunks, and build_network stores
+them, as revswap_pairs' tuples, as network rounds.  Lengths that are
+not powers of k are handled for k=2 by rotating power-of-two segment
+pairs into adjacency and shuffling each aligned block.  A rotation
+trades blocks forward a chunk at a time until one side fits in a chunk,
+then slides the other side over it, so it holds at most two chunks.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm_core import OpCounter, swap_pairs
+from .perm_core import OpCounter, swap_chunks
 
 # Guards the int64-based vectorised index path; nothing real gets close.
 INDEX_LIMIT = 1 << 62
@@ -78,25 +78,26 @@ class ShuffleSpec:
         return self.N - 1
 
 
-def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = None):
-    """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round.
+def _check_ruler(ruler: str | None, k: int) -> None:
+    """Refuse a ruler other than None, "counter", or "popcnt" with k=2; none of them changes a result."""
+    if ruler not in (None, "counter", "popcnt") or ruler == "popcnt" and k != 2:
+        raise ValueError("ruler must be None, 'counter' or, for k=2, 'popcnt'")
+
+
+def _revswap_chunks(t: int, spec: ShuffleSpec, base: int = 0):
+    """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round as index arrays.
 
     rev reverses the t least significant base-k digits of the n-digit
     positions.  Each partner follows from the previous one in O(1) given
     how many digits the increment changed, and that recurrence is a prefix
     sum, evaluated with np.cumsum over aligned chunks of _TILE_ELEMS
-    positions or fewer.  ruler is checked ("popcnt" needs k=2, None and
-    "counter" take any k) but changes nothing: every ruler runs the same
-    chunk table.  Arguments are checked when iteration starts.
+    positions or fewer, each yielding its pairs, i ascending.  Arguments
+    are checked when iteration starts.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
     if not 0 <= t <= spec.n:
         raise ValueError("digit count %d out of range" % t)
-    if ruler not in (None, "counter", "popcnt"):
-        raise ValueError("ruler must be 'counter' or 'popcnt'")
-    if ruler == "popcnt" and spec.k != 2:
-        raise ValueError("the popcnt ruler only applies to k=2")
     if t <= 1:
         return  # reversing one digit or none moves nothing
     k, pw = spec.k, spec.powers
@@ -125,15 +126,22 @@ def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = 
             d[0] = j[-1] + step[min(c, t + 1)]
         i, j = offsets + first, np.cumsum(d)
         keep = i < j
-        yield from zip(i[keep].tolist(), j[keep].tolist())
+        yield i[keep], j[keep]
+
+
+def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = None):
+    """The pairs of _revswap_chunks as tuples, i ascending; ruler is checked too, and changes nothing."""
+    _check_ruler(ruler, spec.k)
+    for i, j in _revswap_chunks(t, spec, base):
+        yield from zip(i.tolist(), j.tolist())
 
 
 def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
     """Swap every position with its low-t digit reversal; return the swap count.
 
     Each pair is touched once (only i < partner swaps), so the round is a
-    single set of independent exchanges.  Sequences run the pairs of
-    revswap_pairs through swap_pairs.  numpy arrays are dispatched to the
+    single set of independent exchanges.  Sequences run the chunks of
+    _revswap_chunks through swap_chunks.  numpy arrays are dispatched to the
     tiled route; it needs a contiguous one-dimensional array, swaps whole
     tile pairs a bounded chunk at a time, and returns the count
     (N/k**t)*(k**t - k**ceil(t/2))/2 of non-palindromic positions over two.
@@ -144,13 +152,13 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
     if isinstance(array, np.ndarray):
         return _revswap_round_tiled(array, t, spec)
-    return swap_pairs(array, revswap_pairs(t, spec))
+    return swap_chunks(array, _revswap_chunks(t, spec))
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
 # and fewer for records so large that a chunk holds fewer.  A round pairs at
 # most this many mid values with their reversals at a time, and
-# revswap_pairs takes at most this many positions a chunk.
+# _revswap_chunks takes at most this many positions a chunk.
 _TILE_ELEMS = 1 << 12
 # Bytes gathered from one side of the tile pairs per step; the step's scratch
 # is a few times this, independent of the array length.
@@ -341,12 +349,13 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     Runs the full rotation plan first, then shuffles each aligned
     power-of-two block with the two reversal rounds.  The report counts
     the elements the rotations displace as moved, the block swaps, and
-    one round per rotation on top of the two swap rounds.  ruler goes to
-    revswap_pairs, which checks it and is not changed by it.
+    one round per rotation on top of the two swap rounds.  ruler is
+    checked before anything moves; it changes nothing.
     """
     N = len(array)
     if N % 2:
         raise ValueError("the two-way in-shuffle needs an even length")
+    _check_ruler(ruler, 2)
     report = OpCounter(rounds=2)
     if N == 0:
         return report
@@ -360,7 +369,6 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
         if isinstance(array, np.ndarray):
             report.swaps += shuffle_power(array[base:base + 2 * m], spec).swaps
         else:
-            for t in (spec.n - 1, spec.n):
-                report.swaps += swap_pairs(array, revswap_pairs(t, spec, base, ruler))
+            report.swaps += sum(swap_chunks(array, _revswap_chunks(t, spec, base)) for t in (spec.n - 1, spec.n))
         base += 2 * m
     return report

@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shuffleworks import cli, recordfile, shuffle_bitrev
+from shuffleworks import cli, perm_core, recordfile, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import build_network, emit_text
@@ -1357,9 +1357,8 @@ def _no_scalar_swaps(array, pairs):
     (3, 3 * 401, "oracle"),
 ])
 def test_lines_take_the_ndarray_routes(k, N, method, capsys, monkeypatch):
-    monkeypatch.setattr(shuffle_bitrev, "swap_pairs", _no_scalar_swaps)
-    # the package exports a function of the module's name
-    monkeypatch.setattr(importlib.import_module("shuffleworks.shuffle_modinv"), "swap_pairs", _no_scalar_swaps)
+    # swap_chunks, the one round executor, looks the scalar executor up here
+    monkeypatch.setattr(perm_core, "swap_pairs", _no_scalar_swaps)
     tokens = ["t%d" % i for i in range(N)]
     code, out, err = run_cli(
         ["shuffle", "--lines", "--k", str(k), "--method", method],

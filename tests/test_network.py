@@ -72,11 +72,11 @@ def test_modinv_network_walks_the_lanes_once_per_round(monkeypatch):
     # the mirrors of a round come from the walk that yields its direct pairs
     lanes, walks = importlib.import_module("shuffleworks.shuffle_modinv"), []
     walk = lanes._j_chunks
-    monkeypatch.setattr(lanes, "_j_chunks", lambda spec, rs, *rest: walks.append(rs) or walk(spec, rs, *rest))
+    monkeypatch.setattr(lanes, "_j_chunks", lambda spec, r, *rest: walks.append(r) or walk(spec, r, *rest))
     for k, N in ((2, 30), (3, 3 * 12001), (7, 7 * 150)):
         walks.clear()
         build_network("modinv", ShuffleSpec.for_length(N, k))
-        assert walks == [(1,), (k,)], (k, N)
+        assert walks == [1, k], (k, N)
 
 
 def test_networks_realise_the_inshuffle():

@@ -114,14 +114,18 @@ def test_revswap_pairs_match_rev_digits():
 def _check_pairs(spec, t):
     want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
     assert list(revswap_pairs(t, spec)) == want, (spec.k, spec.n, t)
-    assert list(revswap_pairs(t, spec, base=5)) == [(i + 5, j + 5) for i, j in want], (spec.k, spec.n, t)
+    shifted = [(i + 5, j + 5) for i, j in want]
+    assert list(revswap_pairs(t, spec, base=5)) == shifted, (spec.k, spec.n, t)
+    # the index chunks, concatenated, are the same pairs in the same order
+    chunks = list(shuffle_bitrev._revswap_chunks(t, spec, 5))
+    assert [p for i, j in chunks for p in zip(i.tolist(), j.tolist())] == shifted, (spec.k, spec.n, t)
 
 
 @pytest.mark.parametrize("chunk_digits", [1, 2])
 def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
     # chunks of k or k**2 positions, so every size but the smallest crosses
     # chunk edges, and chunk starts carry into every digit above the chunk
-    for k in (2, 3, 4, 5):
+    for k in (2, 3, 4, 5, 6, 7):
         monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", k ** chunk_digits)
         n = 1
         while k ** n <= 2 ** 10:
@@ -131,7 +135,7 @@ def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
 
 
 def test_revswap_pairs_over_several_real_chunks():
-    for k, n in ((2, 14), (3, 9)):
+    for k, n in ((2, 14), (3, 9), (4, 7), (5, 6), (6, 6), (7, 5)):
         spec = ShuffleSpec.for_length(k ** n, k)
         assert spec.N > 2 * shuffle_bitrev._TILE_ELEMS
         for t in (n - 1, n):
@@ -241,6 +245,11 @@ def test_popcnt_ruler_is_binary_only():
         list(revswap_pairs(2, ShuffleSpec.for_length(9, 3), ruler="popcnt"))
     with pytest.raises(ValueError):
         list(revswap_pairs(2, binary_spec(2), ruler="bogus"))
+    # refused before the first rotation, on either container
+    for array in (list(range(12)), np.arange(12)):
+        with pytest.raises(ValueError, match="ruler"):
+            shuffle_general_k2(array, ruler="bogus")
+        assert list(array) == list(range(12)), type(array)
 
 
 def test_ndarray_route_matches_scalar_route():

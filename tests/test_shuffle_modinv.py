@@ -12,8 +12,10 @@ from shuffleworks.network import build_network
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.shuffle_bitrev import ShuffleSpec
 from shuffleworks.shuffle_modinv import (
+    _SWAP_BATCH,
     OpCounter,
     _j_chunks,
+    _modinv_chunks,
     ext_gcd,
     j_map,
     modinv_pairs,
@@ -296,7 +298,7 @@ def test_wide_edges_take_both_parities_of_m():
 def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_path):
     spec, scalar = ShuffleSpec.for_length(N, k), OpCounter(rounds=2)
     widths = {1023: (512, 511), 1024: (512, 512), 1025: (512, 512, 1)}[spec.m // 2]
-    assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, (1,), None)] == [(w, np.dtype(np.int32)) for w in widths]
+    assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, 1, None)] == [(w, np.dtype(np.int32)) for w in widths]
     for r in (1, k):
         counter = OpCounter()
         got = list(modinv_pairs(r, spec, counter))
@@ -314,6 +316,20 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
     counted = OpCounter()
     assert swap_count_modinv(N, k, counted) is counted
     assert counted == scalar
+
+
+@pytest.mark.parametrize("N, k", MIRROR_EDGES + WIDE_EDGES + [(3 * 12_001, 3)])
+def test_modinv_chunks_hold_the_pairs_of_modinv_pairs(N, k):
+    # per round: disjoint index chunks of at most _SWAP_BATCH pairs, i < j,
+    # whose pairs are modinv_pairs' pairs
+    spec = ShuffleSpec.for_length(N, k)
+    for r in (1, k):
+        chunks = list(_modinv_chunks(r, spec))
+        assert all(len(i) == len(j) <= _SWAP_BATCH for i, j in chunks), (N, k, r)
+        i, j = (np.concatenate([chunk[side] for chunk in chunks]) for side in (0, 1))
+        assert (i < j).all(), (N, k, r)
+        assert len(np.unique(np.concatenate((i, j)))) == 2 * len(i), (N, k, r)
+        assert set(zip(i.tolist(), j.tolist())) == set(modinv_pairs(r, spec)), (N, k, r)
 
 
 def _steps(x, m):
@@ -367,7 +383,7 @@ def test_lanes_are_exact_at_the_int32_boundary(k):
     assert k * (N - 1) < 1 << 31 <= k * (N + k - 1)
     for N, dtype, width in ((N, np.int32, 512), (N + k, np.int64, 256)):
         spec = ShuffleSpec.for_length(N, k)
-        x, _ = next(_j_chunks(spec, (1,), None))
+        x, _ = next(_j_chunks(spec, 1, None))
         assert (x.dtype, len(x)) == (dtype, width), N
         for r in (1, k):
             got = list(itertools.takewhile(lambda pair: pair[0] <= width, modinv_pairs(r, spec)))
