@@ -319,9 +319,10 @@ def cmd_factor(args) -> int:
     return 0
 
 
-# The least one swap of a network holds: a pair tuple and its two ints, 56 + 2 * 28 = 112 bytes on 64-bit
-# CPython.  Two rounds hold about one swap per position, and --exp 20 peaks near 213 bytes a position.
-_SWAP_BYTES = sys.getsizeof((1 << 29, 1 << 29)) + 2 * sys.getsizeof(1 << 29)
+# The least one swap of a network holds: its row of two intp positions and its text " (i j)", 16 + 6 = 22 bytes
+# on a 64-bit build.  Two rounds hold about one swap per position; --exp 20 peaks near 85 MiB resident, 29 MiB of
+# it the interpreter and numpy.
+_SWAP_BYTES = 2 * np.dtype(np.intp).itemsize + len(" (0 1)")
 
 
 def cmd_network(args) -> int:

@@ -1,39 +1,80 @@
 """Explicit swap networks: rounds of disjoint exchanges, rendered as text or DOT.
 
-A network is a list of rounds; each round is a list of (i, j) swaps with
-i < j and no position appearing twice, so every round can execute as
-fully independent exchanges.  The shuffle constructions emit two-round
-networks whose rounds are the pairs of their one pair source,
-revswap_pairs or modinv_pairs; factoring an arbitrary permutation gives
-two rounds too.
+A network is a tuple of rounds; each round is one (n, 2) intp array whose
+rows are its swaps (i, j), i < j, no position appearing twice, in the
+order the text lists them, so every round can execute as fully
+independent exchanges.  The shuffle constructions emit two-round
+networks whose rows are the stacked index chunks of their one pair
+source, _revswap_chunks or _modinv_chunks_ascending; factoring an
+arbitrary permutation gives two rounds too, read off the maps of its
+two involutions.  apply_network runs a round as one
+perm_core.swap_chunks call, and emit_text renders it _ROWS rows at a
+time as ASCII digits, making no Python int per position.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+
+import numpy as np
 
 from .involution_factor import factor_permutation
-from .perm_core import Involution, Permutation, swap_pairs
-from .shuffle_bitrev import ShuffleSpec, revswap_pairs
-from .shuffle_modinv import modinv_pairs
+from .perm_core import Involution, Permutation, swap_chunks
+from .shuffle_bitrev import ShuffleSpec, _revswap_chunks
+from .shuffle_modinv import _modinv_chunks_ascending
 
 TEXT_FORMAT_LINE = "# shuffleworks-net v1"
 _SWAP = re.compile(r"\(\s*([0-9]+)\s+([0-9]+)")  # one swap up to its ")": two unsigned decimal integers
+_ROWS = 1 << 12  # rows that emit_text renders, and apply_network swaps, in one step
 
-Swap = tuple[int, int]
+
+def _rows(round_) -> np.ndarray:
+    """A round as an (n, 2) intp array of its rows (i, j): from such an array, or any sequence of pairs."""
+    rows = np.asarray(round_, dtype=np.intp)
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError("a round must be a sequence of (i, j) pairs")
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapNetwork:
+    """Rounds of disjoint swaps on n_positions positions, round 0 first.
+
+    Each round is an (n, 2) intp array of rows (i, j); any other sequence
+    of pairs given for a round, such as Involution.transpositions, is made
+    into one here.  Networks are equal when their sizes, labels and rows are.
+    """
+
     n_positions: int
-    rounds: tuple[tuple[Swap, ...], ...]
+    rounds: tuple[np.ndarray, ...]
     label: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "rounds", tuple(map(_rows, self.rounds)))
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SwapNetwork) and (self.n_positions, self.label) == (other.n_positions, other.label)
+                and len(self.rounds) == len(other.rounds) and all(map(np.array_equal, self.rounds, other.rounds)))
 
     @property
     def total_swaps(self) -> int:
         return sum(len(r) for r in self.rounds)
+
+
+def _stacked(chunks) -> np.ndarray:
+    """One round's rows from its (i, j) index chunks, in their order."""
+    parts = [np.column_stack(chunk) for chunk in chunks]
+    return np.concatenate(parts) if parts else np.empty((0, 2), np.intp)
+
+
+def _involution_rows(inv: Involution) -> np.ndarray:
+    """The transpositions of inv as rows (i, inv[i]), i < inv[i], i ascending."""
+    m = np.array(inv.map, dtype=np.intp)
+    i = np.flatnonzero(m > np.arange(len(m)))
+    return np.column_stack((i, m[i]))
 
 
 def build_network(method: str, target) -> SwapNetwork:
@@ -48,8 +89,7 @@ def build_network(method: str, target) -> SwapNetwork:
         if not isinstance(target, Permutation):
             raise ValueError("factorization network needs a Permutation")
         pair = factor_permutation(target)
-        rounds = (pair.t.transpositions, pair.s.transpositions)
-        return SwapNetwork(target.size, rounds, method)
+        return SwapNetwork(target.size, (_involution_rows(pair.t), _involution_rows(pair.s)), method)
     if method not in ("bitrev", "modinv"):
         raise ValueError("unknown network method %r" % method)
     if not isinstance(target, ShuffleSpec):
@@ -57,40 +97,66 @@ def build_network(method: str, target) -> SwapNetwork:
     if method == "bitrev":
         if target.n is None or target.n < 1:
             raise ValueError("bitrev network needs N = k**n")
-        sources = (revswap_pairs(t, target) for t in (target.n - 1, target.n))
+        sources = (_revswap_chunks(t, target) for t in (target.n - 1, target.n))
     else:
-        sources = (modinv_pairs(r, target) for r in (1, target.k))
-    rounds = tuple(tuple(pairs) for pairs in sources)
-    return SwapNetwork(target.N, rounds, method)
+        sources = (_modinv_chunks_ascending(r, target) for r in (1, target.k))
+    return SwapNetwork(target.N, tuple(map(_stacked, sources)), method)
 
 
 def apply_network(array, net: SwapNetwork) -> None:
-    """Execute the network's swaps in round order."""
+    """Execute the network's swaps in round order, one swap_chunks call a round."""
     if len(array) != net.n_positions:
         raise ValueError("array length %d != network size %d" % (len(array), net.n_positions))
-    for round_ in net.rounds:
-        swap_pairs(array, round_)
+    for rows in net.rounds:
+        swap_chunks(array, ((rows[b:b + _ROWS, 0], rows[b:b + _ROWS, 1]) for b in range(0, len(rows), _ROWS)))
 
 
 def network_permutation(net: SwapNetwork) -> Permutation:
     """The permutation the network realises: where each starting position ends."""
-    slots = list(range(net.n_positions))
+    slots = np.arange(net.n_positions)
     apply_network(slots, net)
-    m = [0] * net.n_positions
-    for pos, src in enumerate(slots):
-        m[src] = pos
-    return Permutation(m, check=False)
+    where = np.empty_like(slots)
+    where[slots] = np.arange(net.n_positions)
+    return Permutation(where.tolist(), check=False)
+
+
+def _swap_text(rows: np.ndarray) -> str:
+    """The text " (i j)" of each row, in order, made as ASCII digits in one uint8 matrix.
+
+    Every row is written at the width of the chunk's largest number,
+    zero-padded, and one boolean mask then drops the leading zeros.  Each
+    digit of i, and of j, is found for all rows at once and written down a
+    column of the matrix.
+    """
+    if rows.min() < 0:
+        raise ValueError("negative position in a swap")
+    n, width = len(rows), len(str(int(rows.max())))
+    text = np.empty((n, 2 * width + 4), np.uint8)
+    keep = np.ones(text.shape, bool)
+    text[:, 0], text[:, 1], text[:, width + 2], text[:, -1] = ord(" "), ord("("), ord(" "), ord(")")
+    rest = np.array(rows.T, np.uint32 if width < 10 else np.uint64)  # i, then j, each contiguous
+    quot, digit = np.empty_like(rest), np.empty_like(rest)
+    for c in reversed(range(width)):  # rest is each number over 10**(width-1-c)
+        np.floor_divide(rest, 10, out=quot)
+        np.multiply(quot, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
+        digit += ord("0")
+        for f, start in enumerate((2, width + 3)):  # where the digits of i and of j start in a row
+            text[:, start + c] = digit[f]
+            if c:  # digit c-1 is a leading 0 unless the number over 10**(width-c) is not 0
+                np.greater(quot[f], 0, out=keep[:, start + c - 1])
+        rest, quot = quot, rest
+    return text[keep].tobytes().decode("ascii")
 
 
 def emit_text(net: SwapNetwork) -> str:
     """Versioned plain-text rendering; parse_text inverts it exactly."""
-    lines = [
-        TEXT_FORMAT_LINE,
-        "N=%d method=%s swaps=%d" % (net.n_positions, net.label, net.total_swaps),
-    ]
-    for r, round_ in enumerate(net.rounds):
-        lines.append("round %d:" % r + " (%d %d)" * len(round_) % tuple(chain.from_iterable(round_)))
-    return "\n".join(lines) + "\n"
+    parts = [TEXT_FORMAT_LINE, "\nN=%d method=%s swaps=%d" % (net.n_positions, net.label, net.total_swaps)]
+    for r, rows in enumerate(net.rounds):
+        parts.append("\nround %d:" % r)
+        parts.extend(_swap_text(rows[b:b + _ROWS]) for b in range(0, len(rows), _ROWS))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_text(text: str) -> SwapNetwork:
@@ -131,11 +197,10 @@ def parse_text(text: str) -> SwapNetwork:
             if not 0 <= i < j < n_positions:
                 raise ValueError("swap (%d %d) out of range in round %d" % (i, j, len(rounds)))
             swaps.append((i, j))
-        try:
-            Involution.from_pairs(n_positions, swaps)
-        except ValueError as exc:
-            raise ValueError("round %d has overlapping swaps" % len(rounds)) from exc
-        rounds.append(tuple(swaps))
+        rows = _rows(swaps)
+        if (np.bincount(rows.ravel()) > 1).any():
+            raise ValueError("round %d has overlapping swaps" % len(rounds))
+        rounds.append(rows)
     net = SwapNetwork(n_positions, tuple(rounds), label)
     if net.total_swaps != declared:
         raise ValueError("header declares %d swaps, body has %d" % (declared, net.total_swaps))
@@ -151,8 +216,9 @@ def emit_dot(net: SwapNetwork) -> str:
     exactly one bold edge between its two rails; rails are dotted.
     """
     cols = len(net.rounds) + 1
-    origin = list(range(net.n_positions))
+    origin = np.arange(net.n_positions)
     apply_network(origin, net)
+    origin = origin.tolist()
     out = [
         'graph "%s" {' % net.label,
         "  rankdir=RL;",
@@ -172,8 +238,8 @@ def emit_dot(net: SwapNetwork) -> str:
     for pos in range(net.n_positions):
         for c in range(cols - 1):
             out.append("  p%d_r%d -- p%d_r%d [style=dotted];" % (pos, c, pos, c + 1))
-    for r, round_ in enumerate(net.rounds):
-        for i, j in round_:
+    for r, rows in enumerate(net.rounds):
+        for i, j in rows.tolist():
             out.append("  p%d_r%d -- p%d_r%d [style=bold];" % (i, r, j, r))
     out.append("}")
     return "\n".join(out) + "\n"

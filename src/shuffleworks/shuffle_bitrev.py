@@ -11,8 +11,8 @@ each partner index in O(1) from the carry length of the increment, and
 evaluates that recurrence as a prefix sum over aligned chunks of at most
 _TILE_ELEMS positions, so a round costs O(N) time and O(chunk) state
 (one chunk's carry-length steps, partners and pairs).  Lists run its
-index chunks through perm_core.swap_chunks, and build_network stores
-them, as revswap_pairs' tuples, as network rounds.  Lengths that are
+index chunks through perm_core.swap_chunks, and build_network stacks
+them into a network round's rows.  Lengths that are
 not powers of k are handled for k=2 by rotating power-of-two segment
 pairs into adjacency and shuffling each aligned block.  A rotation
 trades blocks forward a chunk at a time until one side fits in a chunk,

@@ -24,7 +24,8 @@ every position taken: for x < m/2, ext_gcd(m-x, m) takes one step more
 than ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes
 2.  _modinv_chunks gives a lane chunk's pairs, then its mirrors', as index
 arrays of at most 256 pairs for perm_core.swap_chunks, on every container;
-modinv_pairs yields them x-sorted, holding a round's mirrors to its end.
+_modinv_chunks_ascending gives them x-sorted for networks and modinv_pairs,
+holding a round's mirrors to its end.
 """
 
 from __future__ import annotations
@@ -140,21 +141,28 @@ def _modinv_chunks(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
             np.subtract(spec.m, J, out=J)
 
 
-def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
-    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
+def _modinv_chunks_ascending(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
+    """The chunks of _modinv_chunks with x ascending: one round's swaps in the order a network lists them.
 
-    Positions 0 and N-1 are never paired; r is 1 or k, coprime to m = N - 1.
-    The tuples of _modinv_chunks, holding the mirror chunks (all past m/2)
-    to the walk's end: about 3 bytes a position (tracemalloc).  The Euclid
-    work goes to counter.
+    The mirror chunks (all past m/2) are held, reversed, to the walk's end:
+    about 3 bytes a position (tracemalloc).  The Euclid work goes to counter.
     """
     half, mirrors = spec.m // 2, []
     for i, j in _modinv_chunks(r, spec, counter):
         if len(i) and i[0] > half:
             mirrors.append((i[::-1], j[::-1]))
         else:
-            yield from zip(i.tolist(), j.tolist())
-    for i, j in reversed(mirrors):
+            yield i, j
+    yield from reversed(mirrors)
+
+
+def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
+    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
+
+    Positions 0 and N-1 are never paired; r is 1 or k, coprime to m = N - 1.
+    The tuples of _modinv_chunks_ascending.
+    """
+    for i, j in _modinv_chunks_ascending(r, spec, counter):
         yield from zip(i.tolist(), j.tolist())
 
 
@@ -176,6 +184,9 @@ def swap_count_modinv(N: int, k: int, counter: OpCounter | None = None) -> OpCou
     """The report shuffle_modinv would return on N elements, no data moved: counter, or a new one, filled."""
     report = OpCounter() if counter is None else counter
     spec = ShuffleSpec.for_length(N, k)
-    report.swaps += sum(len(i) for r in (1, k) for i, _ in _modinv_chunks(r, spec, report))
+    for r in (1, k):
+        for i, j in _modinv_chunks(r, spec, report):
+            report.swaps += len(i)
+            del i, j  # freed before the next chunk is made
     report.rounds += 2
     return report

@@ -2,8 +2,8 @@
 
 rev_digits recomputes a digit reversal from scratch, the check on the
 incremental partner update of revswap_pairs, and emit_text_per_pair
-renders a network one swap at a time, the check on emit_text's one
-format call a round.  parse_cycle_notation reads
+renders a network one swap at a time, the check on emit_text's digit
+renderer.  parse_cycle_notation reads
 the cycle strings that cycle_notation and the factor command print.
 compose and inverse are the permutation algebra the factoring laws are
 stated in, and enumerate_involutions and brute_force_factorizations the
@@ -40,8 +40,8 @@ def emit_text_per_pair(net) -> str:
         TEXT_FORMAT_LINE,
         "N=%d method=%s swaps=%d" % (net.n_positions, net.label, net.total_swaps),
     ]
-    for r, round_ in enumerate(net.rounds):
-        body = " ".join("(%d %d)" % p for p in round_)
+    for r, rows in enumerate(net.rounds):
+        body = " ".join("(%d %d)" % (i, j) for i, j in rows.tolist())
         lines.append("round %d:%s" % (r, " " + body if body else ""))
     return "\n".join(lines) + "\n"
 

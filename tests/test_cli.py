@@ -999,11 +999,12 @@ def test_network_exp_below_one_exits_3(capsys, exp):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the address space size from /proc")
 def test_network_out_of_memory_exits_2_without_a_traceback():
-    # 2**20 positions take about 225 MiB, so 100 MiB of address space past what the child has mapped runs out
+    # 2**22 positions take about 235 MiB past the interpreter and numpy, so 100 MiB of address space past what the
+    # child has mapped runs out
     child = ("import os, resource, sys; from shuffleworks.cli import main; "
              "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE') + (100 << 20); "
              "resource.setrlimit(resource.RLIMIT_AS, (size, size)); "
-             "sys.exit(main(['network', '--k', '2', '--exp', '20']))")
+             "sys.exit(main(['network', '--k', '2', '--exp', '22']))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)

@@ -3,9 +3,13 @@
 import importlib
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from shuffleworks import network
+from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import (
     SwapNetwork,
     TEXT_FORMAT_LINE,
@@ -27,7 +31,8 @@ from _reference import emit_text_per_pair, rev_digits
 def test_parse_text_names_the_overlapping_round():
     # the declared count matches, so only the disjointness check can refuse
     head = TEXT_FORMAT_LINE + "\nN=4 method=x swaps=4\nround 0: (0 1) (2 3)\nround 1: "
-    assert parse_text(head + "(1 2) (0 3)\nround 2:\n").rounds == (((0, 1), (2, 3)), ((1, 2), (0, 3)), ())
+    net = SwapNetwork(4, (((0, 1), (2, 3)), ((1, 2), (0, 3)), ()), "x")
+    assert parse_text(head + "(1 2) (0 3)\nround 2:\n") == net
     with pytest.raises(ValueError, match="round 1 has overlapping swaps"):
         parse_text(head + "(1 2) (2 3)\n")
 
@@ -55,17 +60,17 @@ def test_network_rounds_are_the_pair_sources():
     # the pairs recomputed position by position
     for k, n in ((2, 1), (2, 6), (3, 4), (4, 3), (5, 2)):
         spec = ShuffleSpec.for_length(k ** n, k)
-        rounds = build_network("bitrev", spec).rounds
+        net = build_network("bitrev", spec)
         digits = (n - 1, n)
-        assert rounds == tuple(tuple(revswap_pairs(t, spec)) for t in digits)
-        assert rounds == tuple(
-            tuple((i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i) for t in digits)
+        assert net == SwapNetwork(spec.N, [list(revswap_pairs(t, spec)) for t in digits], "bitrev")
+        assert net == SwapNetwork(spec.N, [
+            [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i] for t in digits], "bitrev")
     for k, N in ((2, 30), (3, 27), (4, 40), (5, 45)):
         spec = ShuffleSpec.for_length(N, k)
-        rounds = build_network("modinv", spec).rounds
-        assert rounds == tuple(tuple(modinv_pairs(r, spec)) for r in (1, k))
-        assert rounds == tuple(
-            tuple((x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x) for r in (1, k))
+        net = build_network("modinv", spec)
+        assert net == SwapNetwork(spec.N, [list(modinv_pairs(r, spec)) for r in (1, k)], "modinv")
+        assert net == SwapNetwork(spec.N, [
+            [(x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x] for r in (1, k)], "modinv")
 
 
 def test_modinv_network_walks_the_lanes_once_per_round(monkeypatch):
@@ -85,8 +90,8 @@ def test_networks_realise_the_inshuffle():
     for method, N, k in cases:
         net = build_network(method, ShuffleSpec.for_length(N, k))
         assert network_permutation(net) == inshuffle_permutation(N, k), (method, N)
-        for round_ in net.rounds:
-            Involution.from_pairs(N, round_)  # raises on a reused position
+        for rows in net.rounds:
+            Involution.from_pairs(N, rows.tolist())  # raises on a reused position
         arr = list(range(N))
         apply_network(arr, net)
         assert arr == oracle_shuffle(list(range(N)), k)
@@ -100,9 +105,9 @@ def test_built_rounds_are_disjoint_and_in_range():
     for method, spec in specs:
         net = build_network(method, spec)
         assert len(net.rounds) == 2
-        for round_ in net.rounds:
-            assert all(0 <= i < j < spec.N for i, j in round_), (method, spec.N, spec.k)
-            Involution.from_pairs(spec.N, round_)  # raises on a reused position
+        for rows in net.rounds:
+            assert all(0 <= i < j < spec.N for i, j in rows.tolist()), (method, spec.N, spec.k)
+            Involution.from_pairs(spec.N, rows.tolist())  # raises on a reused position
 
 
 def test_factorization_network():
@@ -115,7 +120,7 @@ def test_factorization_network():
         assert len(net.rounds) == 2
         assert network_permutation(net) == p
     net = build_network("factorization", Permutation(range(3)))
-    assert net.rounds == ((), ())
+    assert net == SwapNetwork(3, ((), ()), "factorization")
 
 
 def test_apply_network_length_check():
@@ -153,7 +158,7 @@ def test_emit_text_keeps_empty_rounds_visible():
 
 
 def test_emit_text_equals_the_per_pair_rendering():
-    # one format call a round gives the bytes of one call a swap, on rounds
+    # the digit renderer gives the bytes of one format call a swap, on rounds
     # of many chunks of pairs, of mirrored modinv pairs, empty rounds and N = 2
     nets = [
         build_network("bitrev", ShuffleSpec.for_length(2 ** 12, 2)),
@@ -167,6 +172,90 @@ def test_emit_text_equals_the_per_pair_rendering():
     ]
     for net in nets:
         assert emit_text(net) == emit_text_per_pair(net), (net.label, net.n_positions)
+
+
+def test_emit_text_across_digit_widths():
+    # numbers of one width and of several in a chunk, a chunk's width changing from one to the next, and
+    # numbers past 9 digits, which take the 64-bit digit path
+    nets = [
+        build_network("bitrev", ShuffleSpec.for_length(10 ** 4, 10)),
+        build_network("bitrev", ShuffleSpec.for_length(2 ** 14, 2)),
+        SwapNetwork(2 ** 63, [[(0, 9), (10, 99), (100, 999_999_999), (10 ** 9, 2 ** 32 + 5), (2 ** 40, 2 ** 63 - 1)],
+                              [(8, 10)], [(10 ** 18, 10 ** 18 + 1)]], "wide"),
+    ]
+    for net in nets:
+        assert emit_text(net) == emit_text_per_pair(net), (net.label, net.n_positions)
+    with pytest.raises(ValueError, match="negative position in a swap"):  # unsigned digits would wrap it
+        emit_text(SwapNetwork(3, [[(0, 1)], [(-1, 2)]], "x"))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_emit_text_and_apply_network_across_row_chunks(monkeypatch, rows):
+    # with a few rows a step, every round spans many steps, some of them ending where a round does
+    nets = [
+        build_network("bitrev", ShuffleSpec.for_length(10 ** 3, 10)),
+        build_network("bitrev", ShuffleSpec.for_length(3 ** 4, 3)),
+        build_network("modinv", ShuffleSpec.for_length(3 * 41, 3)),
+        build_network("factorization", Permutation([0, 2, 1, 3, 5, 4, 6, 8, 9, 7])),
+    ]
+    texts = [emit_text(net) for net in nets]
+    perms = [network_permutation(net) for net in nets]
+    monkeypatch.setattr(network, "_ROWS", rows)
+    for net, text, perm in zip(nets, texts, perms):
+        assert emit_text(net) == text == emit_text_per_pair(net), (net.label, rows)
+        assert network_permutation(net) == perm
+        arr = list(range(net.n_positions))
+        apply_network(arr, net)
+        assert [arr.index(x) for x in range(net.n_positions)] == list(perm.map)
+
+
+def test_factorizations_with_fixed_points_and_empty_rounds():
+    for perm in ([0], [1, 0], [0, 1, 2], [0, 2, 1, 3], [2, 1, 0, 3, 4], [3, 1, 2, 0, 5, 4, 6]):
+        p = Permutation(perm)
+        net = build_network("factorization", p)
+        pair = factor_permutation(p)
+        assert net == SwapNetwork(len(perm), (pair.t.transpositions, pair.s.transpositions), "factorization")
+        assert all(rows.shape[1:] == (2,) and rows.dtype == np.intp for rows in net.rounds)
+        assert emit_text(net) == emit_text_per_pair(net)
+        assert parse_text(emit_text(net)) == net
+        assert network_permutation(net) == p
+        values = np.arange(len(perm))
+        apply_network(values, net)  # the ndarray route
+        assert all(values[p.map[x]] == x for x in range(len(perm)))
+
+
+@pytest.mark.parametrize("exp", [14, 17])
+def test_build_and_emit_scratch_per_position(exp):
+    # two rounds of about N/2 rows of 16 bytes, the text (12.5 to 14.3 bytes a position here) held twice while
+    # it is joined, and one step of the renderer: about 45 bytes a position, where pair tuples took 156 to 170
+    spec = ShuffleSpec.for_length(2 ** exp, 2)
+    emit_text(build_network("bitrev", ShuffleSpec.for_length(64, 2)))  # one-time allocations
+    tracemalloc.start()
+    try:
+        text = emit_text(build_network("bitrev", spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) < 15 * spec.N
+    assert peak < 52 * spec.N, peak / spec.N
+
+
+def test_swap_network_rounds_are_rows():
+    pairs = SwapNetwork(5, (((0, 1), (2, 4)), [], [[1, 3]]), "x")
+    assert [rows.tolist() for rows in pairs.rounds] == [[[0, 1], [2, 4]], [], [[1, 3]]]
+    assert all(rows.dtype == np.intp and rows.shape[1:] == (2,) for rows in pairs.rounds)
+    arrays = SwapNetwork(5, (np.array([[0, 1], [2, 4]], np.int32), np.empty((0, 2)), np.array([[1, 3]])), "x")
+    assert arrays == pairs and pairs == arrays
+    rows = np.array([[0, 1]], np.intp)
+    assert SwapNetwork(2, (rows,), "x").rounds[0] is rows  # an intp row array is kept as it is
+    assert pairs != SwapNetwork(5, (((0, 1), (2, 4)), (), ((1, 2),)), "x")
+    assert pairs != SwapNetwork(5, (((0, 1), (2, 4)), ()), "x")
+    assert pairs != SwapNetwork(6, pairs.rounds, "x")
+    assert pairs != SwapNetwork(5, pairs.rounds, "y")
+    assert pairs != pairs.rounds
+    for bad in ([(0, 1, 2)], [0, 1], [[(0, 1)]]):
+        with pytest.raises(ValueError, match="a round must be a sequence of"):
+            SwapNetwork(3, (bad,), "x")
 
 
 def test_text_round_trip_is_byte_stable():
@@ -215,7 +304,7 @@ def test_parse_text_rejects_malformed_input(text):
 
 def test_parse_text_rejects_an_unclosed_swap():
     head = TEXT_FORMAT_LINE + "\nN=4 method=x swaps=2\nround 0: (0 1) "
-    assert parse_text(head + "(2 3)\n").rounds == (((0, 1), (2, 3)),)
+    assert parse_text(head + "(2 3)\n") == SwapNetwork(4, (((0, 1), (2, 3)),), "x")
     with pytest.raises(ValueError, match="unclosed swap"):
         parse_text(head + "(2 3\n")
 

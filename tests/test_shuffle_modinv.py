@@ -406,3 +406,21 @@ def test_lane_scratch_does_not_grow_with_n():
         assert (array == np.arange(len(array), dtype=np.uint64).reshape(3, -1).T.ravel()).all()
     # the (4, 256) lane state, its temporaries and one chunk of records in flight
     assert max(peaks) < 32 << 10, peaks
+
+
+def test_swap_count_holds_one_chunk_at_a_time():
+    # the lane state (14 KiB), its temporaries and one chunk of index arrays: each chunk is dropped before the
+    # next is made; holding the previous one too peaked at 28.0 KB on 3*12001
+    swap_count_modinv(3 * 1001, 3)  # one-time allocations happen outside the measure
+    peaks = []
+    tracemalloc.start()
+    try:
+        for M in (12_001, 120_001):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = swap_count_modinv(3 * M, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert report == shuffle_modinv(np.arange(3 * M), 3), M
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 25 << 10, peaks
