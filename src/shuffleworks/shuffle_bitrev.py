@@ -6,17 +6,20 @@ digits, then with the reversal of all n digits.  Chaining the two
 reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
-On lists each round has one pair source, _revswap_chunks.  It updates
-each partner index in O(1) from the carry length of the increment, and
-evaluates that recurrence as a prefix sum over aligned chunks of at most
-_TILE_ELEMS positions, so a round costs O(N) time and O(chunk) state
-(one chunk's carry-length steps, partners and pairs).  Lists run its
-index chunks through perm_core.swap_chunks, and build_network stacks
-them into a network round's rows.  Lengths that are
-not powers of k are handled for k=2 by rotating power-of-two segment
-pairs into adjacency and shuffling each aligned block.  A rotation
-trades blocks forward a chunk at a time until one side fits in a chunk,
-then slides the other side over it, so it holds at most two chunks.
+Every digit reversal comes from one generator, _reversals.  It walks the
+positions in aligned chunks of at most _TILE_ELEMS, and reversal never
+mixes a chunk's offset digits with the digits above them, so the partner
+of first + o is rev(first) + rev(o): one table of rev(o) per round, plus
+one scalar per chunk.  That keeps the paper's O(N) time in O(chunk)
+state without its carry-length recurrence, which pays only when
+positions go one at a time.  On lists a round's pair source,
+_revswap_chunks, keeps i < rev(i) from each chunk for
+perm_core.swap_chunks, and build_network stacks the same chunks into a
+network round's rows.  Lengths that are not powers of k are handled for
+k=2 by rotating power-of-two segment pairs into adjacency and shuffling
+each aligned block.  A rotation trades blocks forward a chunk at a time
+until one side fits in a chunk, then slides the other side over it, so
+it holds at most two chunks.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
@@ -26,7 +29,7 @@ and transposed.  A step gathers one side's tiles with their rows (runs of
 k**b contiguous elements) in reversed order and scatters the transposed
 gather into the partner's reversed rows: an element is read and written
 once a round.  Tile pairs go a fixed number of bytes at a time, and mid
-values pair with their reversals a bounded batch at a time, so the
+values pair with their reversals a chunk of _reversals at a time, so the
 scratch memory of a round does not grow with N.  The route
 produces the same permutation as the scalar loop and reports the same
 swap count, from its closed form.
@@ -84,15 +87,32 @@ def _check_ruler(ruler: str | None, k: int) -> None:
         raise ValueError("ruler must be None, 'counter' or, for k=2, 'popcnt'")
 
 
+def _reversals(k: int, t: int, N: int, base: int = 0):
+    """Yield (base + i, base + rev(i)) over i in 0..N-1, N a power of k, as index arrays.
+
+    rev reverses the t least significant base-k digits of i and keeps the
+    rest.  Chunks are aligned runs of k**c <= _TILE_ELEMS positions, in
+    ascending order; each adds its rev(first) to one table of rev(o).
+    """
+    c = 0
+    while k ** (c + 1) <= min(N, _TILE_ELEMS):
+        c += 1
+    table = np.zeros(1, dtype=np.intp)
+    for d in range(c):  # digit d of the offset goes to t-1-d, or stays above t
+        table = (np.arange(k)[:, None] * k ** (t - 1 - d if d < t else d) + table).ravel()
+    for first in range(0, N, k ** c):
+        rev, rest = divmod(first, k ** t)
+        for _ in range(t):
+            rest, digit = divmod(rest, k)
+            rev = rev * k + digit
+        yield np.arange(base + first, base + first + k ** c), table + (base + rev)
+
+
 def _revswap_chunks(t: int, spec: ShuffleSpec, base: int = 0):
     """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round as index arrays.
 
-    rev reverses the t least significant base-k digits of the n-digit
-    positions.  Each partner follows from the previous one in O(1) given
-    how many digits the increment changed, and that recurrence is a prefix
-    sum, evaluated with np.cumsum over aligned chunks of _TILE_ELEMS
-    positions or fewer, each yielding its pairs, i ascending.  Arguments
-    are checked when iteration starts.
+    Each chunk of _reversals yields its pairs, i ascending.  Arguments are
+    checked when iteration starts.
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
@@ -100,31 +120,7 @@ def _revswap_chunks(t: int, spec: ShuffleSpec, base: int = 0):
         raise ValueError("digit count %d out of range" % t)
     if t <= 1:
         return  # reversing one digit or none moves nothing
-    k, pw = spec.k, spec.powers
-    # An increment that changes c <= t digits zeroes c-1 trailing digits k-1
-    # and bumps the next one, which shifts the reversal by step[c].  With
-    # c > t the low t digits of i-1 were all k-1, their own reversal, and
-    # those of i are all 0, so the partner moves from i-1 to i: step[t+1] = 1.
-    step = np.array([0] + [pw[t - c + 1] + pw[t - c] - pw[t] for c in range(1, t + 1)] + [1])
-    b = 0
-    while b < spec.n and pw[b + 1] <= _TILE_ELEMS:
-        b += 1
-    # The increment to offset o > 0 of a chunk of k**b changes one digit more
-    # than o has trailing zeros, in every chunk alike.  d[0] is the chunk's
-    # first partner: base, then the last partner plus the step into the chunk.
-    changed = np.ones(pw[b], dtype=np.intp)
-    for p in range(1, b):
-        changed[::pw[p]] += 1
-    d = step[np.minimum(changed, t + 1)]
-    d[0] = base
-    offsets = np.arange(pw[b]) + base
-    for first in range(0, spec.N, pw[b]):
-        if first:
-            c, q = b + 1, first // pw[b]
-            while c <= t and q % k == 0:
-                c, q = c + 1, q // k
-            d[0] = j[-1] + step[min(c, t + 1)]
-        i, j = offsets + first, np.cumsum(d)
+    for i, j in _reversals(spec.k, t, spec.N, base):
         keep = i < j
         yield i[keep], j[keep]
 
@@ -156,29 +152,24 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
-# and fewer for records so large that a chunk holds fewer.  A round pairs at
-# most this many mid values with their reversals at a time, and
-# _revswap_chunks takes at most this many positions a chunk.
+# and fewer for records so large that a chunk holds fewer.  _reversals yields
+# aligned chunks of at most this many positions, and so of mid values.
 _TILE_ELEMS = 1 << 12
 # Bytes gathered from one side of the tile pairs per step; the step's scratch
 # is a few times this, independent of the array length.
 _CHUNK_BYTES = 1 << 18
 
 
-def _rev(values: np.ndarray, k: int, digits: int) -> np.ndarray:
-    """The reversal of each value's low `digits` base-k digits."""
-    r = np.zeros_like(values)
-    for _ in range(digits):
-        values, d = np.divmod(values, k)
-        r = r * k + d
-    return r
+def _check_layout(array) -> None:
+    """Refuse an ndarray that the tiled route cannot reshape in place."""
+    if isinstance(array, np.ndarray) and (array.ndim != 1 or not array.flags.c_contiguous):
+        raise ValueError("need a contiguous one-dimensional array")
 
 
 def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     if not 0 <= t <= spec.n:
         raise ValueError("digit count %d out of range" % t)
-    if array.ndim != 1 or not array.flags.c_contiguous:
-        raise ValueError("need a contiguous one-dimensional array")
+    _check_layout(array)
     if t <= 1:
         return 0
     k = spec.k
@@ -193,15 +184,13 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step):
         b += 1
     kb = k ** b
-    revb = _rev(np.arange(kb), k, b)
+    revb = np.concatenate([revs for _, revs in _reversals(k, b, kb)])
     n_mids = spec.powers[t - 2 * b]
     # axes (block, mid, hi, lo)
     x = array.view(np.ndarray).reshape(blocks, kb, n_mids, kb).transpose(0, 2, 1, 3)
-    for first in range(0, n_mids, _TILE_ELEMS):
-        batch = np.arange(first, min(first + _TILE_ELEMS, n_mids))
-        revs = _rev(batch, k, t - 2 * b)
-        keep = batch <= revs
-        mids, revs = batch[keep], revs[keep]
+    for mids, revs in _reversals(k, t - 2 * b, n_mids):
+        keep = mids <= revs
+        mids, revs = mids[keep], revs[keep]  # drops the unfiltered chunk
         mids_per_step = max(1, min(mids.size, step // (kb * kb)))
         blocks_per_step = max(1, step // (kb * kb * mids_per_step))
         for h in range(0, blocks, blocks_per_step):
@@ -349,13 +338,15 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     Runs the full rotation plan first, then shuffles each aligned
     power-of-two block with the two reversal rounds.  The report counts
     the elements the rotations displace as moved, the block swaps, and
-    one round per rotation on top of the two swap rounds.  ruler is
-    checked before anything moves; it changes nothing.
+    one round per rotation on top of the two swap rounds.  ruler and an
+    ndarray's layout are checked before anything moves; ruler changes
+    nothing.
     """
     N = len(array)
     if N % 2:
         raise ValueError("the two-way in-shuffle needs an even length")
     _check_ruler(ruler, 2)
+    _check_layout(array)
     report = OpCounter(rounds=2)
     if N == 0:
         return report

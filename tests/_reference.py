@@ -1,10 +1,10 @@
 """Position-by-position references that the tests compare the library against.
 
-rev_digits recomputes a digit reversal from scratch, the check on the
-incremental partner update of revswap_pairs, and emit_text_per_pair
-renders a network one swap at a time, the check on emit_text's digit
-renderer.  parse_cycle_notation reads
-the cycle strings that cycle_notation and the factor command print.
+rev_digits recomputes a digit reversal from scratch, one position at a
+time, the check on the chunked offset table that revswap_pairs reads,
+and emit_text_per_pair renders a network one swap at a time, the check
+on emit_text's digit renderer.  parse_cycle_notation reads the cycle
+strings that cycle_notation and the factor command print.
 compose and inverse are the permutation algebra the factoring laws are
 stated in, and enumerate_involutions and brute_force_factorizations the
 exhaustive census that factor_permutation's pairs are counted against;

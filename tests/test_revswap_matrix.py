@@ -22,6 +22,7 @@ from shuffleworks.shuffle_bitrev import (
     _CHUNK_BYTES,
     _TILE_ELEMS,
     ShuffleSpec,
+    _round_swaps,
     revswap_round,
     rotate_left,
     shuffle_general_k2,
@@ -194,14 +195,19 @@ def test_rotation_writes_scale_with_the_window_over_the_chunk(shift):
 
 
 def reversal_reference(N, k, t):
-    """Partner of every position under reversal of its low t digits."""
-    i = np.arange(N, dtype=np.int64)
-    low = i % k ** t
-    rev = np.zeros_like(i)
-    for _ in range(t):
-        low, digit = np.divmod(low, k)
-        rev = rev * k + digit
-    return i - i % k ** t + rev
+    """Partner of every position under reversal of its low t digits.
+
+    It holds three int64 arrays of N at a time, which matters at 3**14.
+    """
+    low = np.arange(N, dtype=np.int64)
+    partner = low // k ** t * k ** t
+    low %= k ** t
+    digit = np.empty_like(low)
+    for p in range(t):
+        np.divmod(low, k, out=(low, digit))
+        digit *= k ** (t - 1 - p)
+        partner += digit
+    return partner
 
 
 def largest_tile_side(k):
@@ -254,6 +260,43 @@ def test_mids_span_several_chunks():
     assert np.array_equal(array, oracle_shuffle(oracle_shuffle(np.arange(spec.N, dtype=np.uint64), 2), 2))
 
 
+@pytest.mark.parametrize("dtype", ["uint8", "V3"])
+def test_mids_span_several_reversal_chunks(dtype, monkeypatch):
+    # 3**14 positions: the full-width round has 3**8 = 6561 middle values,
+    # which _reversals yields in chunks of 3**7 = 2187
+    spec = ShuffleSpec.for_length(3 ** 14, 3)
+    size = np.dtype(dtype).itemsize
+    start = np.random.default_rng(14).integers(0, 256, spec.N * size, dtype=np.uint8).view(dtype)
+    reversals, seen = shuffle_bitrev._reversals, []
+
+    def spy(*args):
+        for chunk in reversals(*args):
+            seen.append((args, chunk[0].size))
+            yield chunk
+
+    monkeypatch.setattr(shuffle_bitrev, "_reversals", spy)
+    for t in (13, 14):
+        array = start.copy()
+        count = revswap_round(array, t, spec)
+        partner = reversal_reference(spec.N, 3, t)
+        assert np.array_equal(array, start[partner]), t
+        assert count == _round_swaps(spec, t) == int(np.count_nonzero(partner > np.arange(spec.N))), t
+    assert [size for args, size in seen if args == (3, 8, 3 ** 8)] == [3 ** 7] * 3
+
+
+@pytest.mark.parametrize("tile_elems", [1, 2, 4])
+def test_tiled_round_with_chunks_shorter_than_a_tile_side(tile_elems, monkeypatch):
+    # chunks of _reversals shorter than k, so the tile axis table and the
+    # mids both come in several chunks, as they do for real once k > 4096
+    monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", tile_elems)
+    for k, n in ((3, 5), (5, 4), (6, 3)):
+        spec = ShuffleSpec.for_length(k ** n, k)
+        for t in range(n + 1):
+            array = np.arange(spec.N)
+            assert revswap_round(array, t, spec) == _round_swaps(spec, t), (k, t)
+            assert np.array_equal(array, reversal_reference(spec.N, k, t)), (k, t)
+
+
 def test_small_digit_counts_on_many_blocks_stay_chunked():
     # t=2 on 2**20 positions: one 2x2 tile per block, 2**18 blocks
     spec = ShuffleSpec.for_length(2 ** 20, 2)
@@ -303,7 +346,7 @@ def test_shuffle_power_scratch_is_a_few_chunks(n, dtype):
 
 def test_tiled_round_scratch_does_not_grow_with_n():
     # 2**27 one-byte records have 2**15 middle values per round, which the
-    # round reverses a bounded batch at a time
+    # round reverses a chunk of _reversals at a time
     peaks = []
     for n in (22, 27):
         array = np.zeros(2 ** n, dtype=np.uint8)

@@ -95,8 +95,8 @@ def test_rev_digits_range_checks():
 
 
 def test_revswap_pairs_match_rev_digits():
-    # the incremental partner update matches recomputation from scratch,
-    # under every ruler, for every digit count and block offset
+    # the chunked reversals match recomputation from scratch, under every
+    # ruler, for every digit count and block offset
     for k in (2, 3, 4, 5):
         rulers = (None, "counter", "popcnt") if k == 2 else (None, "counter")
         n = 1
@@ -124,7 +124,7 @@ def _check_pairs(spec, t):
 @pytest.mark.parametrize("chunk_digits", [1, 2])
 def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
     # chunks of k or k**2 positions, so every size but the smallest crosses
-    # chunk edges, and chunk starts carry into every digit above the chunk
+    # chunk edges, and chunk starts take every digit above the chunk
     for k in (2, 3, 4, 5, 6, 7):
         monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", k ** chunk_digits)
         n = 1
@@ -268,6 +268,17 @@ def test_ndarray_route_needs_contiguous_1d():
     spec = binary_spec(3)
     with pytest.raises(ValueError):
         revswap_round(np.arange(16, dtype=np.int64)[::2], 3, spec)
+
+
+def test_general_shuffle_refuses_a_layout_before_rotating():
+    # a strided view and a 2-D array, both of lengths that need rotations
+    base = np.arange(24)
+    for array in (base[::2], np.arange(24).reshape(12, 2)):
+        before = array.copy()
+        with pytest.raises(ValueError, match="contiguous one-dimensional"):
+            shuffle_general_k2(array)
+        assert np.array_equal(array, before), array.shape
+    assert np.array_equal(base, np.arange(24))
 
 
 def test_rotation_plan_fifteen():
