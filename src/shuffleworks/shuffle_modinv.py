@@ -15,14 +15,16 @@ coefficient of x gives g and (x/g)^-1 mod m/g at once.  As gcd(m-x, m)
 = gcd(x, m) = g and (m-x)/g = -x/g mod m/g, J_r(m-x) = m - J_r(x), so the
 rounds run Euclid only for x in 1..m//2: about N-2 runs per shuffle, not
 2(N-2).  ext_gcd is the scalar reference, which j_map uses.  The rounds
-run Euclid in lockstep lanes, seven rows of 2 KiB (14 KiB of state),
-counting a step only where both remainders are non-zero.  The lanes are
-int32, 512 to a row, when k*(N-1) < 2**31, and int64, 256 to a row,
-otherwise; k*(N-1) must be below 2**63, or the rounds raise OverflowError
-at once.  The OpCounter (from perm_core) still gets ext_gcd's counts for
-every position taken: for x < m/2, ext_gcd(m-x, m) takes one step more
-than ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes
-2.  _modinv_chunks gives a lane chunk's pairs, then its mirrors', as index
+run Euclid in lockstep lanes, five rows of 2.5 KiB (12.5 KiB of state):
+one divmod per phase, counting a step only where the divisor is
+non-zero.  A finished lane may lose its remainders, so g and J are read
+back from its cofactors (see _j_chunks).  The lanes are int32, 640 to a
+row, when k*(N-1) < 2**31, and int64, 320 to a row, otherwise; k*(N-1)
+must be below 2**63, or the rounds raise OverflowError at once.  The
+OpCounter (from perm_core) still gets ext_gcd's counts for every position
+taken: for x < m/2, ext_gcd(m-x, m) takes one step more than
+ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
+_modinv_chunks gives a lane chunk's pairs, then its mirrors', as index
 arrays of at most 256 pairs for perm_core.swap_chunks, on every container;
 _modinv_chunks_ascending gives them x-sorted for networks and modinv_pairs,
 holding a round's mirrors to its end.
@@ -76,48 +78,58 @@ def j_map(r: int, x: int, spec: ShuffleSpec, counter: OpCounter | None = None) -
     return g * (r * u % (spec.m // g))
 
 
-_ROW_BYTES = 2048  # bytes per lane row: 256 int64 or 512 int32 positions per lockstep Euclid chunk
+_ROW_BYTES = 2560  # bytes per lane row, five rows a chunk: 640 int32 or 320 int64 lanes, 12.5 KiB of state
 _SWAP_BATCH = 256  # pairs in one chunk of _modinv_chunks, so the records a swap gathers stay few
 
 
 def _j_chunks(spec: ShuffleSpec, r: int, counter: OpCounter | None):
     """Yield (x, J) per chunk of one round: x = lo, lo+1, ... of 1..m//2, one per lane, J = J_r(x).
 
-    A chunk is one row of lanes: 512 int32 lanes when k*(N-1) < 2**31, 256
-    int64 lanes otherwise.  The mirrors m-x pair with m-J.  Chunks come in
+    A chunk is one width of lanes: 640 int32 lanes when k*(N-1) < 2**31,
+    320 int64 lanes otherwise.  The mirrors m-x pair with m-J.  Chunks come in
     ascending lo.  x and J are views that the next chunk overwrites; a
     caller may turn them into m-x and m-J in place.  Lane i runs
-    ext_gcd(lo+i, m) in rows a, s_a, b, s_b (remainders and cofactors of x),
-    taking a %= b and b %= a in turn.  Once the last chunk is out, counter
-    gets ext_gcd's counts for all of 1..m-1.
+    ext_gcd(lo+i, m) in five rows a, s_a, b, s_b, q (remainders of x and m,
+    their cofactors of x, the quotient).  ext_gcd's first step, x // m = 0,
+    is counted but not run: the lanes start with b %= a.  A phase takes
+    q, dividend = divmod(dividend, divisor), then subtracts q times the
+    divisor's cofactor from the dividend's, and the rows swap roles.  A
+    finished lane divides by 0, which numpy answers with q = 0 and
+    remainder 0: its g may be lost, but its cofactors stay at u and +-m/g,
+    of opposite signs with |u| <= m/2g (Knuth, TAOCP 2, 4.5.2).  So
+    m/g = max(|s_a|, |s_b|), g = m // (m/g) and
+    J = g * (r*(s_a + s_b) mod m/g), where |r*(s_a + s_b)| <= k*m/g.
+    Once the last chunk is out, counter gets ext_gcd's counts for all of
+    1..m-1.
     """
     m = spec.m
     if spec.k * m >= 1 << 63:
         raise OverflowError("k*(N-1) exceeds the int64 Euclid lanes (N=%d, k=%d)" % (spec.N, spec.k))
-    # m < 2**30 in int32: remainders, cofactors, q*s <= 2m, r*u < k*m and g*J < m all fit
+    # m < 2**30 in int32: remainders, cofactors, q*s <= 2m, r*(s_a+s_b) <= k*m and g*J < m all fit
     dtype = np.dtype(np.int32 if spec.k * m < 1 << 31 else np.int64)
     width = _ROW_BYTES // dtype.itemsize
-    state, q, tmp = np.empty((4, width), dtype), np.empty(width, dtype), np.empty((2, width), dtype)
+    state = np.empty((5, width), dtype)
     lanes = 0
     for lo in range(1, m // 2 + 1, width):
         n = min(width, m // 2 + 1 - lo)
-        st, qn, tn = state[:, :n], q[:n], tmp[:, :n]
-        st[0], st[1], st[2], st[3] = np.arange(lo, lo + n, dtype=dtype), 1, m, 0
-        dst, src = st[:2], st[2:]
-        with np.errstate(divide="ignore"):  # a finished lane divides by 0, gets q = 0 and stays put
-            while live := np.count_nonzero(st[::2]) - n:  # lanes with a and b both non-zero
+        a, s_a, b, s_b, q = state[:, :n]
+        a[:], s_a[:], b[:], s_b[:] = np.arange(lo, lo + n, dtype=dtype), 1, m, 0
+        lanes += n  # the first step, x // m = 0, leaves (x, m) as they are
+        dividend, s_dividend, divisor, s_divisor = b, s_b, a, s_a
+        with np.errstate(divide="ignore"):  # a finished lane divides by 0 and gets q = 0
+            while live := np.count_nonzero(divisor):
                 lanes += live
-                np.floor_divide(dst[0], src[0], out=qn)
-                np.multiply(qn, src, out=tn)
-                np.subtract(dst, tn, out=dst)
-                dst, src = src, dst
-        np.copyto(tn, st[2:])  # g and u: the remainder that is not 0, and its cofactor
-        np.copyto(tn, st[:2], where=st[0] != 0)
-        g, J = tn
+                np.divmod(dividend, divisor, out=(q, dividend))
+                q *= s_divisor
+                s_dividend -= q
+                dividend, s_dividend, divisor, s_divisor = divisor, s_divisor, dividend, s_dividend
+        np.maximum(np.abs(s_a, out=a), np.abs(s_b, out=b), out=q)  # m/g
+        J = s_a
+        J += s_b  # u mod m/g
         J *= r
-        J %= np.floor_divide(m, g, out=qn)
-        J *= g
-        x = st[0]  # free once the lanes are done
+        J %= q
+        J *= np.floor_divide(m, q, out=q)  # g
+        x = a  # free once the lanes are done
         x[:] = np.arange(lo, lo + n, dtype=dtype)
         yield x, J
     if counter is not None and m > 1:

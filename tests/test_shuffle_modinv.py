@@ -6,12 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shuffleworks.network import build_network
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.shuffle_bitrev import ShuffleSpec
 from shuffleworks.shuffle_modinv import (
+    _ROW_BYTES,
     _SWAP_BATCH,
     OpCounter,
     _j_chunks,
@@ -221,8 +222,7 @@ def _scalar_round(r, spec, last=None):
     return [(x, j) for x in xs if x < (j := j_map(r, x, spec, counter))], counter
 
 
-# (N, k) with N - 2 interior positions just below, at and above one and two
-# full 256-lane chunks
+# (N, k) with N - 2 interior positions just below, at and above 256 and 512
 LANE_EDGES = [(257, 257), (258, 3), (259, 7), (513, 3), (514, 2), (515, 5)]
 
 
@@ -239,7 +239,7 @@ def test_lane_pairs_and_counts_equal_the_scalar_reference():
 
 
 # N = k*M whose lanes, which run 1..m//2, end just below, at and just past
-# one and two full 256-lane chunks, with m = N - 1 odd and even
+# one and two full batches of _SWAP_BATCH (256) pairs, with m = N - 1 odd and even
 MIRROR_EDGES = [
     (N, k) for k in (2, 3, 5, 7) for N in range(k, 1100, k) if (N - 1) // 2 in (255, 256, 257, 511, 512, 513)
 ]
@@ -283,21 +283,28 @@ def test_mirror_edges_match_the_oracle_and_the_scalar_counts(N, k, kind, tmp_pat
     assert counter == scalar
 
 
-# N = k*M whose int32 lanes, 512 to a chunk, end just below, at and just
-# past two full chunks, with m = N - 1 odd and even
-WIDE_EDGES = [(N, k) for k in (2, 3, 5, 7) for N in range(k, 2100, k) if (N - 1) // 2 in (1023, 1024, 1025)]
+# int32 and int64 lanes to a chunk
+W32, W64 = _ROW_BYTES // 4, _ROW_BYTES // 8
+# the int32 chunk widths of lanes 1..m//2, for m//2 just below, at and just
+# past one and two full chunks
+WIDE_WIDTHS = {
+    W32 - 1: (W32 - 1,), W32: (W32,), W32 + 1: (W32, 1),
+    2 * W32 - 1: (W32, W32 - 1), 2 * W32: (W32, W32), 2 * W32 + 1: (W32, W32, 1),
+}
+# N = k*M whose int32 lanes end at those edges, with m = N - 1 odd and even
+WIDE_EDGES = [(N, k) for k in (2, 3, 5, 7) for N in range(k, 4 * W32 + 5, k) if (N - 1) // 2 in WIDE_WIDTHS]
 
 
 def test_wide_edges_take_both_parities_of_m():
     assert {(N - 1) % 2 for N, _ in WIDE_EDGES} == {0, 1}
-    assert {(N - 1) // 2 for N, _ in WIDE_EDGES} == {1023, 1024, 1025}
+    assert {(N - 1) // 2 for N, _ in WIDE_EDGES} == set(WIDE_WIDTHS)
 
 
 @pytest.mark.parametrize("kind", ["uint64", "void", "memmap", "list"])
 @pytest.mark.parametrize("N, k", WIDE_EDGES)
 def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_path):
     spec, scalar = ShuffleSpec.for_length(N, k), OpCounter(rounds=2)
-    widths = {1023: (512, 511), 1024: (512, 512), 1025: (512, 512, 1)}[spec.m // 2]
+    widths = WIDE_WIDTHS[spec.m // 2]
     assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, 1, None)] == [(w, np.dtype(np.int32)) for w in widths]
     for r in (1, k):
         counter = OpCounter()
@@ -330,6 +337,36 @@ def test_modinv_chunks_hold_the_pairs_of_modinv_pairs(N, k):
         assert (i < j).all(), (N, k, r)
         assert len(np.unique(np.concatenate((i, j)))) == 2 * len(i), (N, k, r)
         assert set(zip(i.tolist(), j.tolist())) == set(modinv_pairs(r, spec)), (N, k, r)
+
+
+def _smooth(m):
+    """True when m has no prime factor above 13."""
+    for p in (2, 3, 5, 7, 11, 13):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+# per k, N = k*M whose lanes 1..m//2 span up to about five int32 chunks and
+# whose m = N - 1 is 13-smooth, so that many lanes end with g = gcd(x, m) > 1
+SMOOTH_LENGTHS = {k: [N for N in range(2 * k, 10 * W32 + 3, k) if _smooth(N - 1)] for k in range(2, 8)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(SMOOTH_LENGTHS[k]))))
+@example((3, 6273))  # m = 2**7 * 7**2; x = m/2 has m/g = 2, and lanes 1..3136 fill 4.9 chunks
+@example((7, 5761))  # m = 2**7 * 3**2 * 5; every divisor of m up to m/2 is a lane's g
+def test_cofactor_read_back_on_smooth_moduli(case):
+    # finished lanes lose their remainders and give g and J from their
+    # cofactors alone; on every lane the pairs and counts are ext_gcd's
+    k, N = case
+    spec = ShuffleSpec.for_length(N, k)
+    for r in (1, k):
+        counter = OpCounter()
+        got = list(modinv_pairs(r, spec, counter))
+        want, scalar = _scalar_round(r, spec)
+        assert got == want, (N, k, r)
+        assert counter == scalar, (N, k, r)
 
 
 def _steps(x, m):
@@ -376,12 +413,12 @@ def test_lanes_are_exact_up_to_the_int64_guard(k):
 @pytest.mark.parametrize("k", [3, 7])
 def test_lanes_are_exact_at_the_int32_boundary(k):
     # The largest N with k*(N-1) < 2**31 runs int32 lanes at full magnitude,
-    # 512 to a chunk; the next multiple of k runs int64 lanes, 256 to a chunk.
+    # W32 to a chunk; the next multiple of k runs int64 lanes, W64 to a chunk.
     # Either way the first chunk's partners equal Python's exact integers.
     N = ((1 << 31) - 1) // k + 1
     N -= N % k
     assert k * (N - 1) < 1 << 31 <= k * (N + k - 1)
-    for N, dtype, width in ((N, np.int32, 512), (N + k, np.int64, 256)):
+    for N, dtype, width in ((N, np.int32, W32), (N + k, np.int64, W64)):
         spec = ShuffleSpec.for_length(N, k)
         x, _ = next(_j_chunks(spec, 1, None))
         assert (x.dtype, len(x)) == (dtype, width), N
@@ -404,12 +441,12 @@ def test_lane_scratch_does_not_grow_with_n():
         tracemalloc.stop()
     for array in arrays:
         assert (array == np.arange(len(array), dtype=np.uint64).reshape(3, -1).T.ravel()).all()
-    # the (4, 256) lane state, its temporaries and one chunk of records in flight
+    # the five lane rows of _ROW_BYTES (12.5 KiB), their temporaries and one chunk of records in flight
     assert max(peaks) < 32 << 10, peaks
 
 
 def test_swap_count_holds_one_chunk_at_a_time():
-    # the lane state (14 KiB), its temporaries and one chunk of index arrays: each chunk is dropped before the
+    # the lane state (12.5 KiB), its temporaries and one chunk of index arrays: each chunk is dropped before the
     # next is made; holding the previous one too peaked at 28.0 KB on 3*12001
     swap_count_modinv(3 * 1001, 3)  # one-time allocations happen outside the measure
     peaks = []
