@@ -18,19 +18,20 @@ perm_core.swap_chunks, and build_network stacks the same chunks into a
 network round's rows.  Lengths that are not powers of k are handled for
 k=2 by rotating power-of-two segment pairs into adjacency and shuffling
 each aligned block.  A rotation trades blocks forward a chunk at a time
-until one side fits in a chunk, then slides the other side over it, so
-it holds at most two chunks.
+until one side fits in a chunk, then slides the other side over it, so a
+step's scratch fits _CHUNK_BYTES.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
 split into (hi, mid, lo), and a round becomes swaps of small k**b x k**b
 tiles between mid and its reversal, each tile digit-reversed on both axes
-and transposed.  A step gathers one side's tiles with their rows (runs of
-k**b contiguous elements) in reversed order and scatters the transposed
-gather into the partner's reversed rows: an element is read and written
-once a round.  Tile pairs go a fixed number of bytes at a time, and mid
-values pair with their reversals a chunk of _reversals at a time, so the
-scratch memory of a round does not grow with N.  The route
+and transposed.  A step gathers both sides of its tile pairs with their
+rows (runs of k**b contiguous elements) in reversed order, in one fancy
+index, and scatters the transposed gather into the partners' reversed
+rows: an element is read and written once a round.  Tile pairs go
+_CHUNK_BYTES of both sides at a time, and mid values pair with their
+reversals a chunk of _reversals at a time, so the scratch memory of a
+round does not grow with N.  The route
 produces the same permutation as the scalar loop and reports the same
 swap count, from its closed form.
 """
@@ -155,8 +156,8 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
 # and fewer for records so large that a chunk holds fewer.  _reversals yields
 # aligned chunks of at most this many positions, and so of mid values.
 _TILE_ELEMS = 1 << 12
-# Bytes gathered from one side of the tile pairs per step; the step's scratch
-# is a few times this, independent of the array length.
+# Bytes a step holds: both sides of a tiled round's tile pairs, or a k=2
+# rotation's chunks.  A step's scratch is about this, whatever the length.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -190,16 +191,15 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     x = array.view(np.ndarray).reshape(blocks, kb, n_mids, kb).transpose(0, 2, 1, 3)
     for mids, revs in _reversals(k, t - 2 * b, n_mids):
         keep = mids <= revs
-        mids, revs = mids[keep], revs[keep]  # drops the unfiltered chunk
-        mids_per_step = max(1, min(mids.size, step // (kb * kb)))
-        blocks_per_step = max(1, step // (kb * kb * mids_per_step))
+        pairs = np.stack((mids[keep], revs[keep]), axis=1)[:, :, None]  # (mid, rev mid) rows
+        del mids, revs, keep  # drops the unfiltered chunk
+        mids_per_step = max(1, min(len(pairs), step // (2 * kb * kb)))
+        blocks_per_step = max(1, step // (2 * kb * kb * mids_per_step))
         for h in range(0, blocks, blocks_per_step):
             xs = x[h:h + blocks_per_step]
-            for c in range(0, mids.size, mids_per_step):
-                mine, theirs = mids[c:c + mids_per_step, None], revs[c:c + mids_per_step, None]
-                here = xs[:, mine, revb]
-                xs[:, mine, revb] = xs[:, theirs, revb].swapaxes(-1, -2)
-                xs[:, theirs, revb] = here.swapaxes(-1, -2)
+            for c in range(0, len(pairs), mids_per_step):
+                rows = pairs[c:c + mids_per_step]
+                xs[:, rows[:, ::-1], revb] = xs[:, rows, revb].swapaxes(-1, -2)
     return _round_swaps(spec, t)
 
 
@@ -285,15 +285,16 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
 
     Returns the number of elements displaced (length, or 0 for the trivial
     shifts 0 and length).  The window [A B], A the first shift elements,
-    becomes [B A].  While both sides are longer than a chunk (_CHUNK_BYTES
-    of elements), the shorter side trades places, a chunk at a time, with
-    the end of the longer side next to it, which puts that end in its
-    final place (Gries and Mills).  Once a side fits in a chunk it is
-    copied out, the other side slides over its place a chunk at a time,
-    and the copy goes in behind; swapping on down to the last element would
-    take a step per shift, like subtractive Euclid.  At most two chunks are
-    in flight, whatever the window, and no copy runs backwards: numpy moves
-    a reversed void record one at a time.
+    becomes [B A].  While both sides are longer than a chunk, the shorter
+    side trades places, a chunk at a time, with the end of the longer side
+    next to it, which puts that end in its final place (Gries and Mills).
+    Once a side fits in a chunk it is copied out, the other side slides
+    over its place a chunk at a time, and the copy goes in behind; swapping
+    on down to the last element would take a step per shift, like
+    subtractive Euclid.  A step holds one _CHUNK_BYTES, whatever the window:
+    an ndarray's copied-out chunk (numpy moves overlapping slices in place),
+    or three lists of a list chunk's pointers.  No copy runs backwards:
+    numpy moves a reversed void record one at a time.
     """
     if length < 0 or start < 0 or start + length > len(array):
         raise ValueError("window out of range")
@@ -303,8 +304,8 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
         return 0
     if isinstance(array, np.ndarray):
         chunk, held = max(1, _CHUNK_BYTES // array.itemsize), np.ndarray.copy
-    else:  # list slots are 8-byte pointers, and a list slice is already a copy
-        chunk, held = _CHUNK_BYTES // 8, lambda part: part
+    else:  # the copy, the right-hand slice and the replaced items; a slice is already a copy
+        chunk, held = max(1, _CHUNK_BYTES // 24), lambda part: part
     lo, mid, hi = start, start + shift, start + length
     while (n := min(mid - lo, hi - mid)) > chunk:
         for p in range(mid - n, mid, chunk):  # [mid - n, mid) trades places with [mid, mid + n)
@@ -312,6 +313,7 @@ def rotate_left(array, start: int, length: int, shift: int) -> int:
             part = held(array[p:p + c])
             array[p:p + c] = array[p + n:p + n + c]
             array[p + n:p + n + c] = part
+            del part  # else it is still held while the next chunk is copied out
         if n == mid - lo:  # the start of B is in place, and A follows it
             lo, mid = mid, mid + n
         else:  # the end of A is in place, and B precedes it
