@@ -30,7 +30,6 @@ from .perm_core import (
 from .shuffle_bitrev import (
     RotationPlan,
     ShuffleSpec,
-    revswap_pairs,
     rotate_left,
     rotation_cost,
     rotation_plan,
@@ -42,7 +41,6 @@ from .shuffle_bitrev import (
 from .shuffle_modinv import (
     ext_gcd,
     j_map,
-    modinv_pairs,
     shuffle_modinv,
     swap_count_modinv,
 )
@@ -68,12 +66,10 @@ __all__ = [
     "inshuffle_permutation",
     "is_involution",
     "j_map",
-    "modinv_pairs",
     "network_permutation",
     "oracle_apply",
     "oracle_shuffle",
     "parse_text",
-    "revswap_pairs",
     "revswap_round",
     "rotate_left",
     "rotation_cost",

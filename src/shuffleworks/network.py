@@ -44,8 +44,8 @@ class SwapNetwork:
     """Rounds of disjoint swaps on n_positions positions, round 0 first.
 
     Each round is an (n, 2) intp array of rows (i, j); any other sequence
-    of pairs given for a round, such as Involution.transpositions, is made
-    into one here.  Networks are equal when their sizes, labels and rows are.
+    of pairs given for a round is made into one here.  Networks are equal
+    when their sizes, labels and rows are.
     """
 
     n_positions: int

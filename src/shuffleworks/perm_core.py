@@ -56,33 +56,15 @@ class Permutation:
 
 
 class Involution(Permutation):
-    """A self-inverse permutation.
+    """A self-inverse permutation, held as its map like any other.
 
-    The map is the single source of truth; the transposition view is
-    derived from it on each read.
+    network._involution_rows reads its transpositions off the map.
     """
 
     def __init__(self, map_: Iterable[int], check: bool = True):
         super().__init__(map_, check=check)
         if check and not is_involution(self):
             raise ValueError("map is not self-inverse")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Involution":
-        """Build the involution with the given transpositions on n points."""
-        m = list(range(n))
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("pair (%d %d) out of range 0..%d" % (i, j, n - 1))
-            if i == j or m[i] != i or m[j] != j:
-                raise ValueError("position reused by pair (%d %d)" % (i, j))
-            m[i], m[j] = j, i
-        return cls(m, check=False)
-
-    @property
-    def transpositions(self) -> tuple[tuple[int, int], ...]:
-        """Swapped pairs (i, j) with i < j, in increasing order of i."""
-        return tuple((i, v) for i, v in enumerate(self.map) if i < v)
 
 
 def cycle_decompose(p: Permutation) -> tuple[tuple[int, ...], ...]:

@@ -82,12 +82,6 @@ class ShuffleSpec:
         return self.N - 1
 
 
-def _check_ruler(ruler: str | None, k: int) -> None:
-    """Refuse a ruler other than None, "counter", or "popcnt" with k=2; none of them changes a result."""
-    if ruler not in (None, "counter", "popcnt") or ruler == "popcnt" and k != 2:
-        raise ValueError("ruler must be None, 'counter' or, for k=2, 'popcnt'")
-
-
 def _reversals(k: int, t: int, N: int, base: int = 0):
     """Yield (base + i, base + rev(i)) over i in 0..N-1, N a power of k, as index arrays.
 
@@ -112,25 +106,14 @@ def _reversals(k: int, t: int, N: int, base: int = 0):
 def _revswap_chunks(t: int, spec: ShuffleSpec, base: int = 0):
     """Yield the swaps (base + i, base + rev(i)), i < rev(i), of one round as index arrays.
 
-    Each chunk of _reversals yields its pairs, i ascending.  Arguments are
-    checked when iteration starts.
+    Each chunk of _reversals yields its pairs, i ascending.  The caller
+    passes a power-of-k spec and 0 <= t <= spec.n.
     """
-    if spec.n is None:
-        raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
-    if not 0 <= t <= spec.n:
-        raise ValueError("digit count %d out of range" % t)
     if t <= 1:
         return  # reversing one digit or none moves nothing
     for i, j in _reversals(spec.k, t, spec.N, base):
         keep = i < j
         yield i[keep], j[keep]
-
-
-def revswap_pairs(t: int, spec: ShuffleSpec, base: int = 0, ruler: str | None = None):
-    """The pairs of _revswap_chunks as tuples, i ascending; ruler is checked too, and changes nothing."""
-    _check_ruler(ruler, spec.k)
-    for i, j in _revswap_chunks(t, spec, base):
-        yield from zip(i.tolist(), j.tolist())
 
 
 def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
@@ -145,6 +128,8 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
     """
     if spec.n is None:
         raise ValueError("N=%d is not a power of k=%d" % (spec.N, spec.k))
+    if not 0 <= t <= spec.n:
+        raise ValueError("digit count %d out of range" % t)
     if len(array) != spec.N:
         raise ValueError("array length %d != N=%d" % (len(array), spec.N))
     if isinstance(array, np.ndarray):
@@ -153,8 +138,9 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
 
 
 # Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
-# and fewer for records so large that a chunk holds fewer.  _reversals yields
-# aligned chunks of at most this many positions, and so of mid values.
+# and at most half a step, so that a tile pair fits in one step even for 64 B
+# records and up.  _reversals yields aligned chunks of at most this many
+# positions, and so of mid values.
 _TILE_ELEMS = 1 << 12
 # Bytes a step holds: both sides of a tiled round's tile pairs, or a k=2
 # rotation's chunks.  A step's scratch is about this, whatever the length.
@@ -168,8 +154,6 @@ def _check_layout(array) -> None:
 
 
 def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
-    if not 0 <= t <= spec.n:
-        raise ValueError("digit count %d out of range" % t)
     _check_layout(array)
     if t <= 1:
         return 0
@@ -182,7 +166,7 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     # out[i, j] = tile[rev j, rev i], that is out[rev i] = tile[rev].T[i].
     step = max(1, _CHUNK_BYTES // array.itemsize)
     b = 1
-    while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step):
+    while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step // 2):
         b += 1
     kb = k ** b
     revb = np.concatenate([revs for _, revs in _reversals(k, b, kb)])
@@ -347,7 +331,8 @@ def shuffle_general_k2(array, ruler: str | None = None) -> OpCounter:
     N = len(array)
     if N % 2:
         raise ValueError("the two-way in-shuffle needs an even length")
-    _check_ruler(ruler, 2)
+    if ruler not in (None, "counter", "popcnt"):
+        raise ValueError("ruler must be None, 'counter' or 'popcnt'")
     _check_layout(array)
     report = OpCounter(rounds=2)
     if N == 0:

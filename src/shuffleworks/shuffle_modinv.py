@@ -26,8 +26,8 @@ taken: for x < m/2, ext_gcd(m-x, m) takes one step more than
 ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
 _modinv_chunks gives a lane chunk's pairs, then its mirrors', as index
 arrays of at most 256 pairs for perm_core.swap_chunks, on every container;
-_modinv_chunks_ascending gives them x-sorted for networks and modinv_pairs,
-holding a round's mirrors to its end.
+_modinv_chunks_ascending gives them x-sorted for networks, holding a
+round's mirrors to its end.
 """
 
 from __future__ import annotations
@@ -166,16 +166,6 @@ def _modinv_chunks_ascending(r: int, spec: ShuffleSpec, counter: OpCounter | Non
         else:
             yield i, j
     yield from reversed(mirrors)
-
-
-def modinv_pairs(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
-    """Yield the swaps (x, J_r(x)), x < J_r(x), of one round on N = k*M positions, x ascending.
-
-    Positions 0 and N-1 are never paired; r is 1 or k, coprime to m = N - 1.
-    The tuples of _modinv_chunks_ascending.
-    """
-    for i, j in _modinv_chunks_ascending(r, spec, counter):
-        yield from zip(i.tolist(), j.tolist())
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter:

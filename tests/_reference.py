@@ -1,7 +1,9 @@
 """Position-by-position references that the tests compare the library against.
 
 rev_digits recomputes a digit reversal from scratch, one position at a
-time, the check on the chunked offset table that revswap_pairs reads,
+time, the check on the chunked offset table that _revswap_chunks reads;
+chunk_pairs turns a round's index chunks, from _revswap_chunks or
+_modinv_chunks_ascending, into the (i, j) tuples that the tests compare;
 and emit_text_per_pair renders a network one swap at a time, the check
 on emit_text's digit renderer.  parse_cycle_notation reads the cycle
 strings that cycle_notation and the factor command print.
@@ -32,6 +34,12 @@ def rev_digits(i: int, t: int, spec: ShuffleSpec) -> int:
         low, digit = divmod(low, k)
         rev = rev * k + digit
     return head * spec.powers[t] + rev
+
+
+def chunk_pairs(chunks):
+    """Yield the pairs of a round's (i, j) index-array chunks as int tuples, in order."""
+    for i, j in chunks:
+        yield from zip(i.tolist(), j.tolist())
 
 
 def emit_text_per_pair(net) -> str:
@@ -99,20 +107,19 @@ def enumerate_involutions(n: int):
     if n > 9:
         raise ValueError("n > 9 is too large for exhaustive enumeration")
 
-    def match(free: tuple[int, ...]):
+    def match(free: tuple[int, ...], m: list[int]):
         if not free:
-            yield ()
+            yield Involution(m, check=False)
             return
         x = free[0]
-        for rest in match(free[1:]):
-            yield rest
+        yield from match(free[1:], m)
         for pos in range(1, len(free)):
             y = free[pos]
-            for rest in match(free[1:pos] + free[pos + 1:]):
-                yield ((x, y),) + rest
+            m[x], m[y] = y, x
+            yield from match(free[1:pos] + free[pos + 1:], m)
+            m[x], m[y] = x, y
 
-    for pairs in match(tuple(range(n))):
-        yield Involution.from_pairs(n, pairs)
+    yield from match(tuple(range(n)), list(range(n)))
 
 
 def brute_force_factorizations(p: Permutation) -> list[InvolutionPair]:

@@ -18,7 +18,7 @@ import pytest
 from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import build_network, network_permutation
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
-from shuffleworks.perm_core import Involution, OpCounter, Permutation
+from shuffleworks.perm_core import OpCounter, Permutation
 from shuffleworks.shuffle_bitrev import (
     ShuffleSpec,
     revswap_round,
@@ -186,7 +186,7 @@ def test_criterion_05_mirror_pairing_golden_tables(check):
             for k, line in enumerate(lines):
                 want_pairs, want_fixed = _parse_pairing(line)
                 inv = factor_permutation(Permutation([(i + 1) % n for i in range(n)]), k).s
-                if set(inv.transpositions) != want_pairs:
+                if {(i, v) for i, v in enumerate(inv.map) if i < v} != want_pairs:
                     problems.append("n=%d axis=%d pairs differ" % (n, k))
                 if {i for i, v in enumerate(inv.map) if i == v} != want_fixed:
                     problems.append("n=%d axis=%d fixed points differ" % (n, k))
@@ -362,9 +362,7 @@ def test_criterion_12_network_integrity(check):
         for method, spec in specs:
             net = build_network(method, spec)
             for r, round_ in enumerate(net.rounds):
-                try:
-                    Involution.from_pairs(spec.N, round_)
-                except ValueError:
+                if (np.bincount(round_.ravel()) > 1).any():
                     problems.append("%s N=%d round %d overlaps" % (method, spec.N, r))
             if network_permutation(net) != inshuffle_permutation(spec.N, spec.k):
                 problems.append("%s N=%d wrong permutation" % (method, spec.N))

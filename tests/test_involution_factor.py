@@ -9,6 +9,7 @@ from shuffleworks.involution_factor import (
     InvolutionPair,
     factor_permutation,
 )
+from shuffleworks.network import _involution_rows
 from shuffleworks.oracle import oracle_apply
 from shuffleworks.perm_core import Permutation, cycle_decompose, is_involution
 
@@ -28,12 +29,12 @@ def test_shift_factors_are_involutions_on_every_axis():
 
 def test_shift_factors_pair_mirror_about_the_axis():
     inv = factor_permutation(cyclic_shift(13), 0).s
-    assert inv.transpositions == (
-        (1, 12), (2, 11), (3, 10), (4, 9), (5, 8), (6, 7))
+    assert _involution_rows(inv).tolist() == [
+        [1, 12], [2, 11], [3, 10], [4, 9], [5, 8], [6, 7]]
     assert [i for i, v in enumerate(inv.map) if i == v] == [0]
     inv = factor_permutation(cyclic_shift(14), 3).s
-    assert inv.transpositions == (
-        (0, 3), (1, 2), (4, 13), (5, 12), (6, 11), (7, 10), (8, 9))
+    assert _involution_rows(inv).tolist() == [
+        [0, 3], [1, 2], [4, 13], [5, 12], [6, 11], [7, 10], [8, 9]]
     assert [i for i, v in enumerate(inv.map) if i == v] == []
 
 
@@ -105,7 +106,7 @@ def test_factor_permutation_random_large():
         assert compose(pair.s, pair.t) == p
         # the factors only touch positions inside each cycle of p
         arr = list(range(n))
-        for i, j in pair.t.transpositions + pair.s.transpositions:
+        for i, j in _involution_rows(pair.t).tolist() + _involution_rows(pair.s).tolist():
             arr[i], arr[j] = arr[j], arr[i]
         assert arr == oracle_apply(p, list(range(n)))
 
@@ -114,7 +115,7 @@ def test_factor_permutation_keeps_cycles_independent():
     p = Permutation([1, 2, 0, 4, 3, 5])
     pair = factor_permutation(p)
     cycles = {frozenset(c) for c in cycle_decompose(p)}
-    for i, j in pair.s.transpositions + pair.t.transpositions:
+    for i, j in _involution_rows(pair.s).tolist() + _involution_rows(pair.t).tolist():
         assert any(i in c and j in c for c in cycles)
 
 

@@ -67,7 +67,7 @@ def test_exports_are_unique_and_are_what_init_imports():
 
 def test_readme_library_surface_names_resolve():
     names = _surface_names()
-    assert {"ext_gcd", "j_map", "Involution.from_pairs", "open_records_inplace"} <= set(names)
+    assert {"ext_gcd", "j_map", "Involution", "open_records_inplace"} <= set(names)
     assert [name for name in names if not _resolve(name)] == []
 
 

@@ -363,12 +363,14 @@ def test_shuffle_power_scratch_is_bounded(n, size):
 
 
 @pytest.mark.parametrize("k, n, dtype", [(2, 18, "uint64"), (2, 22, "uint64"), (2, 20, "V12"), (2, 20, "uint8"),
-                                         (3, 12, "V3")])
+                                         (3, 12, "V3"), (2, 16, "V64"), (2, 13, "V1024")])
 def test_shuffle_power_scratch_is_a_few_chunks(k, n, dtype):
     # a step gathers both sides of its tile pairs, _CHUNK_BYTES in all, in one
-    # fancy index and scatters that gather; the mid pairs and index tables add a little
+    # fancy index and scatters that gather; the mid pairs and index tables add a
+    # little.  For 64 B and 1 KiB records a tile is at most half a step.
     spec = ShuffleSpec.for_length(k ** n, k)
-    array = np.zeros(spec.N, dtype=dtype)
+    array = np.random.default_rng(n).integers(0, 256, spec.N * np.dtype(dtype).itemsize, np.uint8).view(dtype)
+    want = oracle_shuffle(array.copy(), k)
     tracemalloc.start()
     try:
         assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
@@ -376,6 +378,7 @@ def test_shuffle_power_scratch_is_a_few_chunks(k, n, dtype):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * _CHUNK_BYTES, peak
+    assert np.array_equal(array, want)
     assert tuple(revswap_round(array, t, spec) for t in (spec.n - 1, spec.n)) == swap_counts(spec)
 
 

@@ -12,7 +12,6 @@ from shuffleworks.perm_core import OpCounter
 from shuffleworks.shuffle_bitrev import (
     RotationPlan,
     ShuffleSpec,
-    revswap_pairs,
     revswap_round,
     rotate_left,
     rotation_cost,
@@ -22,7 +21,7 @@ from shuffleworks.shuffle_bitrev import (
     swap_counts,
 )
 
-from _reference import rev_digits
+from _reference import chunk_pairs, rev_digits
 
 
 def test_spec_for_length():
@@ -94,35 +93,27 @@ def test_rev_digits_range_checks():
         rev_digits(0, 2, ShuffleSpec.for_length(12, 2))
 
 
-def test_revswap_pairs_match_rev_digits():
-    # the chunked reversals match recomputation from scratch, under every
-    # ruler, for every digit count and block offset
+def _check_pairs(spec, t):
+    # the round's chunks, concatenated, are its pairs recomputed from
+    # scratch, in order, at block offset 0 and 5
+    want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
+    assert list(chunk_pairs(shuffle_bitrev._revswap_chunks(t, spec))) == want, (spec.k, spec.n, t)
+    shifted = [(i + 5, j + 5) for i, j in want]
+    assert list(chunk_pairs(shuffle_bitrev._revswap_chunks(t, spec, 5))) == shifted, (spec.k, spec.n, t)
+
+
+def test_revswap_chunks_match_rev_digits():
+    # every digit count and block offset
     for k in (2, 3, 4, 5):
-        rulers = (None, "counter", "popcnt") if k == 2 else (None, "counter")
         n = 1
         while k ** n <= 2 ** 10:
-            spec = ShuffleSpec.for_length(k ** n, k)
             for t in range(n + 1):
-                want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
-                for ruler in rulers:
-                    assert list(revswap_pairs(t, spec, ruler=ruler)) == want, (k, n, t, ruler)
-                shifted = [(i + 5, j + 5) for i, j in want]
-                assert list(revswap_pairs(t, spec, base=5)) == shifted, (k, n, t)
+                _check_pairs(ShuffleSpec.for_length(k ** n, k), t)
             n += 1
 
 
-def _check_pairs(spec, t):
-    want = [(i, j) for i in range(spec.N) if (j := rev_digits(i, t, spec)) > i]
-    assert list(revswap_pairs(t, spec)) == want, (spec.k, spec.n, t)
-    shifted = [(i + 5, j + 5) for i, j in want]
-    assert list(revswap_pairs(t, spec, base=5)) == shifted, (spec.k, spec.n, t)
-    # the index chunks, concatenated, are the same pairs in the same order
-    chunks = list(shuffle_bitrev._revswap_chunks(t, spec, 5))
-    assert [p for i, j in chunks for p in zip(i.tolist(), j.tolist())] == shifted, (spec.k, spec.n, t)
-
-
 @pytest.mark.parametrize("chunk_digits", [1, 2])
-def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
+def test_revswap_chunks_across_chunk_edges(monkeypatch, chunk_digits):
     # chunks of k or k**2 positions, so every size but the smallest crosses
     # chunk edges, and chunk starts take every digit above the chunk
     for k in (2, 3, 4, 5, 6, 7):
@@ -134,7 +125,7 @@ def test_revswap_pairs_across_chunk_edges(monkeypatch, chunk_digits):
             n += 1
 
 
-def test_revswap_pairs_over_several_real_chunks():
+def test_revswap_chunks_over_several_real_chunks():
     for k, n in ((2, 14), (3, 9), (4, 7), (5, 6), (6, 6), (7, 5)):
         spec = ShuffleSpec.for_length(k ** n, k)
         assert spec.N > 2 * shuffle_bitrev._TILE_ELEMS
@@ -142,14 +133,14 @@ def test_revswap_pairs_over_several_real_chunks():
             _check_pairs(spec, t)
 
 
-def test_revswap_pairs_scratch_does_not_grow_with_n():
+def test_revswap_chunks_scratch_does_not_grow_with_n():
     # draining a round holds a chunk's table and pairs, not the round:
     # the last round of 2**20 positions holds 524 288 - 512 pairs
     for n in (16, 20):
         spec = ShuffleSpec.for_length(2 ** n, 2)
         tracemalloc.start()
         try:
-            collections.deque(revswap_pairs(n, spec), maxlen=0)
+            collections.deque(shuffle_bitrev._revswap_chunks(n, spec), maxlen=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -179,7 +170,17 @@ def test_revswap_round_validation():
     with pytest.raises(ValueError, match="digit count 3 out of range"):
         revswap_round(np.arange(4), 3, spec)
     with pytest.raises(ValueError, match="N=12 is not a power of k=2"):
-        list(revswap_pairs(1, ShuffleSpec.for_length(12, 2)))
+        revswap_round(list(range(12)), 1, ShuffleSpec.for_length(12, 2))
+
+
+@pytest.mark.parametrize("t", [-1, 4])
+@pytest.mark.parametrize("kind", ["list", "uint64"])
+def test_revswap_round_refuses_a_bad_digit_count_before_anything_moves(kind, t):
+    spec = binary_spec(3)
+    array = list(range(8)) if kind == "list" else np.arange(8, dtype=np.uint64)
+    with pytest.raises(ValueError, match="digit count %d out of range" % t):
+        revswap_round(array, t, spec)
+    assert list(array) == list(range(8)), kind
 
 
 def test_shuffle_power_three_cubed():
@@ -240,12 +241,8 @@ def test_ruler_modes_agree():
             assert arr == want, (N, mode)
 
 
-def test_popcnt_ruler_is_binary_only():
-    with pytest.raises(ValueError):
-        list(revswap_pairs(2, ShuffleSpec.for_length(9, 3), ruler="popcnt"))
-    with pytest.raises(ValueError):
-        list(revswap_pairs(2, binary_spec(2), ruler="bogus"))
-    # refused before the first rotation, on either container
+def test_unknown_ruler_is_refused_before_anything_moves():
+    # on either container
     for array in (list(range(12)), np.arange(12)):
         with pytest.raises(ValueError, match="ruler"):
             shuffle_general_k2(array, ruler="bogus")

@@ -17,12 +17,14 @@ from shuffleworks.shuffle_modinv import (
     OpCounter,
     _j_chunks,
     _modinv_chunks,
+    _modinv_chunks_ascending,
     ext_gcd,
     j_map,
-    modinv_pairs,
     shuffle_modinv,
     swap_count_modinv,
 )
+
+from _reference import chunk_pairs
 
 # j_map values for m = 26 (N = 27, k = 3), computed independently by
 # modular arithmetic and frozen here; x = 0 is fixed by definition.
@@ -232,7 +234,7 @@ def test_lane_pairs_and_counts_equal_the_scalar_reference():
         spec = ShuffleSpec.for_length(N, k)
         for r in (1, k):
             counter = OpCounter()
-            got = list(modinv_pairs(r, spec, counter))
+            got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
             want, scalar = _scalar_round(r, spec)
             assert got == want, (N, k, r)
             assert counter == scalar, (N, k, r)
@@ -308,7 +310,7 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
     assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, 1, None)] == [(w, np.dtype(np.int32)) for w in widths]
     for r in (1, k):
         counter = OpCounter()
-        got = list(modinv_pairs(r, spec, counter))
+        got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
         want, work = _scalar_round(r, spec)
         assert (got, counter) == (want, work), r
         scalar.swaps += len(want)
@@ -326,9 +328,9 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
 
 
 @pytest.mark.parametrize("N, k", MIRROR_EDGES + WIDE_EDGES + [(3 * 12_001, 3)])
-def test_modinv_chunks_hold_the_pairs_of_modinv_pairs(N, k):
+def test_modinv_chunks_hold_the_pairs_in_network_order(N, k):
     # per round: disjoint index chunks of at most _SWAP_BATCH pairs, i < j,
-    # whose pairs are modinv_pairs' pairs
+    # whose pairs are those _modinv_chunks_ascending lists
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
         chunks = list(_modinv_chunks(r, spec))
@@ -336,7 +338,7 @@ def test_modinv_chunks_hold_the_pairs_of_modinv_pairs(N, k):
         i, j = (np.concatenate([chunk[side] for chunk in chunks]) for side in (0, 1))
         assert (i < j).all(), (N, k, r)
         assert len(np.unique(np.concatenate((i, j)))) == 2 * len(i), (N, k, r)
-        assert set(zip(i.tolist(), j.tolist())) == set(modinv_pairs(r, spec)), (N, k, r)
+        assert set(zip(i.tolist(), j.tolist())) == set(chunk_pairs(_modinv_chunks_ascending(r, spec))), (N, k, r)
 
 
 def _smooth(m):
@@ -363,7 +365,7 @@ def test_cofactor_read_back_on_smooth_moduli(case):
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
         counter = OpCounter()
-        got = list(modinv_pairs(r, spec, counter))
+        got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
         want, scalar = _scalar_round(r, spec)
         assert got == want, (N, k, r)
         assert counter == scalar, (N, k, r)
@@ -401,12 +403,12 @@ def test_lanes_are_exact_up_to_the_int64_guard(k):
     N -= N % k
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
-        got = list(itertools.takewhile(lambda pair: pair[0] <= 256, modinv_pairs(r, spec)))
+        got = list(itertools.takewhile(lambda pair: pair[0] <= 256, chunk_pairs(_modinv_chunks_ascending(r, spec))))
         assert got == _scalar_round(r, spec, last=256)[0], r
     # one multiple of k further passes the spec check and stops at the guard
     counter = OpCounter()
     with pytest.raises(OverflowError, match="int64"):
-        next(modinv_pairs(1, ShuffleSpec.for_length(N + k, k), counter))
+        next(chunk_pairs(_modinv_chunks_ascending(1, ShuffleSpec.for_length(N + k, k), counter)))
     assert counter == OpCounter()
 
 
@@ -423,7 +425,8 @@ def test_lanes_are_exact_at_the_int32_boundary(k):
         x, _ = next(_j_chunks(spec, 1, None))
         assert (x.dtype, len(x)) == (dtype, width), N
         for r in (1, k):
-            got = list(itertools.takewhile(lambda pair: pair[0] <= width, modinv_pairs(r, spec)))
+            pairs = chunk_pairs(_modinv_chunks_ascending(r, spec))
+            got = list(itertools.takewhile(lambda pair: pair[0] <= width, pairs))
             assert got == _scalar_round(r, spec, last=width)[0], (N, r)
 
 
