@@ -26,7 +26,7 @@ import numpy as np
 
 from . import recordfile
 from .involution_factor import factor_permutation
-from .network import apply_network, build_network, emit_dot, emit_text
+from .network import apply_network, build_network, emit_dot, emit_text, min_swap_bytes
 from .oracle import oracle_apply, oracle_shuffle
 from .perm_core import (
     OpCounter,
@@ -121,6 +121,8 @@ _TOKEN_CHUNK = 1 << 11  # tokens per step of the output gather
 # and then 80, 81, 85, 9A or A0.
 _WIDE_SPACE = np.zeros(0x4000, bool)  # whether a code point is one
 _WIDE_SPACE[[0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+_WIDE_END = np.zeros(0x100, bool)  # whether a byte ends one: 85 or A0 of two bytes; 80-8A, 9F, A8, A9, AF of three
+_WIDE_END[[chr(c).encode()[-1] for c in np.flatnonzero(_WIDE_SPACE)]] = True
 
 
 def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +135,10 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
     them into separators' bytes and tokens' bytes by value.  A byte below
     0x80 is a separator when str.split splits on it; a byte at or above it
     is in a token, unless it is part of a multi-byte separator, which is
-    looked for at the lead bytes it can start with.  UTF-8 is self-
-    synchronising, so that is exact.  The first pass checks a mapped
-    file's non-ASCII chunks strictly.
+    looked for at the lead bytes it can start with, where a second and a
+    last byte it can have follow.  UTF-8 is self-synchronising, so that is
+    exact.  The first pass checks a mapped file's non-ASCII chunks
+    strictly.
     """
     codes, unchecked = _read_codes(path)
 
@@ -164,9 +167,11 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
                 at = np.flatnonzero((chunk == 0xC2) | (chunk - 0xE1 < 3))  # where a separator past U+007F may start
                 second = chunk[at + 1]
                 at = at[(second - 0x80 < 2) | (second == 0x85) | (second == 0x9A) | (second == 0xA0)]
-                lead, second = chunk[at].astype(np.uint16), chunk[at + 1].astype(np.uint16)
-                two = lead == 0xC2
+                two = chunk[at] == 0xC2
                 last = at + 2 - two  # where the character ends
+                ends = _WIDE_END[chunk[last]]  # typographic quotes, E2 80 9C and 9D, stop here, before the decode
+                at, last, two = at[ends], last[ends], two[ends]
+                lead, second = chunk[at].astype(np.uint16), chunk[at + 1].astype(np.uint16)
                 point = np.where(two, second, (lead & 0xF) << 12 | (second & 0x3F) << 6 | chunk[last] & 0x3F)
                 found = _WIDE_SPACE[point]
                 at, last = at[found], last[found]
@@ -319,12 +324,6 @@ def cmd_factor(args) -> int:
     return 0
 
 
-# The least one swap of a network holds: its row of two intp positions and its text " (i j)", 16 + 6 = 22 bytes
-# on a 64-bit build.  Two rounds hold about one swap per position; --exp 20 peaks near 85 MiB resident, 29 MiB of
-# it the interpreter and numpy.
-_SWAP_BYTES = 2 * np.dtype(np.intp).itemsize + len(" (0 1)")
-
-
 def cmd_network(args) -> int:
     if args.perm is not None:
         if (args.exp, args.n, args.k) != (None, None, None):
@@ -348,10 +347,12 @@ def cmd_network(args) -> int:
             raise ArityFailure("N=%d is not a positive multiple of k=%d" % (N, k))
         target = ShuffleSpec.for_length(N, k)
     method = _route(target, args.method, "network")[0]
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if method != "factorization" and target.N * _SWAP_BYTES > memory:  # it cannot be built
-        raise MemoryError("out of memory: a network of N=%d positions holds about N swaps of at least %d bytes, "
-                          "more than the %d bytes of physical memory" % (target.N, _SWAP_BYTES, memory))
+    if method != "factorization":  # one that cannot be built is refused before it is
+        swap_bytes = min_swap_bytes(target.N)  # two rounds hold about one swap per position
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if target.N * swap_bytes > memory:
+            raise MemoryError("out of memory: a network of N=%d positions holds about N swaps of at least %d bytes, "
+                              "more than the %d bytes of physical memory" % (target.N, swap_bytes, memory))
     net = build_network(method, target)
     sys.stdout.write(emit_dot(net) if args.format == "dot" else emit_text(net))
     return 0

@@ -1,15 +1,18 @@
 """Explicit swap networks: rounds of disjoint exchanges, rendered as text or DOT.
 
-A network is a tuple of rounds; each round is one (n, 2) intp array whose
+A network is a tuple of rounds; each round is one (n, 2) array whose
 rows are its swaps (i, j), i < j, no position appearing twice, in the
 order the text lists them, so every round can execute as fully
-independent exchanges.  The shuffle constructions emit two-round
+independent exchanges.  A row holds its positions in the narrowest
+unsigned type narrower than intp that holds N - 1 (row_dtype): uint8
+up to N = 256, uint16 up to 2**16, uint32 up to 2**32 on a 64-bit
+build, intp past that.  The shuffle constructions emit two-round
 networks whose rows are the stacked index chunks of their one pair
 source, _revswap_chunks or _modinv_chunks_ascending; factoring an
-arbitrary permutation gives two rounds too, read off the maps of its
-two involutions.  apply_network runs a round as one
-perm_core.swap_chunks call, and emit_text renders it _ROWS rows at a
-time as ASCII digits, making no Python int per position.
+arbitrary permutation gives two rounds too, read off the maps of its two
+involutions.  apply_network runs a round as one perm_core.swap_chunks
+call, and emit_text renders it _ROWS rows at a time as ASCII digits,
+making no Python int per position.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .involution_factor import factor_permutation
 from .perm_core import Involution, Permutation, swap_chunks
-from .shuffle_bitrev import ShuffleSpec, _revswap_chunks
+from .shuffle_bitrev import ShuffleSpec, _revswap_chunks, row_dtype
 from .shuffle_modinv import _modinv_chunks_ascending
 
 TEXT_FORMAT_LINE = "# shuffleworks-net v1"
@@ -29,23 +32,37 @@ _SWAP = re.compile(r"\(\s*([0-9]+)\s+([0-9]+)")  # one swap up to its ")": two u
 _ROWS = 1 << 12  # rows that emit_text renders, and apply_network swaps, in one step
 
 
-def _rows(round_) -> np.ndarray:
-    """A round as an (n, 2) intp array of its rows (i, j): from such an array, or any sequence of pairs."""
-    rows = np.asarray(round_, dtype=np.intp)
+def min_swap_bytes(n_positions: int) -> int:
+    """The least one swap of a network on n_positions positions holds: its row and its text " (i j)"."""
+    return 2 * row_dtype(n_positions).itemsize + len(" (0 1)")
+
+
+def _rows(round_, n_positions: int) -> np.ndarray:
+    """A round as an (n, 2) array of its rows (i, j), in row_dtype(n_positions): from any sequence of pairs.
+
+    An array already in that type is kept as it is.  Raises ValueError for a
+    position outside 0..n_positions-1, which that type may not hold.
+    """
+    rows = np.asarray(round_)
     if rows.size == 0:
         rows = rows.reshape(0, 2)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError("a round must be a sequence of (i, j) pairs")
-    return rows
+    if rows.size and rows.min() < 0:
+        raise ValueError("negative position in a swap")
+    if rows.size and rows.max() >= n_positions:
+        raise ValueError("position %d in a swap is outside 0..%d" % (rows.max(), n_positions - 1))
+    return rows.astype(row_dtype(n_positions), copy=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SwapNetwork:
     """Rounds of disjoint swaps on n_positions positions, round 0 first.
 
-    Each round is an (n, 2) intp array of rows (i, j); any other sequence
-    of pairs given for a round is made into one here.  Networks are equal
-    when their sizes, labels and rows are.
+    Each round is an (n, 2) array of rows (i, j) in row_dtype(n_positions);
+    any other sequence of pairs given for a round is made into one here,
+    and a position outside 0..n_positions-1 raises ValueError.  Networks
+    are equal when their sizes, labels and rows are.
     """
 
     n_positions: int
@@ -53,7 +70,7 @@ class SwapNetwork:
     label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(map(_rows, self.rounds)))
+        object.__setattr__(self, "rounds", tuple(_rows(r, self.n_positions) for r in self.rounds))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SwapNetwork) and (self.n_positions, self.label) == (other.n_positions, other.label)
@@ -64,17 +81,23 @@ class SwapNetwork:
         return sum(len(r) for r in self.rounds)
 
 
-def _stacked(chunks) -> np.ndarray:
-    """One round's rows from its (i, j) index chunks, in their order."""
-    parts = [np.column_stack(chunk) for chunk in chunks]
-    return np.concatenate(parts) if parts else np.empty((0, 2), np.intp)
+def _stacked(chunks, dtype: np.dtype) -> np.ndarray:
+    """One round's rows, in dtype, from its (i, j) index chunks, in their order."""
+    parts = []
+    for i, j in chunks:
+        part = np.empty((len(i), 2), dtype)
+        part[:, 0], part[:, 1] = i, j
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype)
 
 
 def _involution_rows(inv: Involution) -> np.ndarray:
-    """The transpositions of inv as rows (i, inv[i]), i < inv[i], i ascending."""
-    m = np.array(inv.map, dtype=np.intp)
-    i = np.flatnonzero(m > np.arange(len(m)))
-    return np.column_stack((i, m[i]))
+    """The transpositions of inv as rows (i, inv[i]), i < inv[i], i ascending, in row_dtype(inv.size)."""
+    m = np.array(inv.map, row_dtype(inv.size))
+    i = np.flatnonzero(m > np.arange(inv.size, dtype=m.dtype))
+    rows = np.empty((len(i), 2), m.dtype)
+    rows[:, 0], rows[:, 1] = i, m[i]
+    return rows
 
 
 def build_network(method: str, target) -> SwapNetwork:
@@ -82,8 +105,9 @@ def build_network(method: str, target) -> SwapNetwork:
 
     method "bitrev" and "modinv" take a ShuffleSpec; "factorization" takes
     a Permutation.  Round 0 is applied first.  The rounds are the
-    transpositions of involutions, so they are disjoint and in range by
-    construction; only parse_text, which reads outside input, checks them.
+    transpositions of involutions, so they are disjoint by construction;
+    only parse_text, which reads outside input, checks that.  SwapNetwork
+    checks that every position is in range.
     """
     if method == "factorization":
         if not isinstance(target, Permutation):
@@ -94,13 +118,14 @@ def build_network(method: str, target) -> SwapNetwork:
         raise ValueError("unknown network method %r" % method)
     if not isinstance(target, ShuffleSpec):
         raise ValueError("this network method needs a ShuffleSpec")
+    dtype = row_dtype(target.N)
     if method == "bitrev":
         if target.n is None or target.n < 1:
             raise ValueError("bitrev network needs N = k**n")
         sources = (_revswap_chunks(t, target) for t in (target.n - 1, target.n))
     else:
         sources = (_modinv_chunks_ascending(r, target) for r in (1, target.k))
-    return SwapNetwork(target.N, tuple(map(_stacked, sources)), method)
+    return SwapNetwork(target.N, tuple(_stacked(chunks, dtype) for chunks in sources), method)
 
 
 def apply_network(array, net: SwapNetwork) -> None:
@@ -128,8 +153,6 @@ def _swap_text(rows: np.ndarray) -> str:
     digit of i, and of j, is found for all rows at once and written down a
     column of the matrix.
     """
-    if rows.min() < 0:
-        raise ValueError("negative position in a swap")
     n, width = len(rows), len(str(int(rows.max())))
     text = np.empty((n, 2 * width + 4), np.uint8)
     keep = np.ones(text.shape, bool)
@@ -197,7 +220,7 @@ def parse_text(text: str) -> SwapNetwork:
             if not 0 <= i < j < n_positions:
                 raise ValueError("swap (%d %d) out of range in round %d" % (i, j, len(rounds)))
             swaps.append((i, j))
-        rows = _rows(swaps)
+        rows = _rows(swaps, n_positions)
         if (np.bincount(rows.ravel()) > 1).any():
             raise ValueError("round %d has overlapping swaps" % len(rounds))
         rounds.append(rows)

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .perm_core import OpCounter, swap_chunks
-from .shuffle_bitrev import ShuffleSpec
+from .shuffle_bitrev import ShuffleSpec, row_dtype
 
 
 def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int]:
@@ -156,13 +156,15 @@ def _modinv_chunks(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
 def _modinv_chunks_ascending(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
     """The chunks of _modinv_chunks with x ascending: one round's swaps in the order a network lists them.
 
-    The mirror chunks (all past m/2) are held, reversed, to the walk's end:
-    about 3 bytes a position (tracemalloc).  The Euclid work goes to counter.
+    The mirror chunks (all past m/2) are held, reversed and in
+    row_dtype(spec.N), to the walk's end: about 1.6 bytes a position in
+    uint16 or uint32, 3 in intp (tracemalloc).  The Euclid work goes to
+    counter.
     """
-    half, mirrors = spec.m // 2, []
+    half, mirrors, dtype = spec.m // 2, [], row_dtype(spec.N)
     for i, j in _modinv_chunks(r, spec, counter):
         if len(i) and i[0] > half:
-            mirrors.append((i[::-1], j[::-1]))
+            mirrors.append((i[::-1].astype(dtype, copy=False), j[::-1].astype(dtype, copy=False)))
         else:
             yield i, j
     yield from reversed(mirrors)

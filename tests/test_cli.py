@@ -920,6 +920,20 @@ def test_network_that_cannot_fit_in_memory_exits_2_before_it_is_built(capsys, mo
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
 
 
+def test_network_memory_floor_follows_the_row_width(capsys, monkeypatch):
+    # 2**20 positions are held in uint32 rows: a swap takes at least 8 + 6 bytes, not the 16 + 6 of intp rows,
+    # so 14 MiB of physical memory is enough to build the network and one page less is not
+    real_sysconf = os.sysconf
+    monkeypatch.setattr(cli, "emit_text", lambda net: "swaps=%d\n" % net.total_swaps)
+    for pages, code, out in ((14 << 8, 0, "swaps=1047040\n"), ((14 << 8) - 1, 2, "")):
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.get(name)
+                            or real_sysconf(name))
+        got = run_cli(["network", "--k", "2", "--exp", "20"], capsys)
+        assert got[:2] == (code, out), (pages, got[2])
+        assert got[2] == ("" if code == 0 else "error: out of memory: a network of N=1048576 positions holds about "
+                          "N swaps of at least 14 bytes, more than the %d bytes of physical memory\n" % (pages << 12))
+
+
 def test_network_text_header(capsys):
     code, out, _ = run_cli(["network", "--k", "2", "--exp", "4"], capsys)
     assert code == 0
@@ -1426,6 +1440,23 @@ def test_lines_split_only_on_separators_among_characters_sharing_their_lead_byte
     text = " ".join("a%sb" % chr(c) for c in [*range(0x80, 0xC0), *range(0x1000, 0x4000)])
     text += " t" * (len(text.split()) % 2)
     assert {0xC2, 0xE1, 0xE2, 0xE3} <= set(text.encode())
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    expected = " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    assert _lines_to_stdout(src, capsys) == expected
+    assert run_cli(["shuffle"], capsys, stdin=text, monkeypatch=monkeypatch) == (0, expected, "")
+
+
+def test_lines_split_on_three_byte_separators_right_next_to_quotes(tmp_path, capsys, monkeypatch):
+    # typographic quotes (E2 80 98 to 9F) and characters that share a separator's lead, second or last byte
+    # (U+1000, U+1681, U+200B, U+2040, U+205E, U+3001), on both sides of every three-byte separator
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    neighbours = [*map(chr, range(0x2018, 0x2020)), "\u1000", "\u1681", "\u200b", "\u2040", "\u205e", "\u3001"]
+    seps = [c for c in SEPARATORS if len(c.encode()) == 3]
+    assert len(seps) == 17
+    text = "".join(a + sep + b for sep in seps for a in neighbours for b in neighbours)
+    text += " t" * (len(text.split()) % 2)
+    assert len(text.split()) == 17 * 14 * 14 + 2
     src = tmp_path / "in.txt"
     src.write_bytes(text.encode("utf-8"))
     expected = " ".join(oracle_shuffle(text.split(), 2)) + "\n"
