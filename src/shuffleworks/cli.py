@@ -3,8 +3,9 @@
 Subcommands: shuffle, factor, network, profile, selftest.  Data goes to
 stdout, diagnostics to stderr.  Exit codes are part of the interface:
 0 success, 1 selftest failure, 2 unparsable input (k below 2, a file that
-cannot be read or written, or no memory left), 3 arity mismatch (length vs
-k, or a method that cannot handle the length), 4 index arithmetic overflow.
+cannot be read or written, a token too long to pack, or no memory left),
+3 arity mismatch (length vs k, or a method that cannot handle the length),
+4 index arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -102,13 +103,18 @@ def cmd_shuffle(args) -> int:
             with open(dst, "wb") if to_file else contextlib.nullcontext(sys.stdout.buffer) as fout:
                 fout.writelines([recordfile.RecordFile(N, header_k, size, array).header_bytes(), array.view(np.uint8)])
     else:
-        # Tokens are 8-byte (start, end) records; onto IN they replace it whole.
+        # Tokens are words packing their start and length; onto IN they replace it whole.
         if onto_src and not stat.S_ISREG(os.stat(src).st_mode):  # a FIFO or device would become a file
             raise ParseFailure("%s is not a regular file, so tokens cannot be written onto it" % src)
-        codes, edges = _read_tokens(src)
-        run = _check(len(edges) // 2, args.k or 2, args.method, "tokens")
-        counter = run(edges.view("V%d" % (2 * edges.itemsize)))
-        (_replace if onto_src else _write)(dst, _token_text(codes, edges))
+        codes, words, checked = _read_tokens(src)
+        run = _check(len(words), args.k or 2, args.method, "tokens")
+        counter = run(words)
+        # a checked text (a mapped file's, so the locale's encoding is UTF-8) holds no lone surrogate: its bytes go
+        # out as they are to a file or a UTF-8 stdout, where a text stream would encode them back as they were
+        raw = checked and os.linesep == "\n" and (
+            to_file or hasattr(sys.stdout, "buffer") and codecs.lookup(sys.stdout.encoding).name == "utf-8")
+        text = _token_text(codes, words)
+        (_replace if onto_src else _write)(dst, text if raw else (str(b, "utf-8", "surrogatepass") for b in text), raw)
     if args.stats:
         print("swaps=%d rounds=%d euclid_iters=%d" % (counter.swaps, counter.rounds, counter.euclid_iterations),
               file=sys.stderr)
@@ -117,6 +123,7 @@ def cmd_shuffle(args) -> int:
 
 _CODE_CHUNK = 1 << 16  # bytes per step of the token split and the text write, four times a gather step's; at least 4
 _TOKEN_CHUNK = 1 << 11  # tokens per step of the output gather
+_WORDS = (np.uint32, np.uint64)  # the types a token's word may take, narrowest first
 # str.split's separators past U+007F lie below U+4000: two or three UTF-8 bytes, led by C2, E1, E2 or E3
 # and then 80, 81, 85, 9A or A0.
 _WIDE_SPACE = np.zeros(0x4000, bool)  # whether a code point is one
@@ -125,20 +132,26 @@ _WIDE_END = np.zeros(0x100, bool)  # whether a byte ends one: 85 or A0 of two by
 _WIDE_END[[chr(c).encode()[-1] for c in np.flatnonzero(_WIDE_SPACE)]] = True
 
 
-def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """The text at path (or stdin) as UTF-8 bytes, and the byte offsets where its str.split tokens start and end.
+def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The text at path (or stdin) as UTF-8 bytes, its str.split tokens as words, and whether it was checked.
 
-    The edges alternate start and end, int32 below 2**31 bytes, so that a
-    token takes 8 bytes: one pass over the text counts them and a second
-    stores them, so only the result is held whole.  A pass takes at most
-    _CODE_CHUNK bytes at a time, up to where a character starts, and sorts
-    them into separators' bytes and tokens' bytes by value.  A byte below
-    0x80 is a separator when str.split splits on it; a byte at or above it
-    is in a token, unless it is part of a multi-byte separator, which is
-    looked for at the lead bytes it can start with, where a second and a
-    last byte it can have follow.  UTF-8 is self-synchronising, so that is
+    A token's word is start << b | length: the offset of its first byte,
+    in the bit_length(len(codes) - 1) bits above b, and its byte count, in
+    the b bits below.  Words are uint32 while every token is shorter than
+    2**b bytes (511 bytes in a text of 4 to 8 MiB), else uint64, which holds
+    any token of a text below 2**32 bytes; a longer text's token of 2**b
+    bytes or more fits neither, and is refused.  One pass over the text
+    counts the token edges and a second packs the tokens, so only the
+    words are held whole; the second pass starts again, into uint64, at
+    the first token too long for uint32.  A pass takes at most _CODE_CHUNK
+    bytes at a time, up to where a character starts, and sorts them into
+    separators' bytes and tokens' bytes by value.  A byte below 0x80 is a
+    separator when str.split splits on it; a byte at or above it is in a
+    token, unless it is part of a multi-byte separator, which is looked
+    for at the lead bytes it can start with, where a second and a last
+    byte it can have follow.  UTF-8 is self-synchronising, so that is
     exact.  The first pass checks a mapped file's non-ASCII chunks
-    strictly.
+    strictly: such a text is the checked one, and holds no lone surrogate.
     """
     codes, unchecked = _read_codes(path)
 
@@ -178,18 +191,44 @@ def _read_tokens(path: str | None) -> tuple[np.ndarray, np.ndarray]:
                 space[at] = space[at + 1] = space[last] = True  # continuation bytes take their lead byte's class
             yield lo, spaces[1:] != spaces[:-1]
             lo, before = hi, spaces[-1]
+        if not before:  # a token runs to the end of the text, and ends with it
+            yield len(codes), np.ones(1, bool)
 
     n = sum(np.count_nonzero(changes) for _, changes in chunks(unchecked))
-    edges = np.empty(n + n % 2, np.int32 if len(codes) < 1 << 31 else np.int64)
-    edges[n:] = len(codes)  # a token that runs to the end of the text
-    at = 0
-    for lo, changes in chunks(False):
-        found = np.flatnonzero(changes)
-        edges[at:at + len(found)] = found
-        edges[at:at + len(found)] += lo  # found + lo would be a second int64 array
-        at += len(found)
-        del found  # before the next chunk's is made
-    return codes, edges
+    bits = (len(codes) - 1).bit_length()  # a start's
+
+    def pack(word):  # the tokens as words of type word, or None at the first that is too long for it
+        shift = 8 * np.dtype(word).itemsize - bits  # a length's bits
+        if shift < 1:
+            return None
+        words, at, carry = np.empty(n // 2, word), 0, None  # carry: the start of a token that runs past its chunk
+        for lo, changes in chunks(False):
+            found = np.flatnonzero(changes).view(np.uint64)  # edges' offsets in the chunk: intp, so below 2**63
+            del changes  # before the next chunk's is made, as found is below
+            if carry is not None and len(found):  # found[0] ends it
+                length = lo + int(found[0]) - carry
+                if length >> shift:
+                    return None
+                words[at] = carry << shift | length
+                at, carry, found = at + 1, None, found[1:]
+            if len(found) % 2:
+                carry, found = lo + int(found[-1]), found[:-1]
+            found[1::2] -= found[::2]  # lengths, in place in the odd slots
+            if len(found) and int(found[1::2].max()) >> shift:
+                return None
+            found[::2] += lo
+            found[::2] <<= shift
+            found[::2] |= found[1::2]
+            words[at:at + len(found) // 2] = found[::2]
+            at += len(found) // 2
+            del found
+        return words
+
+    for words in map(pack, _WORDS):  # the narrowest type that holds every token
+        if words is not None:
+            return codes, words, unchecked
+    raise ParseFailure("a token is too long: in %d bytes of text, one of %d bytes or more cannot be held"
+                       % (len(codes), 1 << 8 * np.dtype(_WORDS[-1]).itemsize - bits))
 
 
 def _read_codes(path: str | None) -> tuple[np.ndarray, bool]:
@@ -213,26 +252,32 @@ def _read_codes(path: str | None) -> tuple[np.ndarray, bool]:
     return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8), False
 
 
-def _token_text(codes: np.ndarray, edges: np.ndarray):
-    """The tokens at edges in the UTF-8 bytes codes as strs, each followed by a space and the last by a newline.
+def _token_text(codes: np.ndarray, words: np.ndarray):
+    """The UTF-8 bytes of the tokens that words hold, each followed by a space and the last by a newline.
 
-    At most _TOKEN_CHUNK tokens and _CODE_CHUNK // 4 bytes go through one
-    buffer at a time; a longer token is decoded on its own.  A token and
-    the separator after it end at stop in the buffer, so buffer position q
-    takes codes[end - stop + q + 1]: the token's end - stop, repeated over
-    its bytes, plus a ramp of q + 1.
+    A step unpacks at most _TOKEN_CHUNK words, each token's start as the
+    word >> b and its length as the b bits below, with b as _read_tokens
+    packed them, and gathers at most _CODE_CHUNK // 4 bytes of them into
+    one buffer; a longer token goes out alone, as a view of codes.  A token
+    and the separator after it end at stop in the buffer, so buffer
+    position q takes codes[end - stop + q + 1]: the token's end - stop,
+    repeated over its bytes, plus a ramp of q + 1.
     """
-    n, i = len(edges) // 2, 0
+    shift = 8 * words.itemsize - (len(codes) - 1).bit_length()
+    wide = np.uint64 if words.itemsize == 8 else np.int64  # to unpack into, then read as int64
+    n, i = len(words), 0
     ramp = np.arange(1, _CODE_CHUNK // 4 + 1, dtype=np.int64)  # q + 1
     while i < n:
-        start, end = edges[2 * i:2 * (i + _TOKEN_CHUNK):2], edges[2 * i + 1:2 * (i + _TOKEN_CHUNK):2]
-        length = np.subtract(end, start, dtype=np.int64)
+        word = words[i:i + _TOKEN_CHUNK]
+        end = np.right_shift(word, shift, dtype=wide).view(np.int64)
+        length = np.bitwise_and(word, (1 << shift) - 1, dtype=wide).view(np.int64)
+        end += length
         length += 1  # each token and its separator
         stop = np.cumsum(length)
         take = int(np.searchsorted(stop, len(ramp), "right"))
         i += max(take, 1)
         if not take:
-            yield from (str(codes[start[0]:end[0]], "utf-8", "surrogatepass"), " " if i < n else "\n")
+            yield from (codes[end[0] - length[0] + 1:end[0]], b" " if i < n else b"\n")
             continue
         stop = stop[:take]
         index = np.repeat(end[:take] - stop, length[:take])
@@ -240,28 +285,32 @@ def _token_text(codes: np.ndarray, edges: np.ndarray):
         out = codes.take(index, mode="clip")  # the last separator may lie past codes
         out[stop - 1] = ord(" ")
         out[-1] = ord(" " if i < n else "\n")
-        yield str(out, "utf-8", "surrogatepass")
+        yield out
 
 
-def _write(path: str | int | None, data) -> None:
-    """Write the strs of data to path (or open file descriptor, left open), or to stdout for None and "-".
+def _write(path: str | int | None, data, raw: bool = False) -> None:
+    """Write data to path (or open file descriptor, left open), or to stdout for None and "-".
 
-    A text stream encodes each str it gets into one bytes copy, so strs go
-    out _CODE_CHUNK characters at a time.  A file encodes them with
-    surrogateescape, so the lone surrogates that a surrogateescape stdin
-    makes of undecodable bytes go out as those bytes, as they do on a
-    UTF-8 mode stdout.
+    Raw data is bytes-like and goes out as it is, through a binary file or
+    stdout's buffer.  Other data is strs.  A text stream encodes each str
+    it gets into one bytes copy, so strs go out _CODE_CHUNK characters at a
+    time.  A file encodes them with surrogateescape, so the lone surrogates
+    that a surrogateescape stdin makes of undecodable bytes go out as those
+    bytes, as they do on a UTF-8 mode stdout.
     """
-    chunks = (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
+    chunks = data if raw else (s[i:i + _CODE_CHUNK] for s in data for i in range(0, len(s), _CODE_CHUNK))
     if path in (None, "-"):
-        sys.stdout.writelines(chunks)
+        if raw:
+            sys.stdout.flush()  # what went before goes out first
+        (sys.stdout.buffer if raw else sys.stdout).writelines(chunks)
     else:
-        with open(path, "w", errors="surrogateescape", closefd=not isinstance(path, int)) as fh:
+        with open(path, "wb" if raw else "w", errors=None if raw else "surrogateescape",
+                  closefd=not isinstance(path, int)) as fh:
             fh.writelines(chunks)
 
 
-def _replace(path: str, data) -> None:
-    """_write data into a new file beside path, then rename it over path.
+def _replace(path: str, data, raw: bool) -> None:
+    """_write data (raw or not) into a new file beside path, then rename it over path.
 
     The new file is made with O_TMPFILE, so it has no name until it is
     whole; it is then linked in under a temporary name and renamed over
@@ -279,7 +328,7 @@ def _replace(path: str, data) -> None:
     except (AttributeError, OSError):  # not Linux, or a file system without it
         fd, tmp = tempfile.mkstemp(dir=folder)
     try:
-        _write(fd, data)
+        _write(fd, data, raw)
         os.fchmod(fd, stat.S_IMODE(os.stat(real).st_mode))
         if tmp is None:
             name, dirfd = "tmp" + os.urandom(4).hex(), os.open(folder, os.O_PATH)  # O_PATH needs no read permission

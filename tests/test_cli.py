@@ -1467,9 +1467,9 @@ def test_lines_split_on_three_byte_separators_right_next_to_quotes(tmp_path, cap
 @pytest.mark.parametrize("argv", [["IN", "-o", "OUT"], ["--in-place", "IN"]], ids=["copy", "in_place"])
 def test_lines_output_step_never_holds_the_joined_text(tmp_path, capsys, monkeypatch, argv):
     # the peak from the end of the shuffle to the end of the run, above what
-    # is held when the shuffle ends (the edges, 8 bytes a token): what writing
-    # the tokens out costs, the gather's index, ramp and buffers and the text
-    # stream's encoding
+    # is held when the shuffle ends (the words, 4 bytes a token): what writing
+    # the tokens out costs, the gather's index, ramp and buffers, written as
+    # they are
     real, held = cli._check, []
 
     def check_then_reset_peak_after_the_run(*args):
@@ -1540,6 +1540,21 @@ def test_lines_output_file_gets_the_bytes_stdout_gets(tmp_path, monkeypatch):
     assert dst.read_bytes() == sink.getvalue() == b"a\xff c b d\n"
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16"])
+def test_lines_mapped_text_goes_out_in_stdout_s_encoding(tmp_path, monkeypatch, encoding):
+    # a mapped file's bytes go out as they are only to a UTF-8 stdout; any other stdout encodes the tokens
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    text = "caf\u00e9 na\u00efve \u00e0 b"
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode())
+    sink = io.BytesIO()
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(sink, encoding))
+    sys.stdout.write("head ")  # held in the text stream, and still written before the tokens
+    assert main(["shuffle", str(src)]) == 0
+    sys.stdout.flush()
+    assert sink.getvalue() == ("head " + " ".join(oracle_shuffle(text.split(), 2)) + "\n").encode(encoding)
+
+
 def test_lines_in_place_scratch_is_the_text_and_16_bytes_a_token(tmp_path, capsys):
     # one str per token cost about 57 B each, and a second copy of the
     # (start, end) offsets would cost 16 B more
@@ -1574,13 +1589,14 @@ def _scratch_of_in_place(src, text):
     return scratch
 
 
-def test_lines_mapped_in_place_scratch_is_8_bytes_a_token(tmp_path):
-    # a UTF-8 file is mapped as its own bytes, so the scratch is the int32
-    # edges, whatever the characters' widths
-    for fmt, constant in (("w%07d", 1.25), ("\u00e9%07d", 1.5), ("\u4e2d%07d", 1.5), ("\U0001f600%07d", 1.5)):
+def test_lines_mapped_in_place_scratch_is_4_bytes_a_token(tmp_path):
+    # a UTF-8 file is mapped as its own bytes, so the scratch is the uint32
+    # words, whatever the characters' widths, and one output step (its
+    # index and ramp, 256 KiB): peak - 4N read 0.46-0.47 MiB at both sizes
+    for fmt in ("w%07d", "\u00e9%07d", "\u4e2d%07d", "\U0001f600%07d"):
         for N in (2 ** 17, 2 ** 19):
             scratch = _scratch_of_in_place(tmp_path / "in.txt", " ".join(fmt % i for i in range(N)))
-            assert scratch < 8 * N + constant * (1 << 20), (fmt, N, scratch, 8 * N)
+            assert scratch < 4 * N + 0.6 * (1 << 20), (fmt, N, scratch, 4 * N)
 
 
 def test_lines_split_scratch_of_one_byte_tokens_is_under_three_quarters_of_a_mib(tmp_path, monkeypatch):
@@ -1592,12 +1608,79 @@ def test_lines_split_scratch_of_one_byte_tokens_is_under_three_quarters_of_a_mib
     gc.collect()
     tracemalloc.start()
     try:
-        codes, edges = cli._read_tokens(str(src))
-        scratch = tracemalloc.get_traced_memory()[1] - edges.nbytes
+        codes, words, _ = cli._read_tokens(str(src))
+        scratch = tracemalloc.get_traced_memory()[1] - words.nbytes
     finally:
         tracemalloc.stop()
-    assert len(edges) == 2 ** 21 and bytes(codes[edges[0]:edges[1]]) == b"a"
+    starts, lengths = _unpack(codes, words[:1])
+    assert len(words) == 2 ** 20 and bytes(codes[starts[0]:starts[0] + lengths[0]]) == b"a"
     assert scratch < 0.75 * (1 << 20), scratch
+
+
+def _text_with_a_long_token(total, size, before=0):
+    """total bytes of ASCII tokens: before 7-byte ones, one of size bytes, and then 7-byte ones, the last
+    stretched to make up the total, with an even number of tokens in all."""
+    head = "".join("%07d " % i for i in range(before)) + "L" * size + " "
+    rest = total - len(head)
+    m = (rest + 1) // 8
+    m -= (before + 1 + m) % 2
+    text = head + " ".join("%07d" % i for i in range(m)) + "p" * (rest - (8 * m - 1))
+    assert len(text) == total and len(text.split()) % 2 == 0 and max(map(len, text.split())) == max(size, 7)
+    return text
+
+
+@pytest.mark.parametrize("before", [0, 8190], ids=["inside_a_step", "across_a_step_end"])
+@pytest.mark.parametrize("size, word", [(4095, np.uint32), (4096, np.uint64)], ids=["4095", "4096"])
+def test_lines_word_edge_a_token_of_2_to_the_12_bytes_beside_20_bits_of_start(tmp_path, capsys, monkeypatch,
+                                                                             size, word, before):
+    # 1 012 988 bytes take 20 bits of start, which leave 12 of length in a
+    # uint32: a token of 4095 bytes fits one, and one of 4096 makes every word
+    # a uint64; 8190 tokens in, the long token runs past a split step's end
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    text = _text_with_a_long_token(1_012_988, size, before)
+    assert (len(text) - 1).bit_length() == 20
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    assert cli._read_tokens(str(src))[1].dtype == word
+    expected = " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+    assert _lines_to_stdout(src, capsys) == expected
+    assert run_cli(["shuffle"], capsys, stdin=text, monkeypatch=monkeypatch) == (0, expected, "")
+    assert run_cli(["shuffle", "--in-place", str(src)], capsys) == (0, "", "")
+    assert src.read_text() == expected
+
+
+@pytest.mark.parametrize("argv", [["--in-place", "IN"], ["IN", "-o", "OUT"], ["-"]], ids=["in_place", "copy", "stdin"])
+def test_lines_token_too_long_for_every_word_exits_2_and_leaves_in_whole(tmp_path, capsys, monkeypatch, argv):
+    # with words of at most 16 bits, 1000 bytes of text take 10 bits of
+    # start and leave 6 of length: a uint8 has no room, a 63-byte token fits
+    # a uint16 and a 64-byte one fits nothing
+    monkeypatch.setattr(cli, "_WORDS", (np.uint8, np.uint16))
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    paths = {"IN": str(src), "OUT": str(dst)}
+    for size in (63, 64):
+        text = _text_with_a_long_token(1000, size, before=20)
+        src.write_text(text)
+        if argv != ["-"]:
+            assert (cli._read_tokens(str(src))[1].dtype if size == 63 else None) in (np.uint16, None)
+        stdin = text if argv == ["-"] else None
+        code, out, err = run_cli(["shuffle", *(paths.get(a, a) for a in argv)], capsys, stdin=stdin,
+                                 monkeypatch=monkeypatch)
+        expected = " ".join(oracle_shuffle(text.split(), 2)) + "\n"
+        if size == 63:
+            assert (code, err) == (0, "")
+            assert {"-": out, "OUT": dst.read_text() if dst.exists() else None}.get(argv[-1], src.read_text()) == expected
+            dst.unlink(missing_ok=True)
+        else:
+            assert (code, out) == (2, "")
+            assert err == "error: a token is too long: in 1000 bytes of text, one of 64 bytes or more cannot be held\n"
+            assert src.read_text() == text and os.listdir(tmp_path) == ["in.txt"]
+
+
+def _unpack(codes, words):
+    """The starts and lengths, as Python ints, of the tokens that _read_tokens packed into words."""
+    shift = 8 * words.itemsize - (len(codes) - 1).bit_length()
+    return [int(w) >> shift for w in words], [int(w) & ((1 << shift) - 1) for w in words]
 
 
 def _lines_to_stdout(path, capsys, k=2):

@@ -14,13 +14,14 @@ import struct
 import tempfile
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from shuffleworks import cli
 from shuffleworks.cli import main
 from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.recordfile import MAGIC, VERSION
-from test_cli import SEPARATORS
+from test_cli import SEPARATORS, _unpack
 
 
 def mostly(valid, bad):
@@ -128,3 +129,38 @@ def test_lines_shuffle_any_text_as_the_oracle_does(text, k, method, small_chunks
             else:
                 assert (code, stderr.getvalue()) == (0, ""), source
                 assert stdout.getvalue() == (" ".join(oracle_shuffle(tokens, k)) + "\n" if tokens else ""), source
+
+
+# Texts of short tokens of any characters, every separator and long ASCII
+# tokens, none a lone surrogate, so that a file of them is valid UTF-8.
+word_texts = st.lists(st.one_of(
+    st.text(text_chars.filter(lambda c: not "\ud800" <= c <= "\udfff"), max_size=12),
+    st.integers(16, 300).map(lambda n: "L" * n),
+), max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=word_texts, chunk=st.sampled_from([4, 8, 64]),
+       words=st.sampled_from([cli._WORDS, (np.uint8, np.uint16, np.uint32, np.uint64)]))
+def test_lines_words_unpack_to_the_tokens_of_str_split(text, chunk, words):
+    # a word holds start << b | length, b being what the text's offsets
+    # leave of the narrowest type every token fits: the narrow types make
+    # long tokens (and texts past 127 bytes) climb from uint8 to uint64
+    tokens = [t.encode() for t in text.split()]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.txt")
+        with open(src, "wb") as fh:
+            fh.write(text.encode())
+        utf8 = mock.patch.object(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        with utf8, mock.patch.multiple(cli, _CODE_CHUNK=chunk, _WORDS=words), mock.patch("sys.stdin", io.StringIO(text)):
+            for source in (src, None):  # a mapped file, unless it is empty, and stdin
+                codes, packed, checked = cli._read_tokens(source)
+                assert checked == (source is not None and len(text) > 0)
+                bits = (len(codes) - 1).bit_length()
+                fits = [w for w in words if 8 * np.dtype(w).itemsize > bits and
+                        max(map(len, tokens), default=0) >> (8 * np.dtype(w).itemsize - bits) == 0]
+                assert packed.dtype == fits[0]
+                starts, lengths = _unpack(codes, packed)
+                assert [bytes(codes[a:a + n]) for a, n in zip(starts, lengths)] == tokens
+                gathered = b"".join(bytes(b) for b in cli._token_text(codes, packed))
+                assert gathered == (b" ".join(tokens) + b"\n" if tokens else b"")
