@@ -7,7 +7,7 @@ reversals sends position i to k*i mod (N-1), which is exactly the
 in-shuffle with both end positions fixed.
 
 Every digit reversal comes from one generator, _reversals.  It walks the
-positions in aligned chunks of at most _TILE_ELEMS, and reversal never
+positions in aligned chunks of at most _REV_CHUNK, and reversal never
 mixes a chunk's offset digits with the digits above them, so the partner
 of first + o is rev(first) + rev(o): one table of rev(o) per round, plus
 one scalar per chunk.  That keeps the paper's O(N) time in O(chunk)
@@ -23,17 +23,19 @@ step's scratch fits _CHUNK_BYTES.
 
 numpy arrays (memmaps included) take a cache-blocked route after Carter
 and Gatlin's bit-reversal program (FOCS 1998): the t reversed digits
-split into (hi, mid, lo), and a round becomes swaps of small k**b x k**b
-tiles between mid and its reversal, each tile digit-reversed on both axes
-and transposed.  A step gathers both sides of its tile pairs with their
-rows (runs of k**b contiguous elements) in reversed order, in one fancy
-index, and scatters the transposed gather into the partners' reversed
-rows: an element is read and written once a round.  Tile pairs go
-_CHUNK_BYTES of both sides at a time, and mid values pair with their
-reversals a chunk of _reversals at a time, so the scratch memory of a
-round does not grow with N.  The route
-produces the same permutation as the scalar loop and reports the same
-swap count, from its closed form.
+split into (hi, mid, lo), and a round becomes swaps of k**b x k**b tiles
+between mid and its reversal, each tile digit-reversed on both axes and
+transposed.  The step alone bounds the tile: b is the largest with
+k**(2b) at most half the records of _CHUNK_BYTES (and b at most t/2), so
+a step holds a whole tile pair, and 8-byte records go in 128 x 128 tiles.
+A step gathers both sides of its tile pairs with their rows (runs of
+k**b contiguous elements) in reversed order, in one fancy index, and
+scatters the transposed gather into the partners' reversed rows: an
+element is read and written once a round.  Tile pairs go _CHUNK_BYTES of
+both sides at a time, and mid values pair with their reversals a chunk
+of _reversals at a time, so the scratch memory of a round does not grow
+with N.  The route produces the same permutation as the scalar loop and
+reports the same swap count, from its closed form.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def _reversals(k: int, t: int, N: int, base: int = 0):
     """Yield (base + i, base + rev(i)) over i in 0..N-1, N a power of k, as index arrays.
 
     rev reverses the t least significant base-k digits of i and keeps the
-    rest.  Chunks are aligned runs of k**c <= _TILE_ELEMS positions, in
+    rest.  Chunks are aligned runs of k**c <= _REV_CHUNK positions, in
     ascending order; each adds its rev(first) to one table of rev(o).
     """
     c = 0
-    while k ** (c + 1) <= min(N, _TILE_ELEMS):
+    while k ** (c + 1) <= min(N, _REV_CHUNK):
         c += 1
     table = np.zeros(1, dtype=np.intp)
     for d in range(c):  # digit d of the offset goes to t-1-d, or stays above t
@@ -149,11 +151,10 @@ def revswap_round(array, t: int, spec: ShuffleSpec) -> int:
     return swap_chunks(array, _revswap_chunks(t, spec))
 
 
-# Tiles of the ndarray route hold at most this many elements (k**(2b) <= it),
-# and at most half a step, so that a tile pair fits in one step even for 64 B
-# records and up.  _reversals yields aligned chunks of at most this many
-# positions, and so of mid values.
-_TILE_ELEMS = 1 << 12
+# _reversals yields aligned chunks of at most this many positions: a list
+# round's pairs, a network round's rows, and a tiled round's mid values and
+# tile-axis table.
+_REV_CHUNK = 1 << 12
 # Bytes a step holds: both sides of a tiled round's tile pairs, or a k=2
 # rotation's chunks.  A step's scratch is about this, whatever the length.
 _CHUNK_BYTES = 1 << 18
@@ -178,7 +179,7 @@ def _revswap_round_tiled(array: np.ndarray, t: int, spec: ShuffleSpec) -> int:
     # out[i, j] = tile[rev j, rev i], that is out[rev i] = tile[rev].T[i].
     step = max(1, _CHUNK_BYTES // array.itemsize)
     b = 1
-    while b < t // 2 and k ** (2 * b + 2) <= min(_TILE_ELEMS, step // 2):
+    while b < t // 2 and k ** (2 * b + 2) <= step // 2:
         b += 1
     kb = k ** b
     revb = np.concatenate([revs for _, revs in _reversals(k, b, kb)])

@@ -20,7 +20,6 @@ from shuffleworks.oracle import oracle_shuffle
 from shuffleworks.recordfile import HEADER_SIZE, make_record_file, open_records_inplace, record_dtype
 from shuffleworks.shuffle_bitrev import (
     _CHUNK_BYTES,
-    _TILE_ELEMS,
     ShuffleSpec,
     _round_swaps,
     revswap_round,
@@ -214,9 +213,10 @@ def reversal_reference(N, k, t):
     return partner
 
 
-def largest_tile_side(k):
+def largest_tile_side(k, size):
+    """Digits b of the tile side of a long round on size-byte records: k**(2b) <= half a step."""
     b = 1
-    while k ** (2 * b + 2) <= _TILE_ELEMS:
+    while k ** (2 * b + 2) <= _CHUNK_BYTES // size // 2:
         b += 1
     return b
 
@@ -224,10 +224,10 @@ def largest_tile_side(k):
 @pytest.mark.parametrize("dtype", ["uint32", "uint8", "uint64", "V3", "V12"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_every_digit_count_past_the_largest_tile(k, dtype):
-    b = largest_tile_side(k)
+    size = np.dtype(dtype).itemsize
+    b = largest_tile_side(k, size)
     n = 2 * b + 3
     spec = ShuffleSpec.for_length(k ** n, k)
-    size = np.dtype(dtype).itemsize
     start = np.random.default_rng(n).integers(0, 256, spec.N * size, dtype=np.uint8).view(dtype)
     for t in range(n + 1):
         array = start.copy()
@@ -251,11 +251,12 @@ def test_round_counts_match_the_scalar_loop(k, n):
 
 
 def test_mids_span_several_chunks():
-    # 2**17 eight-byte records: the full-width round has 2**5 middle
-    # values of 2**12-element tiles, more than one chunk holds.
+    # 2**17 eight-byte records: the full-width round has 2**3 middle
+    # values of 2**14-element tiles, more than one chunk holds.
     spec = ShuffleSpec.for_length(2 ** 17, 2)
-    tile_bytes = _TILE_ELEMS * 8
-    mids = (2 ** 5 + 2 ** 3) // 2  # middle values up to their reversal
+    assert largest_tile_side(2, 8) == 7
+    tile_bytes = 2 ** 14 * 8
+    mids = (2 ** 3 + 2 ** 2) // 2  # middle values up to their reversal
     assert mids * tile_bytes > 2 * _CHUNK_BYTES
     array = np.arange(spec.N, dtype=np.uint64)
     assert shuffle_power(array, spec) == OpCounter(swaps=sum(swap_counts(spec)), rounds=2)
@@ -266,10 +267,14 @@ def test_mids_span_several_chunks():
 
 @pytest.mark.parametrize("dtype", ["uint8", "V3"])
 def test_mids_span_several_reversal_chunks(dtype, monkeypatch):
-    # 3**14 positions: the full-width round has 3**8 = 6561 middle values,
-    # which _reversals yields in chunks of 3**7 = 2187
+    # 3**14 positions: tiles of 3**5 one-byte or 3**4 three-byte records leave
+    # the full-width round 3**4 = 81 or 3**6 = 729 middle values, which
+    # _reversals yields in three chunks once a chunk is a third of them
     spec = ShuffleSpec.for_length(3 ** 14, 3)
     size = np.dtype(dtype).itemsize
+    mid_digits = 14 - 2 * largest_tile_side(3, size)
+    assert mid_digits == {"uint8": 4, "V3": 6}[dtype]
+    monkeypatch.setattr(shuffle_bitrev, "_REV_CHUNK", 3 ** (mid_digits - 1))
     start = np.random.default_rng(14).integers(0, 256, spec.N * size, dtype=np.uint8).view(dtype)
     reversals, seen = shuffle_bitrev._reversals, []
 
@@ -285,14 +290,14 @@ def test_mids_span_several_reversal_chunks(dtype, monkeypatch):
         partner = reversal_reference(spec.N, 3, t)
         assert np.array_equal(array, start[partner]), t
         assert count == _round_swaps(spec, t) == int(np.count_nonzero(partner > np.arange(spec.N))), t
-    assert [size for args, size in seen if args == (3, 8, 3 ** 8)] == [3 ** 7] * 3
+    assert [size for args, size in seen if args == (3, mid_digits, 3 ** mid_digits)] == [3 ** (mid_digits - 1)] * 3
 
 
 @pytest.mark.parametrize("tile_elems", [1, 2, 4])
 def test_tiled_round_with_chunks_shorter_than_a_tile_side(tile_elems, monkeypatch):
     # chunks of _reversals shorter than k, so the tile axis table and the
     # mids both come in several chunks, as they do for real once k > 4096
-    monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", tile_elems)
+    monkeypatch.setattr(shuffle_bitrev, "_REV_CHUNK", tile_elems)
     for k, n in ((3, 5), (5, 4), (6, 3)):
         spec = ShuffleSpec.for_length(k ** n, k)
         for t in range(n + 1):
@@ -311,7 +316,7 @@ def test_tiled_round_is_exact_at_step_boundaries(k, n, b, pairs_per_step, kind, 
     # spans several blocks, and at t <= 2b + 1 every mid is a palindrome that
     # sits on both sides of its own pair.
     size = 12 if kind == "memmap" else np.dtype(kind).itemsize
-    monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", k ** (2 * b))
+    monkeypatch.setattr(shuffle_bitrev, "_REV_CHUNK", k ** (2 * b))
     monkeypatch.setattr(shuffle_bitrev, "_CHUNK_BYTES", pairs_per_step * 2 * k ** (2 * b) * size)
     spec = ShuffleSpec.for_length(k ** n, k)
     start = np.random.default_rng(n).integers(0, 256, spec.N * size, dtype=np.uint8)
@@ -328,6 +333,38 @@ def test_tiled_round_is_exact_at_step_boundaries(k, n, b, pairs_per_step, kind, 
         partner = reversal_reference(spec.N, k, t)
         assert revswap_round(array, t, spec) == _round_swaps(spec, t), (t, kind)
         assert np.array_equal(array, start[partner]), (t, kind)
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint32", "uint64", "V12", "V64", "V1024"])
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_tile_side_is_the_largest_that_half_a_step_holds(k, dtype, monkeypatch):
+    # a round's first call of _reversals builds its tile-axis table, (k, b, k**b);
+    # b is the largest with k**(2b) <= step/2 unless b reaches t//2 first, and
+    # the size of a reversal chunk plays no part
+    half = _CHUNK_BYTES // np.dtype(dtype).itemsize // 2
+    n = 2 * largest_tile_side(k, np.dtype(dtype).itemsize) + 2
+    spec = ShuffleSpec.for_length(k ** n, k)
+    array = np.zeros(spec.N, dtype=dtype)
+    reversals, calls = shuffle_bitrev._reversals, []
+
+    def spy(*args):
+        calls.append(args)
+        return reversals(*args)
+
+    def tile_side(t):
+        calls.clear()
+        assert revswap_round(array, t, spec) == _round_swaps(spec, t), (k, dtype, t)
+        assert calls[0][::2] == (k, k ** calls[0][1])
+        return calls[0][1]
+
+    monkeypatch.setattr(shuffle_bitrev, "_reversals", spy)
+    sides = {t: tile_side(t) for t in range(2, n + 1)}
+    for t, b in sides.items():
+        assert 1 <= b <= t // 2 and k ** (2 * b) <= half, (k, dtype, t, b)
+        assert b == t // 2 or half < k ** (2 * b + 2), (k, dtype, t, b)
+    assert sides[n] < n // 2
+    monkeypatch.setattr(shuffle_bitrev, "_REV_CHUNK", 1)
+    assert {t: tile_side(t) for t in (n - 1, n)} == {t: sides[t] for t in (n - 1, n)}
 
 
 def test_small_digit_counts_on_many_blocks_stay_chunked():
@@ -363,7 +400,8 @@ def test_shuffle_power_scratch_is_bounded(n, size):
 
 
 @pytest.mark.parametrize("k, n, dtype", [(2, 18, "uint64"), (2, 22, "uint64"), (2, 20, "V12"), (2, 20, "uint8"),
-                                         (3, 12, "V3"), (2, 16, "V64"), (2, 13, "V1024")])
+                                         (3, 12, "V3"), (2, 16, "V64"), (2, 13, "V1024"), (3, 13, "uint64"),
+                                         (5, 8, "V12"), (2, 24, "uint8")])
 def test_shuffle_power_scratch_is_a_few_chunks(k, n, dtype):
     # a step gathers both sides of its tile pairs, _CHUNK_BYTES in all, in one
     # fancy index and scatters that gather; the mid pairs and index tables add a

@@ -117,7 +117,7 @@ def test_revswap_chunks_across_chunk_edges(monkeypatch, chunk_digits):
     # chunks of k or k**2 positions, so every size but the smallest crosses
     # chunk edges, and chunk starts take every digit above the chunk
     for k in (2, 3, 4, 5, 6, 7):
-        monkeypatch.setattr(shuffle_bitrev, "_TILE_ELEMS", k ** chunk_digits)
+        monkeypatch.setattr(shuffle_bitrev, "_REV_CHUNK", k ** chunk_digits)
         n = 1
         while k ** n <= 2 ** 10:
             for t in range(n + 1):
@@ -128,7 +128,7 @@ def test_revswap_chunks_across_chunk_edges(monkeypatch, chunk_digits):
 def test_revswap_chunks_over_several_real_chunks():
     for k, n in ((2, 14), (3, 9), (4, 7), (5, 6), (6, 6), (7, 5)):
         spec = ShuffleSpec.for_length(k ** n, k)
-        assert spec.N > 2 * shuffle_bitrev._TILE_ELEMS
+        assert spec.N > 2 * shuffle_bitrev._REV_CHUNK
         for t in (n - 1, n):
             _check_pairs(spec, t)
 
