@@ -25,7 +25,6 @@ from .perm_core import (
     cycle_decompose,
     cycle_notation,
     is_involution,
-    swap_pairs,
 )
 from .shuffle_bitrev import (
     RotationPlan,
@@ -79,5 +78,4 @@ __all__ = [
     "shuffle_power",
     "swap_count_modinv",
     "swap_counts",
-    "swap_pairs",
 ]

@@ -8,11 +8,11 @@ unsigned type narrower than intp that holds N - 1 (row_dtype): uint8
 up to N = 256, uint16 up to 2**16, uint32 up to 2**32 on a 64-bit
 build, intp past that.  The shuffle constructions emit two-round
 networks whose rows are the stacked index chunks of their one pair
-source, _revswap_chunks or _modinv_chunks_ascending; factoring an
-arbitrary permutation gives two rounds too, read off the maps of its two
-involutions.  apply_network runs a round as one perm_core.swap_chunks
-call, and emit_text renders it _ROWS rows at a time as ASCII digits,
-making no Python int per position.
+source, _revswap_chunks or _modinv_chunks, by ascending i (a modinv
+round is sorted); factoring an arbitrary permutation gives two rounds
+too, read off the maps of its two involutions.  apply_network runs a
+round as one perm_core.swap_chunks call, and emit_text renders it _ROWS
+rows at a time as ASCII digits, making no Python int per position.
 """
 
 from __future__ import annotations
@@ -24,12 +24,24 @@ import numpy as np
 
 from .involution_factor import factor_permutation
 from .perm_core import Involution, Permutation, swap_chunks
-from .shuffle_bitrev import ShuffleSpec, _revswap_chunks, row_dtype
-from .shuffle_modinv import _modinv_chunks_ascending
+from .shuffle_bitrev import ShuffleSpec, _revswap_chunks
+from .shuffle_modinv import _modinv_chunks
 
 TEXT_FORMAT_LINE = "# shuffleworks-net v1"
 _SWAP = re.compile(r"\(\s*([0-9]+)\s+([0-9]+)")  # one swap up to its ")": two unsigned decimal integers
 _ROWS = 1 << 12  # rows that emit_text renders, and apply_network swaps, in one step
+
+
+def row_dtype(n_positions: int) -> np.dtype:
+    """The narrowest unsigned type, narrower than intp, that holds 0..n_positions-1; intp when none does.
+
+    Never an unsigned type as wide as intp: np.bincount and numpy's safe
+    casts to intp refuse it.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if np.dtype(dtype).itemsize < np.dtype(np.intp).itemsize and n_positions - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.intp)
 
 
 def min_swap_bytes(n_positions: int) -> int:
@@ -122,10 +134,10 @@ def build_network(method: str, target) -> SwapNetwork:
     if method == "bitrev":
         if target.n is None or target.n < 1:
             raise ValueError("bitrev network needs N = k**n")
-        sources = (_revswap_chunks(t, target) for t in (target.n - 1, target.n))
-    else:
-        sources = (_modinv_chunks_ascending(r, target) for r in (1, target.k))
-    return SwapNetwork(target.N, tuple(_stacked(chunks, dtype) for chunks in sources), method)
+        return SwapNetwork(target.N, tuple(_stacked(_revswap_chunks(t, target), dtype)
+                                           for t in (target.n - 1, target.n)), method)
+    rounds = (_stacked(_modinv_chunks(r, target), dtype) for r in (1, target.k))  # a lane chunk's mirrors follow it
+    return SwapNetwork(target.N, tuple(rows[np.argsort(rows[:, 0])] for rows in rounds), method)
 
 
 def apply_network(array, net: SwapNetwork) -> None:

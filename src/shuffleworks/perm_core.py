@@ -110,27 +110,19 @@ class OpCounter:
     rounds: int = 0
 
 
-def swap_pairs(array, pairs: Iterable[tuple[int, int]]) -> int:
-    """Exchange array[i] and array[j] for each (i, j) in pairs; return the count.
-
-    The one scalar executor: pairs may be a generator, which is consumed
-    as it goes, so no pair list is ever held.
-    """
-    swaps = 0
-    for i, j in pairs:
-        array[i], array[j] = array[j], array[i]
-        swaps += 1
-    return swaps
-
-
 def swap_chunks(array, chunks) -> int:
     """Swap the disjoint pairs of a round, given as chunks (i, j) of index arrays; return the count.
 
     The one round executor: ndarrays swap by fancy indexing through a
-    plain view, which skips a memmap's indexing; lists use swap_pairs.
+    plain view, which skips a memmap's indexing; lists swap pair by pair.
     """
     if not isinstance(array, np.ndarray):
-        return sum(swap_pairs(array, zip(i.tolist(), j.tolist())) for i, j in chunks)
+        swaps = 0
+        for i, j in chunks:
+            for a, b in zip(i.tolist(), j.tolist()):
+                array[a], array[b] = array[b], array[a]
+            swaps += len(i)
+        return swaps
     array, swaps = array.view(np.ndarray), 0
     for i, j in chunks:
         array[i], array[j] = array[j], array[i]

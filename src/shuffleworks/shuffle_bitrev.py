@@ -50,18 +50,6 @@ from .perm_core import OpCounter, swap_chunks
 INDEX_LIMIT = 1 << 62
 
 
-def row_dtype(n_positions: int) -> np.dtype:
-    """The narrowest unsigned type, narrower than intp, that holds 0..n_positions-1; intp when none does.
-
-    Never an unsigned type as wide as intp: np.bincount and numpy's safe
-    casts to intp refuse it.
-    """
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if np.dtype(dtype).itemsize < np.dtype(np.intp).itemsize and n_positions - 1 <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.intp)
-
-
 @dataclass(frozen=True)
 class ShuffleSpec:
     """Validated parameters of a k-way in-shuffle on N = k*M positions.

@@ -25,9 +25,8 @@ OpCounter (from perm_core) still gets ext_gcd's counts for every position
 taken: for x < m/2, ext_gcd(m-x, m) takes one step more than
 ext_gcd(x, m), as both reach (x, m mod x), and ext_gcd(m/2, m) takes 2.
 _modinv_chunks gives a lane chunk's pairs, then its mirrors', as index
-arrays of at most 256 pairs for perm_core.swap_chunks, on every container;
-_modinv_chunks_ascending gives them x-sorted for networks, holding a
-round's mirrors to its end.
+arrays of at most 256 pairs: the one pair source, which
+perm_core.swap_chunks runs on every container and build_network stacks.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import math
 import numpy as np
 
 from .perm_core import OpCounter, swap_chunks
-from .shuffle_bitrev import ShuffleSpec, row_dtype
+from .shuffle_bitrev import ShuffleSpec
 
 
 def ext_gcd(a: int, b: int, counter: OpCounter | None = None) -> tuple[int, int]:
@@ -151,23 +150,6 @@ def _modinv_chunks(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
                 yield xs[keep].astype(np.intp), js[keep].astype(np.intp)  # unnamed: freed once swapped
             np.subtract(spec.m, x, out=x)
             np.subtract(spec.m, J, out=J)
-
-
-def _modinv_chunks_ascending(r: int, spec: ShuffleSpec, counter: OpCounter | None = None):
-    """The chunks of _modinv_chunks with x ascending: one round's swaps in the order a network lists them.
-
-    The mirror chunks (all past m/2) are held, reversed and in
-    row_dtype(spec.N), to the walk's end: about 1.6 bytes a position in
-    uint16 or uint32, 3 in intp (tracemalloc).  The Euclid work goes to
-    counter.
-    """
-    half, mirrors, dtype = spec.m // 2, [], row_dtype(spec.N)
-    for i, j in _modinv_chunks(r, spec, counter):
-        if len(i) and i[0] > half:
-            mirrors.append((i[::-1].astype(dtype, copy=False), j[::-1].astype(dtype, copy=False)))
-        else:
-            yield i, j
-    yield from reversed(mirrors)
 
 
 def shuffle_modinv(array, k: int, counter: OpCounter | None = None) -> OpCounter:

@@ -3,14 +3,16 @@
 rev_digits recomputes a digit reversal from scratch, one position at a
 time, the check on the chunked offset table that _revswap_chunks reads;
 chunk_pairs turns a round's index chunks, from _revswap_chunks or
-_modinv_chunks_ascending, into the (i, j) tuples that the tests compare;
-and emit_text_per_pair renders a network one swap at a time, the check
-on emit_text's digit renderer.  parse_cycle_notation reads the cycle
-strings that cycle_notation and the factor command print.
-compose and inverse are the permutation algebra the factoring laws are
-stated in, and enumerate_involutions and brute_force_factorizations the
-exhaustive census that factor_permutation's pairs are counted against;
-the library itself needs none of them.
+_modinv_chunks, into the (i, j) tuples that the tests compare (sorted
+for _modinv_chunks, which gives a lane chunk's mirrors after it, against
+the scalar j_map pairs); and emit_text_per_pair renders a network one
+swap at a time, the check on emit_text's digit renderer.
+parse_cycle_notation reads the cycle strings that cycle_notation and the
+factor command print.  compose and inverse are the permutation algebra
+the factoring laws are stated in, and enumerate_involutions and
+brute_force_factorizations the exhaustive census that
+factor_permutation's pairs are counted against; the library itself
+needs none of them.
 """
 
 from shuffleworks.involution_factor import InvolutionPair

@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shuffleworks import cli, perm_core, recordfile, shuffle_bitrev
+from shuffleworks import cli, recordfile, shuffle_bitrev
 from shuffleworks.cli import _write, main
 from shuffleworks.involution_factor import factor_permutation
 from shuffleworks.network import build_network, emit_text
@@ -1359,8 +1359,13 @@ oracle 5 inplace 55 0 33dd8cfd2a9057c7 swaps=0 rounds=0 euclid_iters=0
 """
 
 
-def _no_scalar_swaps(array, pairs):
-    raise AssertionError("the scalar executor ran")
+def _ndarrays_only(swap_chunks):
+    """swap_chunks, refusing any container but an ndarray."""
+    def guarded(array, chunks):
+        if not isinstance(array, np.ndarray):
+            raise AssertionError("a round ran on a %s" % type(array).__name__)
+        return swap_chunks(array, chunks)
+    return guarded
 
 
 @pytest.mark.parametrize("k, N, method", [
@@ -1372,8 +1377,9 @@ def _no_scalar_swaps(array, pairs):
     (3, 3 * 401, "oracle"),
 ])
 def test_lines_take_the_ndarray_routes(k, N, method, capsys, monkeypatch):
-    # swap_chunks, the one round executor, looks the scalar executor up here
-    monkeypatch.setattr(perm_core, "swap_pairs", _no_scalar_swaps)
+    # the swap rounds look swap_chunks, the one round executor, up in their own modules
+    for module in (importlib.import_module("shuffleworks.shuffle_modinv"), shuffle_bitrev):
+        monkeypatch.setattr(module, "swap_chunks", _ndarrays_only(module.swap_chunks))
     tokens = ["t%d" % i for i in range(N)]
     code, out, err = run_cli(
         ["shuffle", "--lines", "--k", str(k), "--method", method],

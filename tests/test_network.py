@@ -19,11 +19,12 @@ from shuffleworks.network import (
     emit_text,
     network_permutation,
     parse_text,
+    row_dtype,
 )
 from shuffleworks.oracle import inshuffle_permutation, oracle_shuffle
 from shuffleworks.perm_core import Permutation
-from shuffleworks.shuffle_bitrev import ShuffleSpec, _revswap_chunks, row_dtype
-from shuffleworks.shuffle_modinv import _modinv_chunks_ascending, j_map
+from shuffleworks.shuffle_bitrev import ShuffleSpec, _revswap_chunks
+from shuffleworks.shuffle_modinv import _modinv_chunks, j_map
 
 from _reference import chunk_pairs, emit_text_per_pair, rev_digits
 
@@ -56,8 +57,8 @@ def test_modinv_network_counts():
 
 
 def test_network_rounds_are_the_pair_sources():
-    # each round is its construction's pair source, and both agree with
-    # the pairs recomputed position by position
+    # each round is its construction's pair source, sorted by i, and both
+    # agree with the pairs recomputed position by position
     for k, n in ((2, 1), (2, 6), (3, 4), (4, 3), (5, 2)):
         spec = ShuffleSpec.for_length(k ** n, k)
         net = build_network("bitrev", spec)
@@ -68,10 +69,9 @@ def test_network_rounds_are_the_pair_sources():
     for k, N in ((2, 30), (3, 27), (4, 40), (5, 45)):
         spec = ShuffleSpec.for_length(N, k)
         net = build_network("modinv", spec)
-        rounds = [list(chunk_pairs(_modinv_chunks_ascending(r, spec))) for r in (1, k)]
-        assert net == SwapNetwork(spec.N, rounds, "modinv")
+        assert net == SwapNetwork(spec.N, [sorted(chunk_pairs(_modinv_chunks(r, spec))) for r in (1, k)], "modinv")
         assert net == SwapNetwork(spec.N, [
-            [(x, j) for x in range(spec.m) if (j := j_map(r, x, spec)) > x] for r in (1, k)], "modinv")
+            [(x, j) for x in range(1, spec.m) if (j := j_map(r, x, spec)) > x] for r in (1, k)], "modinv")
 
 
 def test_modinv_network_walks_the_lanes_once_per_round(monkeypatch):
@@ -226,16 +226,19 @@ def test_factorizations_with_fixed_points_and_empty_rounds():
         assert all(values[p.map[x]] == x for x in range(len(perm)))
 
 
-@pytest.mark.parametrize("exp", [14, 17])
-def test_build_and_emit_scratch_per_position(exp):
+@pytest.mark.parametrize("method, k, N", [
+    ("bitrev", 2, 2 ** 14), ("bitrev", 2, 2 ** 17), ("modinv", 3, 3 * 12_001), ("modinv", 2, 2 ** 16 + 2)])
+def test_build_and_emit_scratch_per_position(method, k, N):
     # two rounds of about N/2 rows, 4 bytes a row at 2**14 (uint16) and 8 at 2**17 (uint32), the text (12.5 to
     # 14.3 bytes a position here) held twice while it is joined, and one step of the renderer: 32.6 and 36.5 bytes
-    # a position measured, so the bound leaves 10% over the larger; intp rows took 44.5, pair tuples 156 to 170
-    spec = ShuffleSpec.for_length(2 ** exp, 2)
-    emit_text(build_network("bitrev", ShuffleSpec.for_length(64, 2)))  # one-time allocations
+    # a position measured, so the bound leaves 10% over the larger; intp rows took 44.5, pair tuples 156 to 170.
+    # A modinv round's sort by i holds an intp index and a sorted copy of the round for a moment, below the text's
+    # peak: about 31 and 35 bytes a position
+    spec = ShuffleSpec.for_length(N, k)
+    emit_text(build_network(method, ShuffleSpec.for_length(64, 2)))  # one-time allocations
     tracemalloc.start()
     try:
-        text = emit_text(build_network("bitrev", spec))
+        text = emit_text(build_network(method, spec))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,7 +17,6 @@ from shuffleworks.shuffle_modinv import (
     OpCounter,
     _j_chunks,
     _modinv_chunks,
-    _modinv_chunks_ascending,
     ext_gcd,
     j_map,
     shuffle_modinv,
@@ -234,7 +233,7 @@ def test_lane_pairs_and_counts_equal_the_scalar_reference():
         spec = ShuffleSpec.for_length(N, k)
         for r in (1, k):
             counter = OpCounter()
-            got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
+            got = sorted(chunk_pairs(_modinv_chunks(r, spec, counter)))
             want, scalar = _scalar_round(r, spec)
             assert got == want, (N, k, r)
             assert counter == scalar, (N, k, r)
@@ -310,7 +309,7 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
     assert [(len(x), x.dtype) for x, _ in _j_chunks(spec, 1, None)] == [(w, np.dtype(np.int32)) for w in widths]
     for r in (1, k):
         counter = OpCounter()
-        got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
+        got = sorted(chunk_pairs(_modinv_chunks(r, spec, counter)))
         want, work = _scalar_round(r, spec)
         assert (got, counter) == (want, work), r
         scalar.swaps += len(want)
@@ -328,9 +327,9 @@ def test_wide_edges_match_the_scalar_reference_and_the_oracle(N, k, kind, tmp_pa
 
 
 @pytest.mark.parametrize("N, k", MIRROR_EDGES + WIDE_EDGES + [(3 * 12_001, 3)])
-def test_modinv_chunks_hold_the_pairs_in_network_order(N, k):
+def test_modinv_chunks_hold_the_scalar_pairs_in_batches(N, k):
     # per round: disjoint index chunks of at most _SWAP_BATCH pairs, i < j,
-    # whose pairs are those _modinv_chunks_ascending lists
+    # whose pairs are the scalar reference's
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
         chunks = list(_modinv_chunks(r, spec))
@@ -338,7 +337,7 @@ def test_modinv_chunks_hold_the_pairs_in_network_order(N, k):
         i, j = (np.concatenate([chunk[side] for chunk in chunks]) for side in (0, 1))
         assert (i < j).all(), (N, k, r)
         assert len(np.unique(np.concatenate((i, j)))) == 2 * len(i), (N, k, r)
-        assert set(zip(i.tolist(), j.tolist())) == set(chunk_pairs(_modinv_chunks_ascending(r, spec))), (N, k, r)
+        assert sorted(zip(i.tolist(), j.tolist())) == _scalar_round(r, spec)[0], (N, k, r)
 
 
 def _smooth(m):
@@ -365,7 +364,7 @@ def test_cofactor_read_back_on_smooth_moduli(case):
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
         counter = OpCounter()
-        got = list(chunk_pairs(_modinv_chunks_ascending(r, spec, counter)))
+        got = sorted(chunk_pairs(_modinv_chunks(r, spec, counter)))
         want, scalar = _scalar_round(r, spec)
         assert got == want, (N, k, r)
         assert counter == scalar, (N, k, r)
@@ -399,16 +398,17 @@ def test_mirror_identities_of_the_scalar_reference(k, data):
 def test_lanes_are_exact_up_to_the_int64_guard(k):
     # The largest N with k*(N-1) < 2**63: the first chunk's partners, from
     # int64 remainders, cofactors and r*u, equal Python's exact integers.
+    # That chunk of W64 lanes yields its pairs x <= W64 before any mirror m - x.
     N = ((1 << 63) - 1) // k + 1
     N -= N % k
     spec = ShuffleSpec.for_length(N, k)
     for r in (1, k):
-        got = list(itertools.takewhile(lambda pair: pair[0] <= 256, chunk_pairs(_modinv_chunks_ascending(r, spec))))
+        got = list(itertools.takewhile(lambda pair: pair[0] <= 256, chunk_pairs(_modinv_chunks(r, spec))))
         assert got == _scalar_round(r, spec, last=256)[0], r
     # one multiple of k further passes the spec check and stops at the guard
     counter = OpCounter()
     with pytest.raises(OverflowError, match="int64"):
-        next(chunk_pairs(_modinv_chunks_ascending(1, ShuffleSpec.for_length(N + k, k), counter)))
+        next(chunk_pairs(_modinv_chunks(1, ShuffleSpec.for_length(N + k, k), counter)))
     assert counter == OpCounter()
 
 
@@ -416,7 +416,8 @@ def test_lanes_are_exact_up_to_the_int64_guard(k):
 def test_lanes_are_exact_at_the_int32_boundary(k):
     # The largest N with k*(N-1) < 2**31 runs int32 lanes at full magnitude,
     # W32 to a chunk; the next multiple of k runs int64 lanes, W64 to a chunk.
-    # Either way the first chunk's partners equal Python's exact integers.
+    # Either way the first chunk's partners, which it yields before any
+    # mirror, equal Python's exact integers.
     N = ((1 << 31) - 1) // k + 1
     N -= N % k
     assert k * (N - 1) < 1 << 31 <= k * (N + k - 1)
@@ -425,7 +426,7 @@ def test_lanes_are_exact_at_the_int32_boundary(k):
         x, _ = next(_j_chunks(spec, 1, None))
         assert (x.dtype, len(x)) == (dtype, width), N
         for r in (1, k):
-            pairs = chunk_pairs(_modinv_chunks_ascending(r, spec))
+            pairs = chunk_pairs(_modinv_chunks(r, spec))
             got = list(itertools.takewhile(lambda pair: pair[0] <= width, pairs))
             assert got == _scalar_round(r, spec, last=width)[0], (N, r)
 
